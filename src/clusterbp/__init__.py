@@ -26,7 +26,6 @@ from clusterbp.graphs import (
     Cluster,
     ClusterGraph,
     Sepset,
-    assimilate_subsets,
     bethe_graph,
     connection_weights,
     export_dot,
@@ -54,7 +53,6 @@ __all__ = [
     "SparseTable",
     "Variable",
     "anchor_largest_clique",
-    "assimilate_subsets",
     "bethe_graph",
     "build_factors",
     "connection_weights",

@@ -41,13 +41,7 @@ from clusterbp.coloring import (
     verify_coloring,
 )
 from clusterbp.factors import ContradictionError, uniform_factor
-from clusterbp.graphs import (
-    assimilate_subsets,
-    bethe_graph,
-    export_dot,
-    ltrip,
-    validate_rip,
-)
+from clusterbp.graphs import bethe_graph, export_dot, ltrip, validate_rip
 from clusterbp.inference import SCHEDULES, InferenceOptions, InferenceState
 
 log = logging.getLogger("clusterbp")
@@ -120,9 +114,7 @@ def solve_problem(
     if cluster_size is not None:
         cliques = split_cliques(cliques, cluster_size)
     bias = label_preferences(problem, seed) if bias_delta > 0 else None
-    items = assimilate_subsets(
-        build_factors(problem, cliques, bias=bias, delta=bias_delta)
-    )
+    items = build_factors(problem, cliques, bias=bias, delta=bias_delta)
     if not items:
         # Every variable is given; construction already proved consistency.
         build_ms = (time.perf_counter() - started) * 1000.0

@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from clusterbp.factors import ContradictionError, SparseTable, Variable
 from clusterbp.graphs import Cluster
@@ -274,17 +274,19 @@ def build_factors(
     bias: Mapping[Variable, Sequence[float]] | None = None,
     delta: float = 0.01,
 ) -> list[tuple[Cluster, SparseTable]]:
-    """Compile cliques into all-different tables with givens folded in.
+    """Compile cliques into subset-free all-different tables, givens folded in.
 
     Every disagreement edge must lie inside some clique, otherwise the
     compiled problem would silently drop a constraint.  Observed
-    variables are conditioned out of their tables (shrinking scopes);
+    variables are conditioned out of their cliques (shrinking scopes);
     cliques observed away completely are dropped, so a fully-given
-    problem compiles to an empty list.  `bias` optionally
-    assigns each variable a per-label preference, applied once as a
-    multiplicative nudge of 1 + delta * preference — strong enough to
-    break ties after convergence, weak enough to never beat a hard zero.
-    Clusters are renumbered to match the returned tables.
+    problem compiles to an empty list.  A clique whose remaining scope
+    lies inside another's is folded into it (see `_fold_cliques`), so
+    the output is subset-free and ready for `ltrip`.  `bias` optionally
+    assigns each variable a per-label preference, applied once per
+    clique as a multiplicative nudge of 1 + delta * preference — strong
+    enough to break ties after convergence, weak enough to never beat a
+    hard zero.  Clusters are numbered 0..n-1 in clique order.
     """
     covered = {
         edge
@@ -298,7 +300,8 @@ def build_factors(
             f"edge {a.name}-{b.name} is not inside any clique; "
             f"the cover is incomplete"
         )
-    out: list[tuple[Cluster, SparseTable]] = []
+    labels: list[list[int]] = []
+    nudges: dict[Variable, tuple[float, ...]] = {}
     for clique in cliques:
         members = clique.sorted_vars()
         observed = [v for v in members if v in problem.givens]
@@ -307,71 +310,104 @@ def build_factors(
             raise ContradictionError(
                 f"givens repeat a label inside clique {{{clique.label()}}}"
             )
-        free = tuple(v for v in members if v not in problem.givens)
-        if not free:
-            continue  # fully observed; nothing left to infer
-        # Equivalent to observing the givens out of a full all-different
-        # table, but only the surviving entries are ever materialized.
-        labels = [x for x in range(problem.k) if x not in taken]
-        if len(free) > len(labels):
+        labels.append([x for x in range(problem.k) if x not in taken])
+        free = [v for v in members if v not in problem.givens]
+        if len(free) > len(labels[-1]):
             raise ContradictionError(
                 f"clique {{{clique.label()}}} needs {len(free)} distinct "
-                f"labels but only {len(labels)} remain"
+                f"labels but only {len(labels[-1])} remain"
             )
-        table = SparseTable(
-            free,
-            (problem.k,) * len(free),
-            {key: 1.0 for key in itertools.permutations(labels, len(free))},
-        )
-        if bias is not None:
-            for variable in table.scope:
-                preference = bias.get(variable)
-                if preference is None:
-                    continue
-                if len(preference) != problem.k:
-                    raise ValueError(
-                        f"bias for {variable.name} lists {len(preference)} "
-                        f"weights; expected {problem.k}"
-                    )
-                nudges = {
-                    (label,): 1.0 + delta * preference[label]
-                    for label in range(problem.k)
-                }
-                table = table.multiply(
-                    SparseTable((variable,), (problem.k,), nudges)
+        for variable in free:
+            preference = None if bias is None else bias.get(variable)
+            if preference is None or variable in nudges:
+                continue
+            if len(preference) != problem.k:
+                raise ValueError(
+                    f"bias for {variable.name} lists {len(preference)} "
+                    f"weights; expected {problem.k}"
                 )
-        out.append((Cluster(len(out), frozenset(table.scope)), table))
+            weights = SparseTable(  # rejects negative and NaN nudges
+                (variable,),
+                (problem.k,),
+                {(x,): 1.0 + delta * preference[x] for x in range(problem.k)},
+            )
+            nudges[variable] = tuple(weights[(x,)] for x in range(problem.k))
+    out: list[tuple[Cluster, SparseTable]] = []
+    for cluster, members in _fold_cliques(problem, cliques):
+        scope = cluster.sorted_vars()
+        where = {v: i for i, v in enumerate(scope)}
+        # A folded clique bans the labels its givens take but the kept
+        # clique's do not, and brings its own nudges.  Nudge products are
+        # formed per clique in sorted scope order, then multiplied kept
+        # clique first and folded ones in fold order: the same float
+        # operations as multiplying per-clique tables into one another.
+        blocked: set[tuple[int, int]] = set()
+        parts = []
+        for i in members:
+            sub = sorted(cliques[i].vars & cluster.vars)
+            banned = set(labels[members[0]]) - set(labels[i])
+            blocked.update((where[v], x) for v in sub for x in banned)
+            parts.append([(where[v], nudges[v]) for v in sub if v in nudges])
+        keys = [
+            key
+            for key in itertools.permutations(labels[members[0]], len(scope))
+            if blocked.isdisjoint(enumerate(key))
+        ]
+        if nudges:
+            entries = {
+                key: math.prod(math.prod(w[key[p]] for p, w in part) for part in parts)
+                for key in keys
+            }
+        else:
+            entries = dict.fromkeys(keys, 1.0)
+        table = SparseTable(scope, (problem.k,) * len(scope), entries)
+        out.append((cluster, table))
     return out
+
+
+def _fold_cliques(
+    problem: ColoringProblem, cliques: Sequence[Cluster]
+) -> list[tuple[Cluster, tuple[int, ...]]]:
+    """Which cliques survive conditioning, and which fold into each.
+
+    The givens are conditioned out of every clique and emptied scopes
+    vanish.  Walking the rest largest first (then by sorted scope, then
+    by clique index), a scope contained in an already kept scope folds
+    into the first such one; otherwise it is kept.  Returns, for each
+    kept clique in clique order, its renumbered cluster and the indices
+    of the cliques it stands for: itself first, then those folded into
+    it in fold order.
+    """
+    scopes = [
+        frozenset(v for v in clique.vars if v not in problem.givens)
+        for clique in cliques
+    ]
+    order = sorted(
+        (i for i, scope in enumerate(scopes) if scope),
+        key=lambda i: (-len(scopes[i]), tuple(sorted(scopes[i])), i),
+    )
+    folds: dict[int, list[int]] = {}
+    for i in order:
+        target = next((j for j in folds if scopes[i] <= scopes[j]), None)
+        if target is None:
+            folds[i] = [i]
+        else:
+            folds[target].append(i)
+    return [
+        (Cluster(new_id, scopes[i]), tuple(folds[i]))
+        for new_id, i in enumerate(sorted(folds))
+    ]
 
 
 def purged_clusters(
     problem: ColoringProblem, cliques: Sequence[Cluster]
 ) -> list[Cluster]:
-    """The clusters a factor build would leave behind, without the tables.
+    """The clusters `build_factors` returns, without building any table.
 
-    Conditioning removes given variables from every clique; emptied
-    scopes vanish, and scopes contained in a surviving scope fold away
-    exactly as assimilation folds the compiled factors.  Useful when only
-    the graph shape matters: nothing here materializes a potential table.
+    Nothing here checks the givens, so unsatisfiable problems still get
+    their cluster shape.
     """
-    scopes: list[frozenset[Variable]] = []
-    for clique in cliques:
-        free = frozenset(v for v in clique.vars if v not in problem.givens)
-        if free:
-            scopes.append(free)
-    order = sorted(
-        range(len(scopes)),
-        key=lambda i: (-len(scopes[i]), tuple(sorted(scopes[i])), i),
-    )
-    kept: list[frozenset[Variable]] = []
-    survivors: list[int] = []
-    for i in order:
-        if any(scopes[i] <= other for other in kept):
-            continue
-        kept.append(scopes[i])
-        survivors.append(i)
-    survivors.sort()
-    return [Cluster(new_id, scopes[i]) for new_id, i in enumerate(survivors)]
+    return [cluster for cluster, _ in _fold_cliques(problem, cliques)]
 
 
 def label_preferences(

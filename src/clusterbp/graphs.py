@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from clusterbp.factors import SparseTable, Variable
+from clusterbp.factors import Variable
 
 GRAPH_KINDS = ("ltrip", "bethe", "custom")
 
@@ -220,8 +220,8 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
     layer contributions, and the per-variable trees make the
     running-intersection property hold by construction.
 
-    Input clusters must already be subset-free (see
-    `assimilate_subsets`); a cluster contained in another is an error.
+    Input clusters must already be subset-free, as `build_factors`
+    leaves them; a cluster contained in another is an error.
     """
     clusters = tuple(clusters)
     if not clusters:
@@ -233,7 +233,8 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
             if a.id != b.id and a.vars <= b.vars:
                 raise ValueError(
                     f"cluster {a.id} ({{{a.label()}}}) is contained in cluster "
-                    f"{b.id} ({{{b.label()}}}); assimilate subsets first"
+                    f"{b.id} ({{{b.label()}}}); fold subsets into supersets first "
+                    f"(build_factors does)"
                 )
     sepset_vars: dict[tuple[int, int], set[Variable]] = {}
     layers: list[LayerTree] = []
@@ -281,43 +282,6 @@ def bethe_graph(clusters: Sequence[Cluster]) -> ClusterGraph:
     ]
     sepsets.sort(key=lambda s: s.clusters)
     return ClusterGraph(tuple(nodes), tuple(sepsets), kind="bethe")
-
-
-def assimilate_subsets(
-    items: Sequence[tuple[Cluster, SparseTable]],
-) -> list[tuple[Cluster, SparseTable]]:
-    """Fold every cluster that is a subset of another into a superset.
-
-    A subsumed cluster's table is multiplied into the table of the
-    absorbing superset (largest first, earliest on ties), preserving the
-    joint distribution.  Survivors keep their relative order and are
-    renumbered 0..n-1.
-    """
-    items = list(items)
-    for cluster, table in items:
-        if set(table.scope) != set(cluster.vars):
-            scope = ",".join(v.name for v in table.scope)
-            raise ValueError(
-                f"cluster {cluster.id} covers {{{cluster.label()}}} but its "
-                f"table has scope {{{scope}}}"
-            )
-    order = sorted(
-        range(len(items)),
-        key=lambda i: (-len(items[i][0].vars), items[i][0].sorted_vars()),
-    )
-    kept: list[int] = []
-    tables = {i: table for i, (_, table) in enumerate(items)}
-    for i in order:
-        vars_i = items[i][0].vars
-        target = next((j for j in kept if vars_i <= items[j][0].vars), None)
-        if target is None:
-            kept.append(i)
-        else:
-            tables[target] = tables[target].multiply(tables[i])
-    return [
-        (Cluster(new_id, items[i][0].vars), tables[i])
-        for new_id, i in enumerate(sorted(kept))
-    ]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from clusterbp.factors import (
     ContradictionError,

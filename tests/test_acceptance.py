@@ -49,7 +49,6 @@ from clusterbp.graphs import (
     Cluster,
     ClusterGraph,
     Sepset,
-    assimilate_subsets,
     bethe_graph,
     connection_weights,
     ltrip,
@@ -324,9 +323,7 @@ def multi_solution_instances(count=20):
 def test_06_converged_beliefs_preserve_every_solution():
     for puzzle in multi_solution_instances():
         problem = sudoku_problem(grid_text(puzzle), 4)
-        items = assimilate_subsets(
-            build_factors(problem, maximal_cliques(problem))
-        )
+        items = build_factors(problem, maximal_cliques(problem))
         graph = ltrip([cluster for cluster, _ in items])
         posterior = InferenceState(graph, [table for _, table in items]).run()
         assert posterior.converged

@@ -1,9 +1,14 @@
 """Command-line behavior: pipelines, exit codes, CSV output, DOT export."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clusterbp
 from clusterbp.cli import (
     CSV_COLUMNS,
     EXIT_BAD_INPUT,
@@ -274,3 +279,39 @@ class TestLoaders:
         problem = sudoku_problem(WELL_DEFINED_4, 4)
         with pytest.raises(ValueError, match="unknown topology"):
             solve_problem(problem, "loopy")
+
+
+class TestDeterminismAcrossProcesses:
+    """The same command prints the same answer under any hash seed."""
+
+    def run_cli(self, args, hash_seed):
+        source = str(Path(clusterbp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "clusterbp.cli", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        kept = [
+            line for line in done.stdout.splitlines() if not line.startswith("build:")
+        ]
+        return done.returncode, kept
+
+    def test_solve(self, puzzle_file):
+        args = ["solve", str(puzzle_file), "--cluster-size", "3", "--bias", "0.01"]
+        first = self.run_cli(args, 0)
+        assert first[0] == EXIT_OK
+        assert "valid: yes" in first[1]
+        assert self.run_cli(args, 1) == first
+
+    def test_color_map(self):
+        regions = Path(clusterbp.__file__).parent / "data" / "maps" / "seven_regions.txt"
+        first = self.run_cli(["color-map", str(regions)], 0)
+        assert first[0] == EXIT_OK
+        assert len(first[1]) == 7
+        assert self.run_cli(["color-map", str(regions)], 1) == first

@@ -27,9 +27,15 @@ from clusterbp.factors import (
     make_variables,
     permutation_factor,
 )
-from clusterbp.graphs import Cluster, assimilate_subsets
+from clusterbp.graphs import Cluster
 from conftest import SEVEN_REGION_CLIQUES, SEVEN_REGION_TEXT
-from oracles import color_by_backtracking, maximal_cliques_brute
+from oracles import (
+    DenseFactor,
+    color_by_backtracking,
+    dense_joint,
+    maximal_cliques_brute,
+    solve_sudoku,
+)
 
 
 def triangle_problem(k=3, givens=None):
@@ -389,7 +395,7 @@ class TestBuildFactors:
             {v: solution[v.name] for v in shown},
         )
         cliques = maximal_cliques(problem)
-        items = assimilate_subsets(build_factors(problem, cliques))
+        items = build_factors(problem, cliques)
         assert purged_clusters(problem, cliques) == [c for c, _ in items]
 
     @given(st.integers(2, 5), st.data())
@@ -415,6 +421,172 @@ class TestBuildFactors:
             assert items == []
         else:
             assert items[0][1].allclose(reference)
+
+
+def compile_cover(cover, k=4, givens=None, bias=None, delta=0.01):
+    """Compile cliques named by strings over a problem whose edges are
+    exactly the pairs inside them; `givens` and `bias` are keyed by name."""
+    variables = make_variables(sorted(set("".join(cover))))
+    by_name = {v.name: v for v in variables}
+    cliques = [
+        Cluster(i, frozenset(by_name[n] for n in names))
+        for i, names in enumerate(cover)
+    ]
+    edges = frozenset(
+        frozenset(pair)
+        for clique in cliques
+        for pair in itertools.combinations(clique.vars, 2)
+    )
+    problem = ColoringProblem(
+        tuple(variables),
+        edges,
+        k,
+        {by_name[n]: x for n, x in (givens or {}).items()},
+    )
+    bias = None if bias is None else {by_name[n]: w for n, w in bias.items()}
+    return build_factors(problem, cliques, bias=bias, delta=delta)
+
+
+def ids_and_scopes(items):
+    return [(c.id, c.label()) for c, _ in items]
+
+
+class TestFoldSubsets:
+    """`build_factors` folds cliques whose conditioned scope lies inside
+    another's, so its output is subset-free.  G and H are always given;
+    the labels they take show up as bans in the table a clique folds into."""
+
+    def test_subset_folds_into_superset(self):
+        # {A,B} is inside both; the larger one takes it, not the earlier.
+        items = compile_cover(["ABE", "ABCD", "ABG"], givens={"G": 0})
+        assert ids_and_scopes(items) == [(0, "A,B,E"), (1, "A,B,C,D")]
+        assert any(key[0] == 0 for key in items[0][1])
+        assert len(items[1][1]) == 12  # 0 sits at C or D: 2 * 3!
+        assert not any(0 in key[:2] for key in items[1][1])
+        # On a tie in size the earliest superset takes it.
+        items = compile_cover(["ABC", "ABD", "ABG"], givens={"G": 0})
+        assert ids_and_scopes(items) == [(0, "A,B,C"), (1, "A,B,D")]
+        assert not any(0 in key[:2] for key in items[0][1])
+        assert any(key[0] == 0 for key in items[1][1])
+
+    def test_survivors_keep_order_and_renumber(self):
+        items = compile_cover(["AB", "BG", "BC"], k=3, givens={"G": 0})
+        assert ids_and_scopes(items) == [(0, "A,B"), (1, "B,C")]
+        # {B} folded into {A,B}: largest first, then by sorted scope
+        assert set(items[0][1]) == {(0, 1), (0, 2), (1, 2), (2, 1)}
+        assert (0, 1) in items[1][1]
+
+    def test_identical_clusters_merge(self):
+        items = compile_cover(
+            ["ABG", "ABH"],
+            givens={"G": 0, "H": 1},
+            bias={"A": (0, 1, 2, 3)},
+            delta=0.5,
+        )
+        assert ids_and_scopes(items) == [(0, "A,B")]
+        # each clique applies A's nudge once: (1 + 0.5 * 2) ** 2
+        assert items[0][1].entries == {(2, 3): 4.0, (3, 2): 6.25}
+
+    def test_chain_of_subsets(self):
+        items = compile_cover(["AG", "ABC", "ABH"], givens={"G": 0, "H": 1})
+        assert ids_and_scopes(items) == [(0, "A,B,C")]
+        expected = {
+            key
+            for key in itertools.permutations(range(4), 3)
+            if key[0] not in (0, 1) and key[1] != 1
+        }
+        assert set(items[0][1]) == expected
+
+    def test_no_subsets_is_identity(self, seven_cliques):
+        problem = parse_adjacency(SEVEN_REGION_TEXT)
+        items = build_factors(problem, maximal_cliques(problem))
+        assert [c for c, _ in items] == seven_cliques
+        for cluster, table in items:
+            assert table == permutation_factor(cluster.sorted_vars(), 4)
+
+
+def clique_by_clique_reference(problem, cliques, bias, delta):
+    """The dense joint of one all-different factor per clique, givens
+    observed and nudges applied, built from the oracles alone."""
+    k = problem.k
+    factors = []
+    for clique in cliques:
+        members = tuple(sorted(clique.vars, key=lambda v: v.id))
+        factor = DenseFactor.from_function(
+            members, (k,) * len(members), lambda key: len(set(key)) == len(key)
+        )
+        for variable in members:
+            if variable in problem.givens:
+                factor = factor.observe(variable, problem.givens[variable])
+            elif bias is not None and variable in bias:
+                nudge = DenseFactor.from_function(
+                    (variable,), (k,), lambda key: 1 + delta * bias[variable][key[0]]
+                )
+                factor = factor.multiply(nudge)
+        factors.append(factor)
+    return dense_joint(factors)
+
+
+def assert_joint_matches(problem, cliques, bias, delta):
+    items = build_factors(problem, cliques, bias=bias, delta=delta)
+    scopes = [c.vars for c, _ in items]
+    assert not any(a < b for a in scopes for b in scopes)
+    reference = clique_by_clique_reference(problem, cliques, bias, delta)
+    if not items:
+        assert reference.scope == ()
+        return
+    joint = dense_joint([DenseFactor.from_sparse(t) for _, t in items])
+    assert set(joint.scope) == set(reference.scope)
+    for key, expected in reference.values.items():
+        got = joint.value_of(dict(zip(reference.scope, key)))
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestFoldMatchesDenseOracle:
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 10_000),
+        st.sampled_from([None, 2, 3]),
+        st.sampled_from([0.0, 0.01, 0.3]),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_small_maps(self, rows, cols, seed, size, delta, data):
+        problem = random_planar_map(rows, cols, seed=seed)
+        solution = color_by_backtracking(
+            [v.name for v in problem.variables],
+            [tuple(sorted(v.name for v in e)) for e in problem.edges],
+            4,
+        )
+        hidden = data.draw(st.sets(st.sampled_from(problem.variables), max_size=5))
+        problem = ColoringProblem(
+            problem.variables,
+            problem.edges,
+            4,
+            {v: solution[v.name] for v in problem.variables if v not in hidden},
+        )
+        cliques = maximal_cliques(problem)
+        if size is not None:
+            cliques = split_cliques(cliques, size)
+        bias = label_preferences(problem, seed) if delta else None
+        assert_joint_matches(problem, cliques, bias, delta)
+
+    @given(
+        st.integers(0, 287),
+        st.integers(0, 10_000),
+        st.sampled_from([0.0, 0.01, 0.3]),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=25)
+    def test_grids_split_at_three(self, which, seed, delta, data):
+        full = solve_sudoku([0] * 16, 4)[which]
+        blanks = data.draw(st.sets(st.integers(0, 15), min_size=1, max_size=5))
+        grid = "".join("." if i in blanks else str(d) for i, d in enumerate(full))
+        problem = sudoku_problem(grid, n=4)
+        cliques = split_cliques(maximal_cliques(problem), 3)
+        bias = label_preferences(problem, seed) if delta else None
+        assert_joint_matches(problem, cliques, bias, delta)
 
 
 class TestPreferences:

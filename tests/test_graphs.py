@@ -6,7 +6,6 @@ Covers:
 * maximum spanning trees, cross-checked by enumerating every labeled tree
 * layered construction: forced edges, sepset contents, determinism
 * the Bethe construction and its single-variable hubs
-* subset assimilation of (cluster, table) pairs
 * running-intersection validation on valid, broken, and random graphs
 * DOT export
 """
@@ -18,12 +17,11 @@ import random
 import numpy as np
 import pytest
 
-from clusterbp import SparseTable, make_variables, uniform_factor
+from clusterbp import make_variables
 from clusterbp.graphs import (
     Cluster,
     ClusterGraph,
     Sepset,
-    assimilate_subsets,
     bethe_graph,
     connection_weights,
     export_dot,
@@ -213,7 +211,7 @@ class TestLayeredConstruction:
             ltrip([cl(0, "AB"), cl(0, "BC")])
 
     def test_subset_clusters_rejected(self):
-        with pytest.raises(ValueError, match="assimilate"):
+        with pytest.raises(ValueError, match="fold subsets"):
             ltrip([cl(0, "ABC"), cl(1, "AB")])
 
     def test_triangle_of_pairwise_cliques(self):
@@ -225,7 +223,7 @@ class TestLayeredConstruction:
         assert validate_rip(graph).valid
 
     def test_worked_layer_contains_a_subset_and_is_refused(self):
-        with pytest.raises(ValueError, match="assimilate"):
+        with pytest.raises(ValueError, match="fold subsets"):
             ltrip(WORKED_LAYER)
 
     def test_worked_example_graph_assembled_by_layers(self):
@@ -306,59 +304,6 @@ class TestBetheConstruction:
             (variable,) = sepset.vars
             assert graph.clusters[hub].vars == frozenset({variable})
             assert variable in graph.clusters[original].vars
-
-
-class TestAssimilateSubsets:
-    def test_subset_folds_into_superset(self):
-        big = uniform_factor((A, B), (4, 4))
-        small = SparseTable((A,), (4,), {(0,): 2.0, (1,): 3.0})
-        out = assimilate_subsets(
-            [(cl(0, "AB"), big), (cl(1, "A"), small)]
-        )
-        assert len(out) == 1
-        cluster, table = out[0]
-        assert cluster.id == 0 and names_of(cluster.vars) == "AB"
-        assert table[(0, 2)] == 2.0 and table[(1, 3)] == 3.0
-
-    def test_survivors_keep_order_and_renumber(self):
-        items = [
-            (cl(0, "AB"), uniform_factor((A, B), (2, 2))),
-            (cl(1, "B"), uniform_factor((B,), (2,))),
-            (cl(2, "BC"), uniform_factor((B, C), (2, 2))),
-        ]
-        out = assimilate_subsets(items)
-        assert [(c.id, names_of(c.vars)) for c, _ in out] == [(0, "AB"), (1, "BC")]
-        # {B} folded into {A,B}: the largest candidate, earliest on ties
-        assert out[0][1][(0, 0)] == 1.0
-
-    def test_identical_clusters_merge(self):
-        t1 = SparseTable((A,), (2,), {(0,): 2.0, (1,): 1.0})
-        t2 = SparseTable((A,), (2,), {(0,): 3.0, (1,): 1.0})
-        out = assimilate_subsets([(cl(0, "A"), t1), (cl(1, "A"), t2)])
-        assert len(out) == 1
-        assert out[0][1][(0,)] == 6.0
-
-    def test_chain_of_subsets(self):
-        items = [
-            (cl(0, "A"), SparseTable((A,), (2,), {(0,): 2.0, (1,): 2.0})),
-            (cl(1, "ABC"), uniform_factor((A, B, C), (2, 2, 2))),
-            (cl(2, "AB"), SparseTable((A, B), (2, 2), {(0, 0): 3.0, (1, 1): 5.0})),
-        ]
-        out = assimilate_subsets(items)
-        assert len(out) == 1
-        table = out[0][1]
-        assert table[(0, 0, 1)] == 6.0 and table[(1, 1, 0)] == 10.0
-
-    def test_no_subsets_is_identity(self):
-        items = [
-            (cl(0, "AB"), uniform_factor((A, B), (2, 2))),
-            (cl(1, "BC"), uniform_factor((B, C), (2, 2))),
-        ]
-        assert assimilate_subsets(items) == items
-
-    def test_scope_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="scope"):
-            assimilate_subsets([(cl(0, "AB"), uniform_factor((A,), (2,)))])
 
 
 class TestRipValidation:
