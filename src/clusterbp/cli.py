@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: `solve` runs a Sudoku grid through the cluster-graph
-pipeline, `color-map` four-colors an adjacency file, `bench` sweeps a
+pipeline, `color-map` four-colors an adjacency file, `bench` runs a
 directory of puzzles over topologies and cluster sizes into a CSV, and
 `graph` builds, validates, and exports the cluster graph itself.
 
@@ -42,7 +42,7 @@ from clusterbp.coloring import (
 )
 from clusterbp.factors import ContradictionError, uniform_factor
 from clusterbp.graphs import bethe_graph, export_dot, ltrip, validate_rip
-from clusterbp.inference import SCHEDULES, InferenceOptions, InferenceState
+from clusterbp.inference import InferenceOptions, InferenceState
 
 log = logging.getLogger("clusterbp")
 
@@ -64,12 +64,14 @@ CSV_COLUMNS = (
     "infer_ms",
 )
 
+# Share of the open regions a decimation round freezes.
+FIX_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class SolveOutcome:
     """Everything a pipeline run produced, for printing or a CSV row."""
 
-    problem: ColoringProblem
     assignment: dict
     converged: bool
     report: VerifyReport
@@ -92,14 +94,12 @@ def solve_problem(
     options: InferenceOptions | None = None,
     bias_delta: float = 0.0,
     seed: int = 0,
-    anchor: bool = False,
 ) -> SolveOutcome:
     """Run the whole pipeline: cliques, factors, graph, propagation, decode.
 
-    Cluster-size splitting and bias are opt-in; `anchor` pins the largest
-    clique (for problems whose labels are symmetric, like map coloring).
-    The decoded assignment always covers every variable — observed ones
-    come straight from the givens.
+    Cluster-size splitting and bias are opt-in.  The decoded assignment
+    always covers every variable — observed ones come straight from the
+    givens.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
@@ -107,10 +107,6 @@ def solve_problem(
         options = InferenceOptions()
     started = time.perf_counter()
     cliques = maximal_cliques(problem)
-    if anchor:
-        problem = dataclasses.replace(
-            problem, givens=anchor_largest_clique(problem, cliques)
-        )
     if cluster_size is not None:
         cliques = split_cliques(cliques, cluster_size)
     bias = label_preferences(problem, seed) if bias_delta > 0 else None
@@ -120,7 +116,7 @@ def solve_problem(
         build_ms = (time.perf_counter() - started) * 1000.0
         assignment = dict(problem.givens)
         report = verify_coloring(problem, assignment)
-        return SolveOutcome(problem, assignment, True, report, 0, 0, build_ms, 0.0)
+        return SolveOutcome(assignment, True, report, 0, 0, build_ms, 0.0)
     clusters = [cluster for cluster, _ in items]
     tables = [table for _, table in items]
     if topology == "ltrip":
@@ -141,7 +137,6 @@ def solve_problem(
     assignment.update(posterior.assignment)
     report = verify_coloring(problem, assignment)
     return SolveOutcome(
-        problem,
         assignment,
         posterior.converged,
         report,
@@ -154,12 +149,12 @@ def solve_problem(
 
 
 def _confident_consistent_fixes(
-    problem: ColoringProblem, outcome: SolveOutcome, fraction: float
+    problem: ColoringProblem, outcome: SolveOutcome
 ) -> dict:
     """Pick decoded labels worth freezing as givens for the next round.
 
     Variables are ranked by how decisively their marginal prefers its
-    best label; the top fraction is kept, skipping any whose label would
+    best label; the top FIX_FRACTION is kept, skipping any whose label would
     collide with an already-frozen neighbor, so the result always builds.
     If the ranking yields nothing, the single most confident variable is
     fixed to its best non-colliding label instead.  Empty means stuck.
@@ -179,7 +174,7 @@ def _confident_consistent_fixes(
 
     unfixed = [v for v in problem.variables if v not in problem.givens]
     ranked = sorted(unfixed, key=lambda v: (-margin(v), v.id))
-    quota = max(1, math.ceil(len(unfixed) * fraction))
+    quota = max(1, math.ceil(len(unfixed) * FIX_FRACTION))
     chosen: dict = {}
 
     def taken_labels(variable) -> set:
@@ -219,7 +214,6 @@ def color_problem(
     seed: int = 0,
     anchor: bool = True,
     retries: int = 4,
-    fix_fraction: float = 0.2,
 ) -> SolveOutcome:
     """Color a map, decimating when one propagation pass cannot decide.
 
@@ -227,10 +221,14 @@ def color_problem(
     maps the converged beliefs can disagree about the overlap regions, so
     the most confident decoded labels are frozen as givens and inference
     reruns on the shrunken problem until the decode verifies.  A run that
-    annihilates (the frozen labels were jointly wrong) restarts with the
-    next preference seed.  Returns the last outcome if every attempt
-    fails; callers check `.valid`.
+    annihilates (the frozen labels were jointly wrong) starts a new
+    attempt with the next preference seed; `retries` is the number of
+    attempts, the first included.  Returns the last outcome if every
+    attempt fails, so callers check `.valid`; if no attempt got past its
+    first round, the last attempt's ContradictionError propagates.
     """
+    if retries < 1:
+        raise ValueError(f"retries must be >= 1, got {retries}")
     if options is None:
         options = InferenceOptions()
     cliques = maximal_cliques(problem)
@@ -242,7 +240,7 @@ def color_problem(
     infer_ms = 0.0
     cluster_count = 0
     outcome: SolveOutcome | None = None
-    for attempt in range(max(1, retries)):
+    for attempt in range(retries):
         work = dataclasses.replace(problem, givens=base_givens)
         try:
             while True:
@@ -258,14 +256,8 @@ def color_problem(
                 infer_ms += outcome.infer_ms
                 cluster_count = cluster_count or outcome.cluster_count
                 if outcome.valid:
-                    return dataclasses.replace(
-                        outcome,
-                        cluster_count=cluster_count,
-                        messages=messages,
-                        build_ms=build_ms,
-                        infer_ms=infer_ms,
-                    )
-                fixes = _confident_consistent_fixes(work, outcome, fix_fraction)
+                    break
+                fixes = _confident_consistent_fixes(work, outcome)
                 if not fixes:
                     break
                 log.info(
@@ -277,8 +269,11 @@ def color_problem(
                 work = dataclasses.replace(work, givens={**work.givens, **fixes})
         except ContradictionError as exc:
             log.info("attempt %d dead-ended: %s", attempt, exc)
+            if outcome is None and attempt == retries - 1:
+                raise
             continue
-    assert outcome is not None
+        if outcome.valid:
+            break
     return dataclasses.replace(
         outcome,
         cluster_count=cluster_count,
@@ -322,7 +317,6 @@ def _options_from(args: argparse.Namespace) -> InferenceOptions:
         semiring=args.semiring,
         threshold=args.threshold,
         max_messages=args.max_messages,
-        schedule=args.schedule,
         damping=args.damping,
     )
 
@@ -538,12 +532,6 @@ def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
         help="hard budget on passed messages",
     )
     parser.add_argument(
-        "--schedule",
-        choices=SCHEDULES,
-        default="residual",
-        help="message ordering policy",
-    )
-    parser.add_argument(
         "--damping",
         type=float,
         default=0.0,
@@ -558,6 +546,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError("cluster size must be >= 2")
+    return value
+
+
+def _attempt_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("retries must be >= 1")
+    return value
+
+
+def _bias_strength(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("bias must be finite and >= 0")
     return value
 
 
@@ -591,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--bias",
-        type=float,
+        type=_bias_strength,
         default=0.0,
         help="tie-breaking nudge strength (0 disables)",
     )
@@ -611,15 +613,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmap.add_argument(
         "--bias",
-        type=float,
+        type=_bias_strength,
         default=0.01,
         help="tie-breaking nudge strength (0 disables)",
     )
     cmap.add_argument(
         "--retries",
-        type=int,
+        type=_attempt_count,
         default=4,
-        help="restart budget when a coloring round dead-ends",
+        help="attempts, the first included, before giving up on dead ends",
     )
     cmap.add_argument("--out", help="write 'name label' lines here, not stdout")
     _add_inference_flags(cmap)

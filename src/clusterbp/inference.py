@@ -26,8 +26,6 @@ from clusterbp.factors import (
 )
 from clusterbp.graphs import ClusterGraph
 
-SCHEDULES = ("residual", "round-robin")
-
 DirectedEdge = tuple[int, int]
 
 
@@ -46,7 +44,6 @@ class InferenceOptions:
     semiring: Semiring = "max"
     threshold: float = 1e-8
     max_messages: int = 1_000_000
-    schedule: str = "residual"
     damping: float = 0.0
 
     def __post_init__(self) -> None:
@@ -56,10 +53,6 @@ class InferenceOptions:
             raise ValueError(f"threshold must be > 0, got {self.threshold}")
         if self.max_messages < 1:
             raise ValueError(f"max_messages must be >= 1, got {self.max_messages}")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}"
-            )
         if not 0.0 <= self.damping < 1.0:
             raise ValueError(
                 f"damping must lie in [0, 1), got {self.damping}"
@@ -69,7 +62,6 @@ class InferenceOptions:
 @dataclass
 class RunStats:
     messages: int = 0
-    sweeps: int = 0
     wall_ms: float = 0.0
 
 
@@ -162,12 +154,13 @@ class InferenceState:
                 scope, tuple(cards[v] for v in scope)
             )
         self.residuals: dict[DirectedEdge, float] = {}
-        self._heap: list[tuple[float, int, int, int]] = []
-        self._live: dict[DirectedEdge, int] = {}
-        self._pending: dict[DirectedEdge, float] = {}
+        # Heap entries are (-priority, ticket, edge); the ticket breaks ties
+        # first-queued first.  `_queued` maps each queued edge to its live
+        # entry, and entries it no longer points at are stale.
+        self._heap: list[tuple[float, int, DirectedEdge]] = []
+        self._queued: dict[DirectedEdge, tuple[float, int, DirectedEdge]] = {}
         self._ticket = itertools.count()
         self._hot = 0
-        self._use_queue = options.schedule == "residual"
         for i, j in sorted(self._sepset_scope):
             for edge in ((i, j), (j, i)):
                 self.residuals[edge] = float("inf")
@@ -180,29 +173,23 @@ class InferenceState:
         # A queued entry is only ever strengthened: letting a later, weaker
         # residual overwrite a pending one can starve an edge that still
         # has real information to deliver.
-        if not self._use_queue:
+        queued = self._queued.get(edge)
+        if queued is not None and -queued[0] >= priority:
             return
-        current = self._pending.get(edge)
-        if current is not None and current >= priority:
-            return
-        ticket = next(self._ticket)
-        self._pending[edge] = priority
-        self._live[edge] = ticket
-        heapq.heappush(self._heap, (-priority, ticket, edge[0], edge[1]))
+        entry = (-priority, next(self._ticket), edge)
+        self._queued[edge] = entry
+        heapq.heappush(self._heap, entry)
         if len(self._heap) > 4 * len(self.residuals) + 16:
-            live = set(self._live.items())
-            self._heap = [
-                entry for entry in self._heap if ((entry[2], entry[3]), entry[1]) in live
-            ]
+            self._heap = [e for e in self._heap if self._queued.get(e[2]) is e]
             heapq.heapify(self._heap)
 
     def _pop(self) -> DirectedEdge | None:
         while self._heap:
-            _, ticket, src, dst = heapq.heappop(self._heap)
-            if self._live.get((src, dst)) == ticket:
-                del self._live[(src, dst)]
-                del self._pending[(src, dst)]
-                return (src, dst)
+            entry = heapq.heappop(self._heap)
+            edge = entry[2]
+            if self._queued.get(edge) is entry:
+                del self._queued[edge]
+                return edge
         return None
 
     def _set_residual(self, edge: DirectedEdge, value: float) -> None:
@@ -272,26 +259,17 @@ class InferenceState:
         """
         options = self.options
         started = time.perf_counter()
-        if options.schedule == "residual":
-            while self._hot and self.stats.messages < options.max_messages:
-                edge = self._pop()
-                if edge is None:
-                    # Defensive: rebuild the queue from still-hot residuals.
-                    for hot_edge in sorted(self.residuals):
-                        if self.residuals[hot_edge] >= options.threshold:
-                            self._push(hot_edge, self.residuals[hot_edge])
-                    continue
-                self.pass_message(*edge)
-            edge_count = max(len(self.residuals), 1)
-            self.stats.sweeps = self.stats.messages // edge_count
-        else:
-            order = sorted(self.residuals)
-            while self._hot and self.stats.messages < options.max_messages:
-                for edge in order:
-                    if not self._hot or self.stats.messages >= options.max_messages:
-                        break
-                    self.pass_message(*edge)
-                self.stats.sweeps += 1
+        while self._hot and self.stats.messages < options.max_messages:
+            edge = self._pop()
+            if edge is None:
+                # The queue drained with edges still hot, as when a caller
+                # re-runs after catching a contradiction mid-message: rebuild
+                # it from their residuals.
+                for hot_edge in sorted(self.residuals):
+                    if self.residuals[hot_edge] >= options.threshold:
+                        self._push(hot_edge, self.residuals[hot_edge])
+                continue
+            self.pass_message(*edge)
         self.stats.wall_ms += (time.perf_counter() - started) * 1e3
         return self._posterior()
 

@@ -15,12 +15,14 @@ from clusterbp.cli import (
     EXIT_NO_SOLUTION,
     EXIT_OK,
     EXIT_UNSATISFIABLE,
+    color_problem,
     load_problem,
     load_puzzle,
     main,
     solve_problem,
 )
 from clusterbp.coloring import parse_adjacency, sudoku_problem, verify_coloring
+from clusterbp.factors import ContradictionError
 from conftest import SEVEN_REGION_TEXT
 from oracles import solve_sudoku
 
@@ -29,6 +31,9 @@ WELL_DEFINED_4 = "....\n3.12\n2..3\n....\n"
 WELL_DEFINED_4_SOLUTION = "1234\n3412\n2143\n4321\n"
 # No grid completes these givens (verified by exhaustive search).
 UNSATISFIABLE_4 = "1..4\n..2.\n.3..\n4..1\n"
+# A hub bordering a five-cycle needs four colors.  With three, anchoring
+# and the factors build, and every attempt dead-ends in its first round.
+WHEEL = "H a\nH b\nH c\nH d\nH e\na b\nb c\nc d\nd e\ne a\n"
 
 
 @pytest.fixture()
@@ -154,6 +159,46 @@ class TestColorMap:
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n")
         assert main(["color-map", str(path)]) == EXIT_BAD_INPUT
+
+    def test_every_attempt_dead_ends(self, tmp_path, capsys):
+        path = tmp_path / "wheel.txt"
+        path.write_text(WHEEL)
+        assert main(["color-map", str(path), "--k", "3"]) == EXIT_UNSATISFIABLE
+        assert capsys.readouterr().err.startswith("unsatisfiable:")
+
+    def test_library_reraises_the_last_dead_end(self, monkeypatch):
+        rounds = []
+
+        def counting(problem, *args, **kwargs):
+            rounds.append(kwargs["seed"])
+            return solve_problem(problem, *args, **kwargs)
+
+        monkeypatch.setattr("clusterbp.cli.solve_problem", counting)
+        with pytest.raises(ContradictionError):
+            color_problem(parse_adjacency(WHEEL, 3), retries=2)
+        # `retries` counts attempts: two attempts, one round each.
+        assert rounds == [0, 1]
+
+    def test_library_rejects_zero_retries(self):
+        with pytest.raises(ValueError, match="retries"):
+            color_problem(parse_adjacency(SEVEN_REGION_TEXT), retries=0)
+
+    @pytest.mark.parametrize("retries", ["0", "-1"])
+    def test_parser_rejects_retries_below_one(self, map_file, capsys, retries):
+        with pytest.raises(SystemExit) as stop:
+            main(["color-map", str(map_file), "--retries", retries])
+        assert stop.value.code == EXIT_BAD_INPUT
+        assert "retries must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "color-map"])
+@pytest.mark.parametrize("bias", ["-1", "nan", "inf", "-inf"])
+def test_parser_rejects_unusable_bias(puzzle_file, map_file, capsys, command, bias):
+    target = puzzle_file if command == "solve" else map_file
+    with pytest.raises(SystemExit) as stop:
+        main([command, str(target), f"--bias={bias}"])
+    assert stop.value.code == EXIT_BAD_INPUT
+    assert "bias must be finite and >= 0" in capsys.readouterr().err
 
 
 class TestBench:

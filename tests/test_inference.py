@@ -5,8 +5,7 @@ Covers:
 * one hand-computed message: sepset update, residual, belief product
 * exact sum- and max-marginals on tree graphs vs. the dense oracle
 * message budget exhaustion (not an error) and early-out on re-runs
-* contradiction propagation out of `run`
-* round-robin fallback schedule
+* contradiction propagation out of `run`, and re-runs after one
 * calibration reporting
 * determinism across repeated runs
 """
@@ -69,7 +68,6 @@ class TestOptions:
         assert options.semiring == "max"
         assert options.threshold == 1e-8
         assert options.max_messages == 1_000_000
-        assert options.schedule == "residual"
         assert options.damping == 0.0
 
     @pytest.mark.parametrize(
@@ -79,7 +77,6 @@ class TestOptions:
             {"threshold": 0.0},
             {"threshold": -1e-9},
             {"max_messages": 0},
-            {"schedule": "random"},
             {"damping": -0.1},
             {"damping": 1.0},
         ],
@@ -281,23 +278,13 @@ class TestRunControl:
         f0 = SparseTable((A, B), (2, 3), {(0, 0): 1.0, (0, 2): 1.0})  # pins A=0
         f1 = SparseTable((A, C), (2, 2), {(1, 0): 1.0, (1, 1): 1.0})  # pins A=1
         state = InferenceState(graph, [f0, f1], InferenceOptions(semiring="max"))
-        with pytest.raises(ContradictionError, match="0->1"):
-            state.run()
-
-    def test_round_robin_schedule_matches_on_trees(self):
-        graph, factors = chain_setup(seed=21)
-        residual = InferenceState(
-            graph, factors, InferenceOptions(semiring="sum")
-        ).run()
-        swept = InferenceState(
-            graph, factors, InferenceOptions(semiring="sum", schedule="round-robin")
-        ).run()
-        assert swept.converged
-        assert swept.stats.sweeps >= 1
-        for variable in residual.marginals:
-            assert residual.marginals[variable].allclose(
-                swept.marginals[variable], rel_tol=1e-9
-            )
+        # Re-runs raise again: each failed message was popped without being
+        # re-queued, so once the queue is empty the still-hot edges must be
+        # queued again.
+        for direction in ("0->1", "1->0", "0->1"):
+            with pytest.raises(ContradictionError, match=direction):
+                state.run()
+        assert state.stats.messages == 0
 
 
 class TestDamping:
