@@ -304,11 +304,17 @@ def load_puzzle(path: str | Path) -> ColoringProblem:
 
 
 def load_problem(path: str | Path, k: int) -> ColoringProblem:
-    """Read either input format: a Sudoku grid or a border list."""
+    """Read either input format: a Sudoku grid or a border list.
+
+    The file is a grid only when its non-whitespace text is exactly 16 or
+    81 grid characters; anything else, such as a border list with
+    numeric region names, is read as a border list.
+    """
     text = Path(path).read_text()
     cells = "".join(text.split())
-    if cells and set(cells) <= GRID_CHARS:
-        return load_puzzle(path)
+    side = GRID_SIDES.get(len(cells))
+    if side is not None and set(cells) <= GRID_CHARS:
+        return sudoku_problem(text, side)
     return parse_adjacency(text, k)
 
 
@@ -359,7 +365,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_color_map(args: argparse.Namespace) -> int:
-    problem = load_problem(args.map, args.k)
+    problem = parse_adjacency(Path(args.map).read_text(), args.k)
     if not problem.variables:
         raise ValueError(f"{args.map}: no regions found")
     outcome = color_problem(
@@ -400,14 +406,11 @@ def _bench_row(
     topology: str,
     size: int,
     options: InferenceOptions,
-    seed: int,
 ) -> tuple:
     if problem is None:
         return (name, topology, size, 0, "false", "false", 0, "0.000", "0.000")
     try:
-        outcome = solve_problem(
-            problem, topology, size, options=options, seed=seed
-        )
+        outcome = solve_problem(problem, topology, size, options=options)
     except ContradictionError as exc:
         log.info("%s %s M=%d: unsatisfiable (%s)", name, topology, size, exc)
         return (name, topology, size, 0, "false", "false", 0, "0.000", "0.000")
@@ -446,9 +449,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 problem = None
             for topology in topologies:
                 for size in args.sizes:
-                    row = _bench_row(
-                        path.name, problem, topology, size, options, args.seed
-                    )
+                    row = _bench_row(path.name, problem, topology, size, options)
                     writer.writerow(row)
                     handle.flush()
                     rows.append(row)
@@ -537,9 +538,6 @@ def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
         default=0.0,
         help="mix each message with its predecessor to tame oscillation",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for label preferences"
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -597,6 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="tie-breaking nudge strength (0 disables)",
     )
+    solve.add_argument("--seed", type=int, default=0, help="seed for label preferences")
     _add_inference_flags(solve)
     solve.set_defaults(func=cmd_solve)
 
@@ -624,6 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attempts, the first included, before giving up on dead ends",
     )
     cmap.add_argument("--out", help="write 'name label' lines here, not stdout")
+    cmap.add_argument("--seed", type=int, default=0, help="seed for label preferences")
     _add_inference_flags(cmap)
     # Loopy maps oscillate under undamped max-product; default to damping.
     cmap.set_defaults(func=cmd_color_map, damping=0.3)

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from clusterbp.factors import Variable
 
 GRAPH_KINDS = ("ltrip", "bethe", "custom")
@@ -77,7 +75,7 @@ class LayerTree:
     variable: Variable
     cluster_ids: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    weights: np.ndarray = field(compare=False, repr=False)
+    weights: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,10 @@ class ClusterGraph:
         return tuple(sorted({v for c in self.clusters for v in c.vars}))
 
 
-def connection_weights(clusters: Sequence[Cluster]) -> np.ndarray:
-    """Edge weights for one layer, as a symmetric integer matrix.
+def connection_weights(
+    clusters: Sequence[Cluster],
+) -> tuple[tuple[int, ...], ...]:
+    """Edge weights for one layer, as a symmetric integer matrix of row tuples.
 
     Starts from pairwise overlap sizes.  Let m be the largest overlap in
     the layer; every cluster earns a bonus equal to how many of its
@@ -149,49 +149,45 @@ def connection_weights(clusters: Sequence[Cluster]) -> np.ndarray:
     more informative sepsets than raw overlap alone.
     """
     n = len(clusters)
-    overlap = np.zeros((n, n), dtype=np.int64)
+    overlap = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            overlap[i, j] = overlap[j, i] = len(clusters[i].vars & clusters[j].vars)
-    if n < 2:
-        return overlap
-    m = overlap.max()
-    bonus = np.fromiter(
-        (
-            sum(1 for j in range(n) if j != i and overlap[i, j] == m)
-            for i in range(n)
-        ),
-        dtype=np.int64,
-        count=n,
+            overlap[i][j] = overlap[j][i] = len(clusters[i].vars & clusters[j].vars)
+    m = max(map(max, overlap), default=0)
+    bonus = [
+        sum(1 for j in range(n) if j != i and overlap[i][j] == m) for i in range(n)
+    ]
+    return tuple(
+        tuple(0 if i == j else overlap[i][j] + bonus[i] + bonus[j] for j in range(n))
+        for i in range(n)
     )
-    final = overlap + bonus[:, None] + bonus[None, :]
-    np.fill_diagonal(final, 0)
-    return final
 
 
 def max_spanning_tree(
-    ids: Sequence[int], weights: np.ndarray
+    ids: Sequence[int], weights: Sequence[Sequence[float]]
 ) -> list[tuple[int, int]]:
     """Kruskal's algorithm on a dense weight matrix, maximizing weight.
 
-    `ids` name the nodes globally while `weights` is indexed by local
-    position.  Equal-weight edges are taken in ascending (low id, high
-    id) order, so the tree is deterministic.  Edges come back as global
-    (low, high) pairs.
+    `ids` name the nodes globally while `weights`, a square sequence of
+    rows (lists, tuples or a 2-D array), is indexed by local position.
+    Equal-weight edges are taken in ascending (low id, high id) order,
+    so the tree is deterministic.  Edges come back as global (low, high)
+    pairs.
     """
     ids = list(ids)
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate node ids: {ids}")
-    weights = np.asarray(weights)
-    if weights.shape != (len(ids), len(ids)):
+    widths = [len(row) for row in weights]
+    if widths != [len(ids)] * len(ids):
         raise ValueError(
-            f"weight matrix shape {weights.shape} does not fit {len(ids)} nodes"
+            f"weight matrix shape does not fit {len(ids)} nodes: rows of "
+            f"lengths {widths}"
         )
     candidates = []
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
             low, high = sorted((ids[a], ids[b]))
-            candidates.append((-float(weights[a, b]), low, high))
+            candidates.append((-float(weights[a][b]), low, high))
     candidates.sort()
     parent = {i: i for i in ids}
 

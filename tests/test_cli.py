@@ -34,6 +34,10 @@ UNSATISFIABLE_4 = "1..4\n..2.\n.3..\n4..1\n"
 # A hub bordering a five-cycle needs four colors.  With three, anchoring
 # and the factors build, and every attempt dead-ends in its first round.
 WHEEL = "H a\nH b\nH c\nH d\nH e\na b\nb c\nc d\nd e\ne a\n"
+# Border lists whose region names are numbers.  The triangle has six
+# digits; the four-clique (a border repeated) has exactly sixteen.
+NUMERIC_TRIANGLE = "1 2\n2 3\n3 1\n"
+NUMERIC_K4 = "1 2\n2 3\n3 4\n4 1\n1 3\n2 4\n1 2\n3 4\n"
 
 
 @pytest.fixture()
@@ -160,6 +164,21 @@ class TestColorMap:
         path.write_text("# nothing here\n")
         assert main(["color-map", str(path)]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "text", [NUMERIC_TRIANGLE, NUMERIC_K4], ids=["triangle", "k4"]
+    )
+    def test_numeric_region_names_are_borders(self, tmp_path, capsys, text):
+        path = tmp_path / "numeric.txt"
+        path.write_text(text)
+        assert main(["color-map", str(path)]) == EXIT_OK
+        problem = parse_adjacency(text)
+        assignment = {
+            problem.variable_named(line.split()[0]): int(line.split()[1])
+            for line in capsys.readouterr().out.splitlines()
+        }
+        assert len(assignment) == len(problem.variables)
+        assert verify_coloring(problem, assignment).valid
+
     def test_every_attempt_dead_ends(self, tmp_path, capsys):
         path = tmp_path / "wheel.txt"
         path.write_text(WHEEL)
@@ -262,6 +281,14 @@ class TestBench:
     def test_not_a_directory(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "gone")]) == EXIT_BAD_INPUT
 
+    def test_parser_rejects_seed(self, tmp_path, capsys):
+        # bench never sets a bias, so a seed would change nothing.
+        out = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as stop:
+            main(["bench", str(tmp_path), "--seed", "1", "--out", str(out)])
+        assert stop.value.code == EXIT_BAD_INPUT
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestGraph:
     def test_nine_by_nine_report(self, tmp_path, capsys):
@@ -303,6 +330,14 @@ class TestGraph:
         path.write_text(WELL_DEFINED_4_SOLUTION)
         assert main(["graph", str(path)]) == EXIT_OK
         assert "empty" in capsys.readouterr().out
+
+    def test_numeric_region_names_are_borders(self, tmp_path, capsys):
+        path = tmp_path / "numeric.txt"
+        path.write_text(NUMERIC_TRIANGLE)
+        assert main(["graph", str(path), "--validate"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "clusters: 1 (sizes 3..3)" in out
+        assert "variables: 3" in out
 
 
 class TestLoaders:
@@ -360,3 +395,26 @@ class TestDeterminismAcrossProcesses:
         assert first[0] == EXIT_OK
         assert len(first[1]) == 7
         assert self.run_cli(["color-map", str(regions)], 1) == first
+
+
+def test_import_leaves_numpy_out():
+    # The package has no runtime dependency: importing it and its CLI
+    # must not pull in numpy, which would cost start-up time and memory.
+    source = str(Path(clusterbp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, clusterbp, clusterbp.cli; print('numpy' in sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -134,16 +134,16 @@ class TestStructures:
 
 class TestConnectionWeights:
     def test_single_cluster_layer(self):
-        assert connection_weights([cl(0, "AB")]).shape == (1, 1)
+        assert connection_weights([cl(0, "AB")]) == ((0,),)
 
     def test_identical_pair_gets_double_bonus(self):
         # Overlap 3 is also the maximum, so each endpoint adds 1.
         got = connection_weights([cl(0, "ABC"), cl(1, "ABC")])
-        assert got.tolist() == [[0, 5], [5, 0]]
+        assert got == ((0, 5), (5, 0))
 
     def test_worked_five_cluster_layer(self):
         got = connection_weights(WORKED_LAYER)
-        assert got.tolist() == WORKED_WEIGHTS.tolist()
+        assert got == tuple(map(tuple, WORKED_WEIGHTS.tolist()))
 
     def test_symmetry_and_zero_diagonal(self):
         rng = random.Random(8)
@@ -154,8 +154,8 @@ class TestConnectionWeights:
                 for i in range(rng.randint(2, 6))
             ]
             w = connection_weights(layer)
-            assert (w == w.T).all()
-            assert (np.diag(w) == 0).all()
+            assert w == tuple(zip(*w))
+            assert all(w[i][i] == 0 for i in range(len(w)))
 
 
 class TestMaxSpanningTree:
@@ -243,7 +243,7 @@ class TestLayeredConstruction:
         graph = ltrip(seven_cliques)
         by_var = {layer.variable.name: layer for layer in graph.layers}
         assert by_var["D"].cluster_ids == (1, 3, 4)
-        assert by_var["D"].weights.tolist() == [[0, 5, 3], [5, 0, 5], [3, 5, 0]]
+        assert by_var["D"].weights == ((0, 5, 3), (5, 0, 5), (3, 5, 0))
         assert by_var["D"].edges == ((1, 3), (3, 4))
         assert by_var["A"].edges == ((0, 1),)
         assert set(by_var) == set("ABCDEFG")
