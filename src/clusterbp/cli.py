@@ -368,6 +368,11 @@ def cmd_color_map(args: argparse.Namespace) -> int:
     problem = parse_adjacency(Path(args.map).read_text(), args.k)
     if not problem.variables:
         raise ValueError(f"{args.map}: no regions found")
+    if len(problem.variables) > 1 and not problem.edges:
+        raise ValueError(
+            f"{args.map}: {len(problem.variables)} regions but no border; "
+            f"a border line names two regions"
+        )
     outcome = color_problem(
         problem,
         options=_options_from(args),

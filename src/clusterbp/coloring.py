@@ -54,17 +54,20 @@ class ColoringProblem:
                 raise ValueError(
                     f"given {variable.name}={label} outside 0..{self.k - 1}"
                 )
-        for edge in self.edges:
-            a, b = sorted(edge)
-            if (
-                a in self.givens
-                and b in self.givens
-                and self.givens[a] == self.givens[b]
-            ):
-                raise ContradictionError(
-                    f"givens assign {a.name} and {b.name} the same label "
-                    f"{self.givens[a]} across an edge"
-                )
+        clashes = [
+            edge
+            for edge in self.edges
+            if edge <= self.givens.keys()
+            and len({self.givens[v] for v in edge}) == 1
+        ]
+        if clashes:
+            # The smallest clash, so the message does not depend on the
+            # hash seed that orders the edge set.
+            a, b = min(sorted(edge) for edge in clashes)
+            raise ContradictionError(
+                f"givens assign {a.name} and {b.name} the same label "
+                f"{self.givens[a]} across an edge"
+            )
 
     def neighbors(self, variable: Variable) -> tuple[Variable, ...]:
         out = {next(iter(e - {variable})) for e in self.edges if variable in e}
@@ -288,14 +291,12 @@ def build_factors(
     enough to break ties after convergence, weak enough to never beat a
     hard zero.  Clusters are numbered 0..n-1 in clique order.
     """
-    covered = {
-        edge
-        for edge in problem.edges
-        if any(edge <= clique.vars for clique in cliques)
-    }
+    covered: set[frozenset[Variable]] = set()
+    for clique in cliques:
+        covered.update(map(frozenset, itertools.combinations(clique.vars, 2)))
     missing = problem.edges - covered
     if missing:
-        a, b = sorted(next(iter(missing)))
+        a, b = min(sorted(edge) for edge in missing)
         raise ValueError(
             f"edge {a.name}-{b.name} is not inside any clique; "
             f"the cover is incomplete"
@@ -354,13 +355,16 @@ def build_factors(
             if blocked.isdisjoint(enumerate(key))
         ]
         if nudges:
-            entries = {
-                key: math.prod(math.prod(w[key[p]] for p, w in part) for part in parts)
-                for key in keys
-            }
+            entries = {}
+            for key in keys:
+                weight = math.prod(
+                    math.prod(w[key[p]] for p, w in part) for part in parts
+                )
+                if weight:  # a zero nudge, or underflow, makes no entry
+                    entries[key] = weight
         else:
             entries = dict.fromkeys(keys, 1.0)
-        table = SparseTable(scope, (problem.k,) * len(scope), entries)
+        table = SparseTable._trusted(scope, (problem.k,) * len(scope), entries)
         out.append((cluster, table))
     return out
 

@@ -100,6 +100,26 @@ class SparseTable:
         self.entries = clean
         self._pos = {var: i for i, var in enumerate(scope)}
 
+    @classmethod
+    def _trusted(
+        cls,
+        scope: tuple[Variable, ...],
+        cards: tuple[int, ...],
+        entries: dict[Assignment, float],
+    ) -> SparseTable:
+        """A table from parts already known to be valid, checking nothing.
+
+        For results built inside the package: `scope` and `cards` are
+        tuples of a valid table, and `entries` holds only positive floats
+        keyed by in-range tuples.  The dict is kept, not copied.
+        """
+        table = cls.__new__(cls)
+        table.scope = scope
+        table.cards = cards
+        table.entries = entries
+        table._pos = {var: i for i, var in enumerate(scope)}
+        return table
+
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:
@@ -155,9 +175,11 @@ class SparseTable:
             oget = other.entries.get
             for key, value in self.entries.items():
                 factor = oget(tuple(key[i] for i in pick))
-                if factor is not None:
+                # A product that underflows to 0.0 is dropped, as every
+                # result here drops zeros: zero is never stored.
+                if factor is not None and value * factor:
                     entries[key] = value * factor
-            return SparseTable(self.scope, self.cards, entries)
+            return SparseTable._trusted(self.scope, self.cards, entries)
 
         extra = [var for var in other.scope if var not in self._pos]
         scope = self.scope + tuple(extra)
@@ -180,8 +202,9 @@ class SparseTable:
         for key, value in self.entries.items():
             proj = tuple(key[i] for i in shared_self)
             for tail, ovalue in groups.get(proj, ()):
-                entries[key + tail] = value * ovalue
-        return SparseTable(scope, cards, entries)
+                if value * ovalue:
+                    entries[key + tail] = value * ovalue
+        return SparseTable._trusted(scope, cards, entries)
 
     def divide(self, denominator: SparseTable) -> SparseTable:
         """Pointwise quotient; `denominator`'s scope must be contained in ours.
@@ -209,8 +232,9 @@ class SparseTable:
                 raise ZeroDivisionError(
                     f"assignment {key} has potential {value} over a zero divisor"
                 )
-            entries[key] = value / den
-        return SparseTable(self.scope, self.cards, entries)
+            if value / den:
+                entries[key] = value / den
+        return SparseTable._trusted(self.scope, self.cards, entries)
 
     def marginalize(
         self, keep: Iterable[Variable], semiring: Semiring = "sum"
@@ -238,7 +262,7 @@ class SparseTable:
                 proj = tuple(key[i] for i in positions)
                 if value > entries.get(proj, 0.0):
                     entries[proj] = value
-        return SparseTable(scope, cards, entries)
+        return SparseTable._trusted(scope, cards, entries)
 
     def normalize(self, mode: Semiring = "sum") -> SparseTable:
         """Scale so the total ("sum") or the largest entry ("max") is 1."""
@@ -252,8 +276,12 @@ class SparseTable:
             if mode == "sum"
             else max(self.entries.values())
         )
-        entries = {key: value / total for key, value in self.entries.items()}
-        return SparseTable(self.scope, self.cards, entries)
+        entries = {
+            key: value / total
+            for key, value in self.entries.items()
+            if value / total
+        }
+        return SparseTable._trusted(self.scope, self.cards, entries)
 
     def observe(self, var: Variable, value: int) -> SparseTable:
         """Condition on `var = value` and drop `var` from the scope."""
@@ -275,7 +303,7 @@ class SparseTable:
             raise ContradictionError(
                 f"observing {var}={value} leaves no consistent state"
             )
-        return SparseTable(scope, cards, entries)
+        return SparseTable._trusted(scope, cards, entries)
 
     def argmax(self) -> Assignment:
         """The highest-potential assignment; ties break lexicographically."""
@@ -301,7 +329,7 @@ class SparseTable:
             tuple(key[i] for i in pick): value
             for key, value in self.entries.items()
         }
-        return SparseTable(scope, cards, entries)
+        return SparseTable._trusted(scope, cards, entries)
 
     def allclose(self, other: SparseTable, rel_tol: float = 1e-12) -> bool:
         """True when both tables hold the same potentials up to `rel_tol`.

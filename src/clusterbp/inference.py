@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Sequence
 
 from clusterbp.factors import (
@@ -22,7 +24,6 @@ from clusterbp.factors import (
     SparseTable,
     Variable,
     kl_divergence,
-    uniform_factor,
 )
 from clusterbp.graphs import ClusterGraph
 
@@ -98,6 +99,15 @@ class InferenceState:
     Construction performs the setup: cluster beliefs start as the given
     factors (max-normalized under the max semiring), sepset beliefs start
     vacuous, and every directed edge is queued at infinite residual.
+
+    Messages run over lists, not tables.  Each cluster keeps its factor's
+    rows, fixed at setup, and one value per row.  Belief update only
+    shrinks supports, so a row that leaves the support holds 0.0 (and
+    once most rows have left, the dead rows are dropped).  A sepset
+    belief is a dense list with one cell per assignment of its sorted
+    scope, in product order, and each cluster keeps, per neighbor, the
+    cell each of its rows projects to.  `beliefs` and `sepset_beliefs`
+    show the state as tables.
     """
 
     def __init__(
@@ -131,28 +141,55 @@ class InferenceState:
                         f"{cluster.id} but {cards[var]} elsewhere"
                     )
         for sepset in graph.sepsets:
-            for var in sepset.vars:
-                if var not in cards:
+            for end in sepset.clusters:
+                cluster = graph.clusters[end]
+                outside = sorted(sepset.vars - cluster.vars)
+                if outside:
                     raise ValueError(
-                        f"sepset {sepset.clusters} carries {var}, which no "
-                        f"factor covers"
+                        f"sepset {sepset.clusters} carries {outside[0]}, but "
+                        f"cluster {end} covers only {{{cluster.label()}}}"
                     )
 
         self.graph = graph
         self.options = options
         self.stats = RunStats()
-        if options.semiring == "max":
-            self.beliefs = [f.normalize("max") for f in factors]
-        else:
-            self.beliefs = list(factors)
-        self.sepset_beliefs: dict[tuple[int, int], SparseTable] = {}
+        self._cards = cards
+        self._shapes = [(f.scope, f.cards) for f in factors]
+        self._rows = [list(f.entries) for f in factors]
+        self._vals: list[list[float]] = []
+        for factor in factors:
+            vals = list(factor.entries.values())
+            if options.semiring == "max":
+                top = max(vals)
+                vals = [v / top for v in vals]
+            self._vals.append(vals)
+        self._views: list[SparseTable | None] = [None] * len(factors)
+        # _cells[i][j]: the cell of the (i, j) sepset each row of i projects to.
+        self._cells: list[dict[int, list[int]]] = [{} for _ in factors]
         self._sepset_scope: dict[tuple[int, int], tuple[Variable, ...]] = {}
+        self._sepsets: dict[tuple[int, int], list[float]] = {}
+        # The cells holding mass, in the order the sepset's table lists them.
+        self._orders: dict[tuple[int, int], list[int]] = {}
+        # Damped messages mix cells in the source's sorted key order.
+        self._mix_order: dict[DirectedEdge, Sequence[int]] = {}
+        # Sepsets with the same cardinalities share their cell numbering.
+        grids: dict[tuple[int, ...], tuple[list, dict]] = {}
         for sepset in graph.sepsets:
+            key = sepset.clusters
             scope = tuple(sorted(sepset.vars))
-            self._sepset_scope[sepset.clusters] = scope
-            self.sepset_beliefs[sepset.clusters] = uniform_factor(
-                scope, tuple(cards[v] for v in scope)
-            )
+            sizes = tuple(cards[v] for v in scope)
+            if sizes not in grids:
+                assignments = list(itertools.product(*map(range, sizes)))
+                grids[sizes] = assignments, {a: c for c, a in enumerate(assignments)}
+            assignments, cell_of = grids[sizes]
+            self._sepset_scope[key] = scope
+            self._sepsets[key] = [1.0] * len(assignments)
+            self._orders[key] = list(range(len(assignments)))
+            for end, peer in (key, key[::-1]):
+                pick = [factors[end].scope.index(v) for v in scope]
+                self._cells[end][peer] = _row_cells(self._rows[end], pick, cell_of)
+                if options.damping > 0.0:
+                    self._mix_order[end, peer] = _key_order(assignments, pick)
         self.residuals: dict[DirectedEdge, float] = {}
         # Heap entries are (-priority, ticket, edge); the ticket breaks ties
         # first-queued first.  `_queued` maps each queued edge to its live
@@ -211,36 +248,76 @@ class InferenceState:
         Returns the divergence between the new sepset belief and the one
         it replaced.  The target's outgoing edges are re-queued at that
         residual, so a big change fans out quickly while a quiet one lets
-        the queue drain.
+        the queue drain.  A message that fails raises before it changes
+        anything.
+
+        Each float operation, and each sum's order, is that of the table
+        algebra: a message's entries come in order of first appearance
+        over the source rows, or in sorted key order when damped, and a
+        total is summed in its table's entry order.  Zeros add nothing.
         """
-        key = (min(src, dst), max(src, dst))
-        if key not in self._sepset_scope:
+        key = (src, dst) if src < dst else (dst, src)
+        stored = self._sepsets.get(key)
+        if stored is None:
             raise ValueError(f"no sepset between clusters {src} and {dst}")
         semiring = self.options.semiring
-        stored = self.sepset_beliefs[key]
-        message = self.beliefs[src].marginalize(self._sepset_scope[key], semiring)
         damping = self.options.damping
+        values = self._vals[src]
+        cells = self._cells[src][dst]
+        message = [0.0] * len(stored)
+        if semiring == "max":
+            for value, cell in zip(values, cells):
+                if value > message[cell]:
+                    message[cell] = value
+        else:
+            for value, cell in zip(values, cells):
+                message[cell] += value
         if damping > 0.0:
             # Geometric mixing: message support never exceeds the stored
-            # support, so every stored lookup lands on a positive entry.
-            message = SparseTable(
-                message.scope,
-                message.cards,
-                {
-                    assignment: value ** (1.0 - damping) * stored[assignment] ** damping
-                    for assignment, value in message.items()
-                },
-            )
-        residual = kl_divergence(message, stored)
-        updated = self.beliefs[dst].multiply(message.divide(stored))
-        if not updated.entries:
+            # support, so every mixed cell meets a positive stored value.
+            keep = 1.0 - damping
+            mix_order = self._mix_order[src, dst]
+            for cell in mix_order:
+                if message[cell]:
+                    message[cell] = message[cell] ** keep * stored[cell] ** damping
+            order = [cell for cell in mix_order if message[cell]]
+        else:
+            order = list(dict.fromkeys(itertools.compress(cells, values)))
+
+        # The residual D(message || stored), as kl_divergence computes it,
+        # and the ratio message / stored that updates the target.
+        new_total = sum(map(message.__getitem__, order))
+        old_total = sum(map(stored.__getitem__, self._orders[key]))
+        residual = 0.0
+        ratio = [0.0] * len(stored)
+        for cell in order:
+            value = message[cell]
+            if stored[cell] == 0.0:
+                raise ZeroDivisionError(
+                    f"message {src}->{dst} puts mass on cell {cell}, where "
+                    f"the sepset belief has none"
+                )
+            p = value / new_total
+            residual += p * math.log(p / (stored[cell] / old_total))
+            ratio[cell] = value / stored[cell]
+        residual = max(residual, 0.0)
+
+        targets = self._cells[dst][src]
+        updated = [value * ratio[cell] for value, cell in zip(self._vals[dst], targets)]
+        total = max(updated) if semiring == "max" else sum(updated)
+        if not total:
             scope = ",".join(v.name for v in self._sepset_scope[key])
             raise ContradictionError(
                 f"message {src}->{dst} over {{{scope}}} annihilated the "
                 f"target belief"
             )
-        self.beliefs[dst] = updated.normalize(semiring)
-        self.sepset_beliefs[key] = message
+        updated = [value / total for value in updated]
+        self._vals[dst] = updated
+        self._views[dst] = None
+        if updated.count(0.0) * 2 > len(updated):
+            self._compact(dst)
+        self._sepsets[key] = message
+        self._orders[key] = order
         self._set_residual((src, dst), residual)
         for peer in self.graph.neighbors(dst):
             out = (dst, peer)
@@ -249,6 +326,50 @@ class InferenceState:
             self._push(out, max(residual, self.residuals[out]))
         self.stats.messages += 1
         return residual
+
+    def _compact(self, i: int) -> None:
+        """Drop cluster `i`'s zero rows from its row, value and cell lists.
+
+        The rows left keep their order, so no sum, max or entry order
+        changes; messages just stop walking the dead rows.
+        """
+        live = self._vals[i]
+        self._vals[i] = list(itertools.compress(live, live))
+        self._rows[i] = list(itertools.compress(self._rows[i], live))
+        cells = self._cells[i]
+        for peer in cells:
+            cells[peer] = list(itertools.compress(cells[peer], live))
+
+    @property
+    def beliefs(self) -> tuple[SparseTable, ...]:
+        """Each cluster's current belief, as a table.
+
+        A cluster's table is built when first asked for and kept until a
+        message changes that cluster.
+        """
+        return tuple(map(self._belief, range(len(self._vals))))
+
+    def _belief(self, i: int) -> SparseTable:
+        view = self._views[i]
+        if view is None:
+            scope, cards = self._shapes[i]
+            entries = {
+                row: value for row, value in zip(self._rows[i], self._vals[i]) if value
+            }
+            view = self._views[i] = SparseTable._trusted(scope, cards, entries)
+        return view
+
+    @property
+    def sepset_beliefs(self) -> dict[tuple[int, int], SparseTable]:
+        """Each sepset's current belief, as a table over its sorted scope."""
+        out = {}
+        for key, scope in self._sepset_scope.items():
+            cards = tuple(self._cards[v] for v in scope)
+            assignments = list(itertools.product(*map(range, cards)))
+            values = self._sepsets[key]
+            entries = {assignments[c]: values[c] for c in self._orders[key]}
+            out[key] = SparseTable._trusted(scope, cards, entries)
+        return out
 
     def run(self) -> Posterior:
         """Propagate until every residual clears threshold or budget ends.
@@ -281,7 +402,7 @@ class InferenceState:
             holder = next(
                 c.id for c in self.graph.clusters if variable in c.vars
             )
-            marginal = self.beliefs[holder].marginalize([variable], semiring)
+            marginal = self._belief(holder).marginalize([variable], semiring)
             marginal = marginal.normalize(semiring)
             marginals[variable] = marginal
             assignment[variable] = marginal.argmax()[0]
@@ -303,8 +424,8 @@ class InferenceState:
         semiring = self.options.semiring
         for key, scope in self._sepset_scope.items():
             i, j = key
-            from_i = self.beliefs[i].marginalize(scope, semiring).normalize("sum")
-            from_j = self.beliefs[j].marginalize(scope, semiring).normalize("sum")
+            from_i = self._belief(i).marginalize(scope, semiring).normalize("sum")
+            from_j = self._belief(j).marginalize(scope, semiring).normalize("sum")
             if set(from_i.entries) != set(from_j.reorder(from_i.scope).entries):
                 per_edge[key] = float("inf")
             else:
@@ -312,3 +433,34 @@ class InferenceState:
                     kl_divergence(from_i, from_j), kl_divergence(from_j, from_i)
                 )
         return CalibrationReport(tol=tol, per_edge=per_edge)
+
+
+def _row_cells(
+    rows: Sequence[tuple[int, ...]],
+    pick: Sequence[int],
+    cell_of: dict[tuple[int, ...], int],
+) -> list[int]:
+    """The cell each row projects to, reading the positions `pick`."""
+    if len(pick) == 1:
+        # Over one variable, the value is the cell.
+        return list(map(itemgetter(pick[0]), rows))
+    if not pick:
+        return [0] * len(rows)
+    return list(map(cell_of.__getitem__, map(itemgetter(*pick), rows)))
+
+
+def _key_order(
+    assignments: Sequence[tuple[int, ...]], pick: Sequence[int]
+) -> Sequence[int]:
+    """Cells in the sorted order of their keys in a cluster's scope order.
+
+    `pick` gives each sorted-scope variable's position in the cluster's
+    scope; when those rise, the two orders agree.
+    """
+    if list(pick) == sorted(pick):
+        return range(len(assignments))
+    by_position = sorted(range(len(pick)), key=pick.__getitem__)
+    return sorted(
+        range(len(assignments)),
+        key=lambda c: tuple(assignments[c][k] for k in by_position),
+    )

@@ -164,6 +164,15 @@ class TestColorMap:
         path.write_text("# nothing here\n")
         assert main(["color-map", str(path)]) == EXIT_BAD_INPUT
 
+    def test_regions_without_borders(self, capsys):
+        # A Sudoku grid reads as nine one-name lines: regions, no border.
+        grid = Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy01.txt"
+        assert main(["color-map", str(grid)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(grid) in captured.err
+        assert "no border" in captured.err
+
     @pytest.mark.parametrize(
         "text", [NUMERIC_TRIANGLE, NUMERIC_K4], ids=["triangle", "k4"]
     )
@@ -380,7 +389,7 @@ class TestDeterminismAcrossProcesses:
         kept = [
             line for line in done.stdout.splitlines() if not line.startswith("build:")
         ]
-        return done.returncode, kept
+        return done.returncode, kept, done.stderr
 
     def test_solve(self, puzzle_file):
         args = ["solve", str(puzzle_file), "--cluster-size", "3", "--bias", "0.01"]
@@ -395,6 +404,17 @@ class TestDeterminismAcrossProcesses:
         assert first[0] == EXIT_OK
         assert len(first[1]) == 7
         assert self.run_cli(["color-map", str(regions)], 1) == first
+
+    def test_error_exit(self, tmp_path):
+        # Read as a 4x4 grid, the K4 border list has several pairs of
+        # clashing givens; the message must name the same pair under any
+        # hash seed.
+        path = tmp_path / "k4.txt"
+        path.write_text(NUMERIC_K4)
+        first = self.run_cli(["graph", str(path)], 0)
+        assert first[0] == EXIT_UNSATISFIABLE
+        assert first[2].startswith("unsatisfiable: givens assign")
+        assert self.run_cli(["graph", str(path)], 1) == first
 
 
 def test_import_leaves_numpy_out():

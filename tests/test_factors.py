@@ -182,6 +182,23 @@ class TestOperations:
         t = SparseTable((A, B), (2, 3), {(0, 1): 2.5, (1, 0): 0.5})
         assert t.multiply(uniform_factor((A, B), (2, 3))).entries == t.entries
 
+    def test_results_drop_entries_that_underflow_to_zero(self):
+        # Internal results skip the constructor's checks, so each
+        # operation must itself keep zero out of the table.
+        tiny = SparseTable((A, B), (2, 3), {(0, 0): 1e-200, (1, 2): 1.0})
+        small = SparseTable((B,), (3,), {(0,): 1e-200, (2,): 1.0})
+        assert tiny.multiply(small).entries == {(1, 2): 1.0}
+        wide = SparseTable((C,), (2,), {(0,): 1e-200, (1,): 1.0})
+        assert tiny.multiply(wide).entries == {
+            (0, 0, 1): 1e-200,
+            (1, 2, 0): 1e-200,
+            (1, 2, 1): 1.0,
+        }
+        huge = SparseTable((B,), (3,), {(0,): 1e200, (2,): 1.0})
+        assert tiny.divide(huge).entries == {(1, 2): 1.0}
+        spread = SparseTable((A,), (2,), {(0,): 1e-300, (1,): 1e300})
+        assert spread.normalize("max").entries == {(1,): 1.0}
+
     def test_multiply_cardinality_mismatch(self):
         x = Variable(99, "X")
         t1 = SparseTable((x,), (2,), {(0,): 1.0})

@@ -1,0 +1,302 @@
+"""The list kernel against the table algebra it replaced, bit for bit.
+
+`InferenceState.pass_message` works on per-edge cell lists.  `DictPath`
+below is the propagation step as it was before, written with the public
+`SparseTable` algebra.  It replays every message the kernel sent, in the
+kernel's order, and must give each residual to the last bit, raise where
+the kernel raised, and end on the same cluster and sepset beliefs: the
+same entries, values and entry order.
+
+Covers:
+* bundled 9x9 puzzle, ltrip and bethe at size 9, max and sum
+* a 4x4 grid split at size 3 with bias, both topologies
+* a damped, anchored planar map through every decimation round
+* factors whose scopes are not sorted, damped and undamped
+* the setup check on sepset variables, row compaction, and a failed
+  message leaving the state untouched
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from pathlib import Path
+
+import pytest
+
+import clusterbp
+from clusterbp import ContradictionError, SparseTable, make_variables, uniform_factor
+from clusterbp.cli import color_problem, solve_problem
+from clusterbp.coloring import (
+    build_factors,
+    maximal_cliques,
+    parse_adjacency,
+    random_planar_map,
+    split_cliques,
+    sudoku_problem,
+)
+from clusterbp.factors import kl_divergence
+from clusterbp.graphs import Cluster, ClusterGraph, Sepset, ltrip
+from clusterbp.inference import InferenceOptions, InferenceState
+
+EASY01 = (
+    Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy01.txt"
+).read_text()
+CORNERS_4 = "1..4\n....\n....\n4..1\n"
+# A hub bordering a five-cycle: it needs four colors, so three dead-end.
+WHEEL = "H a\nH b\nH c\nH d\nH e\na b\nb c\nc d\nd e\ne a\n"
+
+
+class DictPath:
+    """Belief update on tables: the propagation step the kernel replaced."""
+
+    def __init__(self, graph, factors, options):
+        self.options = options
+        self.beliefs = [
+            f.normalize("max") if options.semiring == "max" else f for f in factors
+        ]
+        cards = {v: f.card_of(v) for f in factors for v in f.scope}
+        self.scopes = {s.clusters: tuple(sorted(s.vars)) for s in graph.sepsets}
+        self.sepsets = {
+            key: uniform_factor(scope, [cards[v] for v in scope])
+            for key, scope in self.scopes.items()
+        }
+
+    def pass_message(self, src, dst):
+        key = (min(src, dst), max(src, dst))
+        semiring = self.options.semiring
+        stored = self.sepsets[key]
+        message = self.beliefs[src].marginalize(self.scopes[key], semiring)
+        damping = self.options.damping
+        if damping > 0.0:
+            message = SparseTable(
+                message.scope,
+                message.cards,
+                {
+                    assignment: value ** (1.0 - damping) * stored[assignment] ** damping
+                    for assignment, value in message.items()
+                },
+            )
+        residual = kl_divergence(message, stored)
+        updated = self.beliefs[dst].multiply(message.divide(stored))
+        if not updated.entries:
+            raise ContradictionError(f"message {src}->{dst} annihilated its target")
+        self.beliefs[dst] = updated.normalize(semiring)
+        self.sepsets[key] = message
+        return residual
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Each InferenceState built: its inputs and every message it sent.
+
+    A sent message is (src, dst, residual), with residual None when the
+    message raised a contradiction.
+    """
+    logs = {}
+    init = InferenceState.__init__
+    pass_message = InferenceState.pass_message
+
+    def recording_init(self, graph, factors, options=None):
+        init(self, graph, factors, options)
+        logs[self] = (graph, list(factors), self.options, [])
+
+    def recording_pass(self, src, dst):
+        sent = logs[self][3]
+        try:
+            residual = pass_message(self, src, dst)
+        except ContradictionError:
+            sent.append((src, dst, None))
+            raise
+        sent.append((src, dst, residual))
+        return residual
+
+    monkeypatch.setattr(InferenceState, "__init__", recording_init)
+    monkeypatch.setattr(InferenceState, "pass_message", recording_pass)
+    return logs
+
+
+def entries(table):
+    return list(table.entries.items())
+
+
+def assert_replays(logs):
+    """Replay every recorded run through DictPath; returns messages sent."""
+    total = 0
+    for state, (graph, factors, options, sent) in logs.items():
+        reference = DictPath(graph, factors, options)
+        for src, dst, residual in sent:
+            if residual is None:
+                with pytest.raises(ContradictionError):
+                    reference.pass_message(src, dst)
+            else:
+                got = reference.pass_message(src, dst).hex()
+                assert got == residual.hex(), (src, dst)
+        beliefs = state.beliefs
+        assert len(beliefs) == len(reference.beliefs)
+        for got, want in zip(beliefs, reference.beliefs):
+            assert got.scope == want.scope
+            assert entries(got) == entries(want)
+        sepsets = state.sepset_beliefs
+        assert sepsets.keys() == reference.sepsets.keys()
+        for key, want in reference.sepsets.items():
+            got = sepsets[key]
+            assert entries(got) == entries(want.reorder(got.scope))
+        total += len(sent)
+    return total
+
+
+@pytest.mark.parametrize("semiring", ["max", "sum"])
+@pytest.mark.parametrize("topology", ["ltrip", "bethe"])
+def test_easy01(runs, topology, semiring):
+    options = InferenceOptions(semiring=semiring, max_messages=3000)
+    solve_problem(sudoku_problem(EASY01, 9), topology, 9, options=options)
+    assert assert_replays(runs) > 100
+
+
+@pytest.mark.parametrize("topology", ["ltrip", "bethe"])
+def test_grid4_split_and_biased(runs, topology):
+    solve_problem(sudoku_problem(CORNERS_4, 4), topology, 3, bias_delta=0.01)
+    assert assert_replays(runs) > 100
+
+
+def test_damped_anchored_map(runs):
+    outcome = color_problem(
+        random_planar_map(7, 7, seed=0), options=InferenceOptions(damping=0.3)
+    )
+    assert outcome.valid
+    assert len(runs) > 1  # one state per decimation round
+    assert assert_replays(runs) == outcome.messages
+
+
+def test_dead_end_map(runs):
+    with pytest.raises(ContradictionError):
+        color_problem(
+            parse_adjacency(WHEEL, 3), options=InferenceOptions(damping=0.3), retries=2
+        )
+    failed = [
+        (src, dst)
+        for *_, sent in runs.values()
+        for src, dst, residual in sent
+        if residual is None
+    ]
+    assert len(failed) == 2  # one dead end per attempt
+    assert_replays(runs)
+
+
+def unsorted_loop(seed):
+    """The seven-region cliques with factor scopes in reverse, some zeros."""
+    rng = random.Random(seed)
+    names = make_variables("ABCDEFG")
+    by_name = {v.name: v for v in names}
+    groups = ["ABF", "ACDF", "BEG", "CDE", "DEG"]
+    clusters = [
+        Cluster(i, frozenset(by_name[n] for n in group))
+        for i, group in enumerate(groups)
+    ]
+    factors = []
+    for group in groups:
+        scope = [by_name[n] for n in reversed(group)]
+        entries = {
+            key: rng.choice([0.0, rng.uniform(0.1, 3.0)])
+            for key in itertools.product(range(3), repeat=len(scope))
+        }
+        factors.append(SparseTable(scope, (3,) * len(scope), entries))
+
+    def sep(i, j, group):
+        return Sepset((i, j), frozenset(by_name[n] for n in group))
+
+    sepsets = (
+        sep(0, 1, "AF"), sep(0, 2, "B"), sep(1, 3, "CD"),
+        sep(2, 3, "E"), sep(2, 4, "G"), sep(3, 4, "DE"),
+    )
+    return ClusterGraph(tuple(clusters), sepsets), factors
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+@pytest.mark.parametrize("semiring", ["max", "sum"])
+def test_unsorted_scopes(runs, semiring, damping):
+    for seed in range(4):
+        graph, factors = unsorted_loop(seed)
+        options = InferenceOptions(
+            semiring=semiring, damping=damping, max_messages=400
+        )
+        try:
+            InferenceState(graph, factors, options).run()
+        except ContradictionError:
+            pass
+    assert assert_replays(runs) > 100
+
+
+def test_sepset_variable_outside_an_endpoint():
+    a, b, c = make_variables("ABC")
+    graph = ClusterGraph(
+        (Cluster(0, frozenset({a, b})), Cluster(1, frozenset({b, c}))),
+        (Sepset((0, 1), frozenset({a, b})),),
+    )
+    factors = [uniform_factor((a, b), (2, 2)), uniform_factor((b, c), (2, 2))]
+    with pytest.raises(ValueError, match="carries A, but cluster 1 covers only"):
+        InferenceState(graph, factors)
+
+
+def test_compaction_changes_nothing(monkeypatch):
+    problem = sudoku_problem(EASY01, 9)
+    items = build_factors(problem, split_cliques(maximal_cliques(problem), 5))
+    graph = ltrip([cluster for cluster, _ in items])
+    tables = [table for _, table in items]
+
+    def final_state():
+        state = InferenceState(graph, tables)
+        state.run()
+        return (
+            [entries(t) for t in state.beliefs],
+            {key: entries(t) for key, t in state.sepset_beliefs.items()},
+            state.residuals,
+            state.stats.messages,
+        )
+
+    compacted = []
+    compact = InferenceState._compact
+
+    def counting(self, i):
+        compacted.append(i)
+        compact(self, i)
+
+    monkeypatch.setattr(InferenceState, "_compact", counting)
+    with_compaction = final_state()
+    assert compacted
+    monkeypatch.setattr(InferenceState, "_compact", lambda self, i: None)
+    assert final_state() == with_compaction
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.5])
+def test_contradiction_changes_nothing(damping):
+    a, b, c = make_variables("ABC")
+    graph = ClusterGraph(
+        (
+            Cluster(0, frozenset({a, b})),
+            Cluster(1, frozenset({a, c})),
+            Cluster(2, frozenset({c})),
+        ),
+        (Sepset((0, 1), frozenset({a})), Sepset((1, 2), frozenset({c}))),
+    )
+    factors = [
+        SparseTable((a, b), (2, 3), {(0, 0): 1.0, (0, 2): 1.0}),  # pins A=0
+        SparseTable((a, c), (2, 2), {(1, 0): 1.0, (1, 1): 2.0}),  # pins A=1
+        SparseTable((c,), (2,), {(0,): 3.0, (1,): 1.0}),
+    ]
+    state = InferenceState(graph, factors, InferenceOptions(damping=damping))
+    state.pass_message(2, 1)
+
+    def snapshot():
+        return (
+            [entries(t) for t in state.beliefs],
+            {key: entries(t) for key, t in state.sepset_beliefs.items()},
+            dict(state.residuals),
+            state.stats.messages,
+        )
+
+    before = snapshot()
+    with pytest.raises(ContradictionError, match="0->1"):
+        state.pass_message(0, 1)
+    assert snapshot() == before
