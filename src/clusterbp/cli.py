@@ -97,12 +97,14 @@ def solve_problem(
 ) -> SolveOutcome:
     """Run the whole pipeline: cliques, factors, graph, propagation, decode.
 
-    Cluster-size splitting and bias are opt-in.  The decoded assignment
-    always covers every variable — observed ones come straight from the
-    givens.
+    Cluster-size splitting and bias are opt-in; `bias_delta` must be
+    finite and >= 0.  The decoded assignment always covers every
+    variable — observed ones come straight from the givens.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
+    if not 0.0 <= bias_delta < math.inf:
+        raise ValueError(f"bias_delta must be finite and >= 0, got {bias_delta}")
     if options is None:
         options = InferenceOptions()
     started = time.perf_counter()
@@ -212,35 +214,35 @@ def color_problem(
     options: InferenceOptions | None = None,
     bias_delta: float = 0.01,
     seed: int = 0,
-    anchor: bool = True,
     retries: int = 4,
 ) -> SolveOutcome:
     """Color a map, decimating when one propagation pass cannot decide.
 
-    A single anchored, biased run settles easy maps outright.  On loopy
-    maps the converged beliefs can disagree about the overlap regions, so
-    the most confident decoded labels are frozen as givens and inference
-    reruns on the shrunken problem until the decode verifies.  A run that
-    annihilates (the frozen labels were jointly wrong) starts a new
-    attempt with the next preference seed; `retries` is the number of
-    attempts, the first included.  Returns the last outcome if every
-    attempt fails, so callers check `.valid`; if no attempt got past its
-    first round, the last attempt's ContradictionError propagates.
+    Decimation starts from `anchor_largest_clique`: the givens, or one
+    largest clique pinned when there are none.  A single biased run
+    settles easy maps outright.  On loopy maps the converged beliefs can
+    disagree about the overlap regions, so the most confident decoded
+    labels are frozen as givens and inference reruns on the shrunken
+    problem until the decode verifies.  A run that annihilates (the
+    frozen labels were jointly wrong) starts a new attempt with the next
+    preference seed.  Attempts differ only in that seed, so there are
+    `retries` of them, the first included, when `bias_delta > 0` and one
+    otherwise.  Returns the last outcome if every attempt fails, so
+    callers check `.valid`; if no attempt got past its first round, the
+    last attempt's ContradictionError propagates.
     """
     if retries < 1:
         raise ValueError(f"retries must be >= 1, got {retries}")
     if options is None:
         options = InferenceOptions()
-    cliques = maximal_cliques(problem)
-    base_givens = (
-        anchor_largest_clique(problem, cliques) if anchor else dict(problem.givens)
-    )
+    base_givens = anchor_largest_clique(problem, maximal_cliques(problem))
+    attempts = retries if bias_delta > 0 else 1
     messages = 0
     build_ms = 0.0
     infer_ms = 0.0
     cluster_count = 0
     outcome: SolveOutcome | None = None
-    for attempt in range(retries):
+    for attempt in range(attempts):
         work = dataclasses.replace(problem, givens=base_givens)
         try:
             while True:
@@ -269,7 +271,7 @@ def color_problem(
                 work = dataclasses.replace(work, givens={**work.givens, **fixes})
         except ContradictionError as exc:
             log.info("attempt %d dead-ended: %s", attempt, exc)
-            if outcome is None and attempt == retries - 1:
+            if outcome is None and attempt == attempts - 1:
                 raise
             continue
         if outcome.valid:
@@ -378,7 +380,6 @@ def cmd_color_map(args: argparse.Namespace) -> int:
         options=_options_from(args),
         bias_delta=args.bias,
         seed=args.seed,
-        anchor=args.anchor,
         retries=args.retries,
     )
     if not outcome.valid:
@@ -610,12 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmap.add_argument("map", help="border list: two region names per line")
     cmap.add_argument("--k", type=int, default=4, help="number of colors")
     cmap.add_argument(
-        "--anchor",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="pin the largest clique to fixed labels",
-    )
-    cmap.add_argument(
         "--bias",
         type=_bias_strength,
         default=0.01,
@@ -625,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries",
         type=_attempt_count,
         default=4,
-        help="attempts, the first included, before giving up on dead ends",
+        help="attempts, the first included, before giving up on dead ends; "
+        "attempts differ only in the bias seed, so --bias 0 makes one",
     )
     cmap.add_argument("--out", help="write 'name label' lines here, not stdout")
     cmap.add_argument("--seed", type=int, default=0, help="seed for label preferences")

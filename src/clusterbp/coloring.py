@@ -19,6 +19,10 @@ from typing import Mapping, Sequence
 from clusterbp.factors import ContradictionError, SparseTable, Variable
 from clusterbp.graphs import Cluster
 
+# Most entries one compiled table may enumerate.  A blank 9x9 row,
+# P(9, 9) = 362,880, fits; a 10-clique over 10 labels does not.
+MAX_TABLE_ENTRIES = 1_000_000
+
 
 @dataclass(frozen=True)
 class ColoringProblem:
@@ -289,7 +293,9 @@ def build_factors(
     assigns each variable a per-label preference, applied once per
     clique as a multiplicative nudge of 1 + delta * preference — strong
     enough to break ties after convergence, weak enough to never beat a
-    hard zero.  Clusters are numbered 0..n-1 in clique order.
+    hard zero.  Clusters are numbered 0..n-1 in clique order.  A table
+    that would enumerate more than MAX_TABLE_ENTRIES permutations is
+    refused with a ValueError before any is built.
     """
     covered: set[frozenset[Variable]] = set()
     for clique in cliques:
@@ -336,6 +342,13 @@ def build_factors(
     out: list[tuple[Cluster, SparseTable]] = []
     for cluster, members in _fold_cliques(problem, cliques):
         scope = cluster.sorted_vars()
+        count = math.perm(len(labels[members[0]]), len(scope))
+        if count > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"clique {{{cluster.label()}}} would compile {count:,} "
+                f"entries, over the limit of {MAX_TABLE_ENTRIES:,}; "
+                f"split it into smaller clusters"
+            )
         where = {v: i for i, v in enumerate(scope)}
         # A folded clique bans the labels its givens take but the kept
         # clique's do not, and brings its own nudges.  Nudge products are
@@ -436,11 +449,13 @@ def label_preferences(
 def anchor_largest_clique(
     problem: ColoringProblem, cliques: Sequence[Cluster]
 ) -> dict[Variable, int]:
-    """Pin one largest clique to labels 0,1,2,... to break symmetry.
+    """The givens decimation starts from: an anchor when none are given.
 
-    Every proper coloring permutes into one agreeing with the anchor, so
-    no solutions are lost — there just stops being a tie between them.
-    Returns the problem's givens extended with the anchor.
+    Without givens every proper coloring relabels into one that takes
+    labels 0,1,2,... on one largest clique, so pinning that clique loses
+    no solution up to relabelling and removes the tie between them.
+    Givens fix labels a relabelling would move, so a problem that has
+    any gets them back unchanged.
     """
     if not cliques:
         raise ValueError("no cliques to anchor")
@@ -450,15 +465,9 @@ def anchor_largest_clique(
             f"clique {{{largest.label()}}} has {len(largest.vars)} mutually "
             f"adjacent variables but only {problem.k} labels exist"
         )
-    anchored = dict(problem.givens)
-    for label, variable in enumerate(largest.sorted_vars()):
-        if anchored.get(variable, label) != label:
-            raise ValueError(
-                f"existing given {variable.name}={anchored[variable]} "
-                f"conflicts with anchoring {variable.name}={label}"
-            )
-        anchored[variable] = label
-    return anchored
+    if problem.givens:
+        return dict(problem.givens)
+    return {v: label for label, v in enumerate(largest.sorted_vars())}
 
 
 def verify_coloring(

@@ -168,19 +168,6 @@ class SparseTable:
                     f"cardinality mismatch for {var}: "
                     f"{self.card_of(var)} vs {other.card_of(var)}"
                 )
-        if all(var in self._pos for var in other.scope):
-            # Fast path: other's scope is contained in ours.
-            pick = tuple(self._pos[var] for var in other.scope)
-            entries: dict[Assignment, float] = {}
-            oget = other.entries.get
-            for key, value in self.entries.items():
-                factor = oget(tuple(key[i] for i in pick))
-                # A product that underflows to 0.0 is dropped, as every
-                # result here drops zeros: zero is never stored.
-                if factor is not None and value * factor:
-                    entries[key] = value * factor
-            return SparseTable._trusted(self.scope, self.cards, entries)
-
         extra = [var for var in other.scope if var not in self._pos]
         scope = self.scope + tuple(extra)
         cards = self.cards + tuple(other.card_of(var) for var in extra)
@@ -198,10 +185,12 @@ class SparseTable:
             proj = tuple(okey[i] for i in shared_other)
             tail = tuple(okey[i] for i in extra_other)
             groups.setdefault(proj, []).append((tail, ovalue))
-        entries = {}
+        entries: dict[Assignment, float] = {}
         for key, value in self.entries.items():
             proj = tuple(key[i] for i in shared_self)
             for tail, ovalue in groups.get(proj, ()):
+                # A product that underflows to 0.0 is dropped, as every
+                # result here drops zeros: zero is never stored.
                 if value * ovalue:
                     entries[key + tail] = value * ovalue
         return SparseTable._trusted(scope, cards, entries)

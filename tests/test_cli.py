@@ -1,6 +1,9 @@
 """Command-line behavior: pipelines, exit codes, CSV output, DOT export."""
 
 import csv
+import dataclasses
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +41,18 @@ WHEEL = "H a\nH b\nH c\nH d\nH e\na b\nb c\nc d\nd e\ne a\n"
 # digits; the four-clique (a border repeated) has exactly sixteen.
 NUMERIC_TRIANGLE = "1 2\n2 3\n3 1\n"
 NUMERIC_K4 = "1 2\n2 3\n3 4\n4 1\n1 3\n2 4\n1 2\n3 4\n"
+# Two disjoint ten-cliques: anchoring pins the first, and the second
+# would compile P(10, 10) = 3,628,800 entries.
+TWO_TEN_CLIQUES = "".join(
+    f"{p}{i} {p}{j}\n"
+    for p in "ab"
+    for i, j in itertools.combinations(range(10), 2)
+)
+
+
+def with_givens(problem, **labels):
+    givens = {problem.variable_named(n): x for n, x in labels.items()}
+    return dataclasses.replace(problem, givens=givens)
 
 
 @pytest.fixture()
@@ -52,6 +67,19 @@ def map_file(tmp_path):
     path = tmp_path / "regions.txt"
     path.write_text(SEVEN_REGION_TEXT)
     return path
+
+
+@pytest.fixture()
+def rounds(monkeypatch):
+    """The seed of every `solve_problem` call `color_problem` makes."""
+    seeds = []
+
+    def counting(problem, *args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return solve_problem(problem, *args, **kwargs)
+
+    monkeypatch.setattr("clusterbp.cli.solve_problem", counting)
+    return seeds
 
 
 class TestSolve:
@@ -139,21 +167,47 @@ class TestColorMap:
         assert main(["color-map", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == "A 0\n"
 
-    def test_unanchored_unbiased_still_colors(self, map_file, capsys):
-        # With neither anchoring nor bias every marginal starts uniform, so
-        # a single propagation pass decodes an invalid all-ties assignment.
+    def test_unanchored_unbiased_still_colors(self, rounds):
+        # A given on an isolated region turns anchoring off, and without
+        # bias every marginal of the seven regions starts uniform, so a
+        # single propagation pass decodes an invalid all-ties assignment.
         # The decimation rounds must break the symmetry instead.
-        code = main(
-            ["color-map", str(map_file), "--no-anchor", "--bias", "0"]
-        )
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        problem = parse_adjacency(SEVEN_REGION_TEXT)
-        assignment = {
-            problem.variable_named(line.split()[0]): int(line.split()[1])
-            for line in out.splitlines()
+        problem = with_givens(parse_adjacency(SEVEN_REGION_TEXT + "Z\n"), Z=0)
+        outcome = color_problem(problem, bias_delta=0.0)
+        assert outcome.valid
+        assert len(rounds) > 1 and set(rounds) == {0}
+
+    def test_path_with_a_given(self):
+        # Pinning the clique {A,B} to A=0, B=1 would clash with C=1.
+        problem = with_givens(parse_adjacency("A B\nB C\n", 2), C=1)
+        outcome = color_problem(problem)
+        assert outcome.valid
+        assert {v.name: x for v, x in outcome.assignment.items()} == {
+            "A": 1, "B": 0, "C": 1,
         }
-        assert verify_coloring(problem, assignment).valid
+
+    def test_seven_regions_with_givens(self):
+        # The anchor A,C,D,F = 0..3 would put F=3 next to B=3.
+        problem = with_givens(parse_adjacency(SEVEN_REGION_TEXT), A=0, B=3)
+        outcome = color_problem(problem)
+        assert outcome.valid
+        assert verify_coloring(problem, outcome.assignment).valid
+
+    @pytest.mark.parametrize("flag", ["--anchor", "--no-anchor"])
+    def test_parser_rejects_anchor(self, map_file, capsys, flag):
+        # Whether to anchor follows from the givens; no flag decides it.
+        with pytest.raises(SystemExit) as stop:
+            main(["color-map", str(map_file), flag])
+        assert stop.value.code == EXIT_BAD_INPUT
+        assert flag in capsys.readouterr().err
+
+    def test_oversized_clique_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "cliques.txt"
+        path.write_text(TWO_TEN_CLIQUES)
+        assert main(["color-map", str(path), "--k", "10"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "clique {b0,b1,b2,b3,b4,b5,b6,b7,b8,b9}" in err
+        assert "3,628,800 entries" in err
 
     def test_too_few_colors(self, map_file, capsys):
         assert main(["color-map", str(map_file), "--k", "3"]) == EXIT_UNSATISFIABLE
@@ -194,18 +248,17 @@ class TestColorMap:
         assert main(["color-map", str(path), "--k", "3"]) == EXIT_UNSATISFIABLE
         assert capsys.readouterr().err.startswith("unsatisfiable:")
 
-    def test_library_reraises_the_last_dead_end(self, monkeypatch):
-        rounds = []
-
-        def counting(problem, *args, **kwargs):
-            rounds.append(kwargs["seed"])
-            return solve_problem(problem, *args, **kwargs)
-
-        monkeypatch.setattr("clusterbp.cli.solve_problem", counting)
+    def test_library_reraises_the_last_dead_end(self, rounds):
         with pytest.raises(ContradictionError):
             color_problem(parse_adjacency(WHEEL, 3), retries=2)
         # `retries` counts attempts: two attempts, one round each.
         assert rounds == [0, 1]
+
+    def test_unbiased_dead_end_runs_once(self, rounds):
+        # Without bias every attempt would repeat the first one exactly.
+        with pytest.raises(ContradictionError):
+            color_problem(parse_adjacency(WHEEL, 3), bias_delta=0.0)
+        assert rounds == [0]
 
     def test_library_rejects_zero_retries(self):
         with pytest.raises(ValueError, match="retries"):
@@ -227,6 +280,14 @@ def test_parser_rejects_unusable_bias(puzzle_file, map_file, capsys, command, bi
         main([command, str(target), f"--bias={bias}"])
     assert stop.value.code == EXIT_BAD_INPUT
     assert "bias must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run", [solve_problem, color_problem])
+@pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
+def test_library_rejects_unusable_bias(run, delta):
+    problem = parse_adjacency(SEVEN_REGION_TEXT)
+    with pytest.raises(ValueError, match="bias_delta must be finite and >= 0"):
+        run(problem, bias_delta=delta)
 
 
 class TestBench:

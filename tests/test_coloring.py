@@ -304,6 +304,28 @@ class TestAdjacency:
 
 
 class TestBuildFactors:
+    def test_refuses_an_oversized_table_before_building_it(self):
+        # P(11, 11) = 39,916,800 entries: refused by counting, not by
+        # running out of memory.
+        variables = tuple(Variable(i, f"v{i:02d}") for i in range(11))
+        problem = ColoringProblem(
+            variables,
+            frozenset(map(frozenset, itertools.combinations(variables, 2))),
+            k=11,
+        )
+        with pytest.raises(ValueError, match=r"v00,.*,v10.* 39,916,800 entries"):
+            build_factors(problem, maximal_cliques(problem))
+
+    def test_table_bound_admits_its_limit(self, monkeypatch):
+        # A triangle over k labels enumerates P(k, 3) entries: 6 for k=3.
+        monkeypatch.setattr("clusterbp.coloring.MAX_TABLE_ENTRIES", 6)
+        problem = triangle_problem(k=3)
+        (_, table), = build_factors(problem, maximal_cliques(problem))
+        assert len(table) == 6
+        problem = triangle_problem(k=4)
+        with pytest.raises(ValueError, match="24 entries"):
+            build_factors(problem, maximal_cliques(problem))
+
     def test_plain_triangle(self):
         problem = triangle_problem()
         items = build_factors(problem, maximal_cliques(problem))
@@ -635,16 +657,19 @@ class TestAnchor:
             problem.variables, problem.edges, problem.k, {a: 0, b: 3}
         )
         anchored = anchor_largest_clique(pinned, maximal_cliques(pinned))
-        assert anchored[b] == 3 and anchored[a] == 0
+        # Pinning A,C,D,F to 0..3 would give F the label 3 that B, its
+        # neighbor, already has; the givens alone come back.
+        assert anchored == {a: 0, b: 3}
 
-    def test_rejects_conflicting_given(self):
+    def test_givens_come_back_unchanged(self):
+        # A=2 disagrees with the pin A=0 a problem without givens gets.
         problem = parse_adjacency(SEVEN_REGION_TEXT)
         a = problem.variable_named("A")
         pinned = ColoringProblem(
             problem.variables, problem.edges, problem.k, {a: 2}
         )
-        with pytest.raises(ValueError, match="conflicts with anchoring"):
-            anchor_largest_clique(pinned, maximal_cliques(pinned))
+        anchored = anchor_largest_clique(pinned, maximal_cliques(pinned))
+        assert anchored == {a: 2}
 
     def test_too_few_labels_is_a_contradiction(self):
         problem = triangle_problem(k=2)
