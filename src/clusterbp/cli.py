@@ -41,7 +41,7 @@ from clusterbp.coloring import (
     verify_coloring,
 )
 from clusterbp.factors import ContradictionError, uniform_factor
-from clusterbp.graphs import bethe_graph, export_dot, ltrip, validate_rip
+from clusterbp.graphs import Cluster, bethe_graph, export_dot, ltrip, validate_rip
 from clusterbp.inference import InferenceOptions, InferenceState
 
 log = logging.getLogger("clusterbp")
@@ -101,14 +101,30 @@ def solve_problem(
     finite and >= 0.  The decoded assignment always covers every
     variable — observed ones come straight from the givens.
     """
+    started = time.perf_counter()
+    cliques = maximal_cliques(problem)
+    return _solve(
+        problem, cliques, topology, cluster_size, options, bias_delta, seed, started
+    )
+
+
+def _solve(
+    problem: ColoringProblem,
+    cliques: list[Cluster],
+    topology: str,
+    cluster_size: int | None,
+    options: InferenceOptions | None,
+    bias_delta: float,
+    seed: int,
+    started: float,
+) -> SolveOutcome:
+    """`solve_problem` from enumerated cliques, timing the build from `started`."""
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
     if not 0.0 <= bias_delta < math.inf:
         raise ValueError(f"bias_delta must be finite and >= 0, got {bias_delta}")
     if options is None:
         options = InferenceOptions()
-    started = time.perf_counter()
-    cliques = maximal_cliques(problem)
     if cluster_size is not None:
         cliques = split_cliques(cliques, cluster_size)
     bias = label_preferences(problem, seed) if bias_delta > 0 else None
@@ -150,62 +166,39 @@ def solve_problem(
     )
 
 
-def _confident_consistent_fixes(
-    problem: ColoringProblem, outcome: SolveOutcome
-) -> dict:
-    """Pick decoded labels worth freezing as givens for the next round.
+def _ranked_decode(problem: ColoringProblem, marginals: dict) -> tuple[dict, list]:
+    """Decode the open variables most decided first, dodging taken labels.
 
-    Variables are ranked by how decisively their marginal prefers its
-    best label; the top FIX_FRACTION is kept, skipping any whose label would
-    collide with an already-frozen neighbor, so the result always builds.
-    If the ranking yields nothing, the single most confident variable is
-    fixed to its best non-colliding label instead.  Empty means stuck.
+    Ranked by marginal margin (best score minus the next), ties by id,
+    each takes its best label that no given or earlier neighbor holds,
+    ties to the lowest as in `SparseTable.argmax`, or else its argmax.
+    Returns the assignment and, in rank order, the variables that got a
+    free label.  A proper argmax decode comes back unchanged.
     """
-    adjacency: dict = {v: set() for v in problem.variables}
-    for edge in problem.edges:
-        a, b = edge
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+    adjacency: dict = {v: [] for v in problem.variables}
+    for a, b in problem.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    assignment = dict(problem.givens)
+    open_vars = [v for v in problem.variables if v not in assignment]
+    scores = {v: [marginals[v][(x,)] for x in range(problem.k)] for v in open_vars}
 
     def margin(variable) -> float:
-        table = outcome.marginals[variable]
-        scores = sorted(
-            (table[(x,)] for x in range(problem.k)), reverse=True
+        # With a single label the runner-up scores 0.
+        best, runner_up, *_ = sorted(scores[variable], reverse=True) + [0.0]
+        return best - runner_up
+
+    free = []
+    for variable in sorted(scores, key=lambda v: (-margin(v), v.id)):
+        held = {assignment[n] for n in adjacency[variable] if n in assignment}
+        labels = [x for x in range(problem.k) if x not in held]
+        if labels:
+            free.append(variable)
+        # max keeps the first, so the lowest, of tied labels.
+        assignment[variable] = max(
+            labels or range(problem.k), key=scores[variable].__getitem__
         )
-        return scores[0] - scores[1]
-
-    unfixed = [v for v in problem.variables if v not in problem.givens]
-    ranked = sorted(unfixed, key=lambda v: (-margin(v), v.id))
-    quota = max(1, math.ceil(len(unfixed) * FIX_FRACTION))
-    chosen: dict = {}
-
-    def taken_labels(variable) -> set:
-        labels = set()
-        for neighbor in adjacency[variable]:
-            if neighbor in problem.givens:
-                labels.add(problem.givens[neighbor])
-            elif neighbor in chosen:
-                labels.add(chosen[neighbor])
-        return labels
-
-    for variable in ranked:
-        if len(chosen) >= quota:
-            break
-        label = outcome.assignment[variable]
-        if label not in taken_labels(variable):
-            chosen[variable] = label
-    if not chosen:
-        for variable in ranked:
-            table = outcome.marginals[variable]
-            blocked = taken_labels(variable)
-            candidates = sorted(
-                ((table[(x,)], -x) for x in range(problem.k) if x not in blocked),
-                reverse=True,
-            )
-            if candidates:
-                chosen[variable] = -candidates[0][1]
-                break
-    return chosen
+    return assignment, free
 
 
 def color_problem(
@@ -219,23 +212,25 @@ def color_problem(
     """Color a map, decimating when one propagation pass cannot decide.
 
     Decimation starts from `anchor_largest_clique`: the givens, or one
-    largest clique pinned when there are none.  A single biased run
-    settles easy maps outright.  On loopy maps the converged beliefs can
-    disagree about the overlap regions, so the most confident decoded
-    labels are frozen as givens and inference reruns on the shrunken
-    problem until the decode verifies.  A run that annihilates (the
-    frozen labels were jointly wrong) starts a new attempt with the next
-    preference seed.  Attempts differ only in that seed, so there are
-    `retries` of them, the first included, when `bias_delta > 0` and one
-    otherwise.  Returns the last outcome if every attempt fails, so
-    callers check `.valid`; if no attempt got past its first round, the
-    last attempt's ContradictionError propagates.
+    largest clique pinned when there are none.  Each round propagates,
+    then decodes the most decided regions first, each avoiding labels
+    its neighbors already took (`_ranked_decode`).  A decode that
+    verifies ends the run; otherwise the first FIX_FRACTION of the open
+    regions that found a free label are frozen with it as givens for
+    the next round.  A run that annihilates (the frozen labels were
+    jointly wrong) starts a new attempt with the next preference seed.
+    Attempts differ only in that seed, so there are `retries` of them,
+    the first included, when `bias_delta > 0` and one otherwise.
+    Returns the last outcome if every attempt fails, so callers check
+    `.valid`; if no attempt got past its first round, the last
+    attempt's ContradictionError propagates.
     """
     if retries < 1:
         raise ValueError(f"retries must be >= 1, got {retries}")
     if options is None:
         options = InferenceOptions()
-    base_givens = anchor_largest_clique(problem, maximal_cliques(problem))
+    cliques = maximal_cliques(problem)
+    base_givens = anchor_largest_clique(problem, cliques)
     attempts = retries if bias_delta > 0 else 1
     messages = 0
     build_ms = 0.0
@@ -246,27 +241,29 @@ def color_problem(
         work = dataclasses.replace(problem, givens=base_givens)
         try:
             while True:
-                outcome = solve_problem(
-                    work,
-                    "ltrip",
-                    options=options,
-                    bias_delta=bias_delta,
-                    seed=seed + attempt,
+                outcome = _solve(
+                    work, cliques, "ltrip", None, options, bias_delta, seed + attempt,
+                    time.perf_counter(),
                 )
                 messages += outcome.messages
                 build_ms += outcome.build_ms
                 infer_ms += outcome.infer_ms
                 cluster_count = cluster_count or outcome.cluster_count
-                if outcome.valid:
+                assignment, free = _ranked_decode(work, outcome.marginals)
+                report = verify_coloring(work, assignment)
+                outcome = dataclasses.replace(
+                    outcome, assignment=assignment, report=report
+                )
+                if outcome.valid or not free:
                     break
-                fixes = _confident_consistent_fixes(work, outcome)
-                if not fixes:
-                    break
+                open_count = len(problem.variables) - len(work.givens)
+                quota = math.ceil(open_count * FIX_FRACTION)
+                fixes = {v: assignment[v] for v in free[:quota]}
                 log.info(
                     "attempt %d: froze %d labels, %d regions open",
                     attempt,
                     len(fixes),
-                    len(problem.variables) - len(work.givens) - len(fixes),
+                    open_count - len(fixes),
                 )
                 work = dataclasses.replace(work, givens={**work.givens, **fixes})
         except ContradictionError as exc:

@@ -398,11 +398,13 @@ class InferenceState:
         semiring = self.options.semiring
         marginals: dict[Variable, SparseTable] = {}
         assignment: dict[Variable, int] = {}
-        for variable in self.graph.variables():
-            holder = next(
-                c.id for c in self.graph.clusters if variable in c.vars
-            )
-            marginal = self._belief(holder).marginalize([variable], semiring)
+        # A variable's marginal comes from the first cluster holding it.
+        holders: dict[Variable, int] = {}
+        for cluster in self.graph.clusters:
+            for variable in cluster.vars:
+                holders.setdefault(variable, cluster.id)
+        for variable in sorted(holders):
+            marginal = self._belief(holders[variable]).marginalize([variable], semiring)
             marginal = marginal.normalize(semiring)
             marginals[variable] = marginal
             assignment[variable] = marginal.argmax()[0]

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clusterbp
 from clusterbp.cli import (
@@ -18,14 +20,21 @@ from clusterbp.cli import (
     EXIT_NO_SOLUTION,
     EXIT_OK,
     EXIT_UNSATISFIABLE,
+    _ranked_decode,
     color_problem,
     load_problem,
     load_puzzle,
     main,
     solve_problem,
 )
-from clusterbp.coloring import parse_adjacency, sudoku_problem, verify_coloring
-from clusterbp.factors import ContradictionError
+from clusterbp.coloring import (
+    parse_adjacency,
+    random_planar_map,
+    sudoku_problem,
+    verify_coloring,
+)
+from clusterbp.factors import ContradictionError, SparseTable
+from clusterbp.inference import InferenceOptions
 from conftest import SEVEN_REGION_TEXT
 from oracles import solve_sudoku
 
@@ -71,14 +80,15 @@ def map_file(tmp_path):
 
 @pytest.fixture()
 def rounds(monkeypatch):
-    """The seed of every `solve_problem` call `color_problem` makes."""
+    """The seed of every round `color_problem` runs, one per propagation."""
     seeds = []
+    solve = clusterbp.cli._solve
 
-    def counting(problem, *args, **kwargs):
-        seeds.append(kwargs["seed"])
-        return solve_problem(problem, *args, **kwargs)
+    def counting(problem, cliques, topology, size, options, bias, seed, started):
+        seeds.append(seed)
+        return solve(problem, cliques, topology, size, options, bias, seed, started)
 
-    monkeypatch.setattr("clusterbp.cli.solve_problem", counting)
+    monkeypatch.setattr("clusterbp.cli._solve", counting)
     return seeds
 
 
@@ -169,13 +179,30 @@ class TestColorMap:
 
     def test_unanchored_unbiased_still_colors(self, rounds):
         # A given on an isolated region turns anchoring off, and without
-        # bias every marginal of the seven regions starts uniform, so a
-        # single propagation pass decodes an invalid all-ties assignment.
-        # The decimation rounds must break the symmetry instead.
+        # bias every marginal of the seven regions is all ties, so the
+        # argmax decode is invalid.  The ranked decode breaks the ties
+        # itself, one region after another, in the first round.
         problem = with_givens(parse_adjacency(SEVEN_REGION_TEXT + "Z\n"), Z=0)
         outcome = color_problem(problem, bias_delta=0.0)
         assert outcome.valid
+        assert rounds == [0]
+
+    def test_unbiased_decimation_takes_rounds(self, rounds):
+        # Here the first ranked decode still clashes, so a second round
+        # runs on frozen labels, under the same seed: one attempt.
+        outcome = color_problem(
+            random_planar_map(8, 8, seed=8),
+            options=InferenceOptions(damping=0.3),
+            bias_delta=0.0,
+        )
+        assert outcome.valid
         assert len(rounds) > 1 and set(rounds) == {0}
+
+    def test_one_label_isolated_regions(self):
+        # A is anchored; B is open with a single label and no runner-up.
+        outcome = color_problem(parse_adjacency("A\nB\n", 1))
+        assert outcome.valid
+        assert set(outcome.assignment.values()) == {0}
 
     def test_path_with_a_given(self):
         # Pinning the clique {A,B} to A=0, B=1 would clash with C=1.
@@ -270,6 +297,92 @@ class TestColorMap:
             main(["color-map", str(map_file), "--retries", retries])
         assert stop.value.code == EXIT_BAD_INPUT
         assert "retries must be >= 1" in capsys.readouterr().err
+
+
+@st.composite
+def decode_cases(draw):
+    """A small planar map, 2 to 4 labels, givens and max-normalized marginals.
+
+    Each region has a planted label from a greedy coloring in a drawn
+    order.  Its marginal scores the planted label 1.0 and every other
+    label 0 (left out), 0.25, 0.5 or 1.0, so scores and margins often
+    tie.  Givens are planted labels on some regions, minus any clash.
+    """
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    problem = random_planar_map(rows, cols, seed=draw(st.integers(0, 99)))
+    problem = dataclasses.replace(problem, k=draw(st.integers(2, 4)))
+    k = problem.k
+    planted = {}
+    for variable in draw(st.permutations(problem.variables)):
+        taken = {planted.get(n) for n in problem.neighbors(variable)}
+        planted[variable] = min(set(range(k)) - taken, default=0)
+    givens = {}
+    for variable in problem.variables:
+        neighbors = problem.neighbors(variable)
+        clash = any(givens.get(n) == planted[variable] for n in neighbors)
+        if draw(st.booleans()) and draw(st.booleans()) and not clash:
+            givens[variable] = planted[variable]
+    marginals = {}
+    for variable in problem.variables:
+        if variable in givens:
+            continue
+        levels = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        scores = draw(st.lists(levels, min_size=k, max_size=k))
+        scores[planted[variable]] = 1.0
+        entries = {(x,): score for x, score in enumerate(scores) if score}
+        marginals[variable] = SparseTable((variable,), (k,), entries)
+    return dataclasses.replace(problem, givens=givens), marginals
+
+
+def margin_order(marginals, k):
+    def margin(variable):
+        scores = sorted(marginals[variable][(x,)] for x in range(k))
+        return scores[-1] - scores[-2]
+
+    return sorted(marginals, key=lambda v: (-margin(v), v.id))
+
+
+class TestRankedDecode:
+    @given(decode_cases())
+    @settings(deadline=None, max_examples=200)
+    def test_a_proper_argmax_decode_comes_back_unchanged(self, case):
+        problem, marginals = case
+        argmax = dict(problem.givens)
+        argmax.update({v: table.argmax()[0] for v, table in marginals.items()})
+        assignment, _ = _ranked_decode(problem, marginals)
+        if verify_coloring(problem, argmax).valid:
+            assert assignment == argmax
+
+    @given(decode_cases())
+    @settings(deadline=None, max_examples=200)
+    def test_no_label_taken_while_a_free_one_exists(self, case):
+        problem, marginals = case
+        assignment, free = _ranked_decode(problem, marginals)
+        assert assignment.keys() == set(problem.variables)
+        assert all(assignment[v] == x for v, x in problem.givens.items())
+        decided = dict(problem.givens)
+        got_free = []
+        for variable in margin_order(marginals, problem.k):
+            held = {decided[n] for n in problem.neighbors(variable) if n in decided}
+            label = assignment[variable]
+            if len(held) < problem.k:
+                assert label not in held
+                got_free.append(variable)
+            else:
+                assert label == marginals[variable].argmax()[0]
+            decided[variable] = label
+        assert free == got_free
+
+    def test_best_free_label_and_lowest_tie(self):
+        # B ranks first (margin 1.0) and takes 0; A's best label is then
+        # held, and its two runners-up tie, so it takes the lower one.
+        problem = parse_adjacency("A B\n", 3)
+        a, b = problem.variable_named("A"), problem.variable_named("B")
+        marginals = {
+            a: SparseTable((a,), (3,), {(0,): 1.0, (1,): 0.5, (2,): 0.5}),
+            b: SparseTable((b,), (3,), {(0,): 1.0}),
+        }
+        assert _ranked_decode(problem, marginals) == ({a: 1, b: 0}, [b, a])
 
 
 @pytest.mark.parametrize("command", ["solve", "color-map"])
