@@ -40,7 +40,7 @@ from clusterbp.coloring import (
     sudoku_problem,
     verify_coloring,
 )
-from clusterbp.factors import ContradictionError, uniform_factor
+from clusterbp.factors import SEMIRINGS, ContradictionError, uniform_factor
 from clusterbp.graphs import Cluster, bethe_graph, export_dot, ltrip, validate_rip
 from clusterbp.inference import InferenceOptions, InferenceState
 
@@ -79,7 +79,6 @@ class SolveOutcome:
     messages: int
     build_ms: float
     infer_ms: float
-    marginals: dict = dataclasses.field(default_factory=dict)
 
     @property
     def valid(self) -> bool:
@@ -103,12 +102,24 @@ def solve_problem(
     """
     started = time.perf_counter()
     cliques = maximal_cliques(problem)
-    return _solve(
-        problem, cliques, topology, cluster_size, options, bias_delta, seed, started
+    state, cluster_count = _compile(
+        problem, cliques, topology, cluster_size, options, bias_delta, seed
+    )
+    build_ms = (time.perf_counter() - started) * 1000.0
+    assignment = dict(problem.givens)
+    converged, messages, infer_ms = True, 0, 0.0
+    if state is not None:
+        posterior = state.run()
+        assignment.update(posterior.assignment)
+        converged, messages = posterior.converged, posterior.stats.messages
+        infer_ms = posterior.stats.wall_ms
+    report = verify_coloring(problem, assignment)
+    return SolveOutcome(
+        assignment, converged, report, cluster_count, messages, build_ms, infer_ms
     )
 
 
-def _solve(
+def _compile(
     problem: ColoringProblem,
     cliques: list[Cluster],
     topology: str,
@@ -116,25 +127,23 @@ def _solve(
     options: InferenceOptions | None,
     bias_delta: float,
     seed: int,
-    started: float,
-) -> SolveOutcome:
-    """`solve_problem` from enumerated cliques, timing the build from `started`."""
+) -> tuple[InferenceState | None, int]:
+    """Compile enumerated cliques into an inference state, not yet run.
+
+    Returns the state, or None when every variable is given, and the
+    number of factor clusters (Bethe hubs not counted).
+    """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
     if not 0.0 <= bias_delta < math.inf:
         raise ValueError(f"bias_delta must be finite and >= 0, got {bias_delta}")
-    if options is None:
-        options = InferenceOptions()
     if cluster_size is not None:
         cliques = split_cliques(cliques, cluster_size)
     bias = label_preferences(problem, seed) if bias_delta > 0 else None
     items = build_factors(problem, cliques, bias=bias, delta=bias_delta)
     if not items:
         # Every variable is given; construction already proved consistency.
-        build_ms = (time.perf_counter() - started) * 1000.0
-        assignment = dict(problem.givens)
-        report = verify_coloring(problem, assignment)
-        return SolveOutcome(assignment, True, report, 0, 0, build_ms, 0.0)
+        return None, 0
     clusters = [cluster for cluster, _ in items]
     tables = [table for _, table in items]
     if topology == "ltrip":
@@ -142,28 +151,11 @@ def _solve(
     else:
         graph = bethe_graph(clusters)
         for hub in graph.clusters[len(clusters):]:
-            (variable,) = hub.vars
-            card = next(t.card_of(variable) for t in tables if variable in t.scope)
-            tables.append(uniform_factor((variable,), (card,)))
-    state = InferenceState(graph, tables, options)
-    build_ms = (time.perf_counter() - started) * 1000.0
+            tables.append(uniform_factor(tuple(hub.vars), (problem.k,)))
     log.info(
         "%s graph: %d clusters, %d edges", topology, len(clusters), len(graph.sepsets)
     )
-    posterior = state.run()
-    assignment = dict(problem.givens)
-    assignment.update(posterior.assignment)
-    report = verify_coloring(problem, assignment)
-    return SolveOutcome(
-        assignment,
-        posterior.converged,
-        report,
-        len(clusters),
-        posterior.stats.messages,
-        build_ms,
-        posterior.stats.wall_ms,
-        posterior.marginals,
-    )
+    return InferenceState(graph, tables, options), len(clusters)
 
 
 def _ranked_decode(problem: ColoringProblem, marginals: dict) -> tuple[dict, list]:
@@ -213,22 +205,21 @@ def color_problem(
 
     Decimation starts from `anchor_largest_clique`: the givens, or one
     largest clique pinned when there are none.  Each round propagates,
-    then decodes the most decided regions first, each avoiding labels
-    its neighbors already took (`_ranked_decode`).  A decode that
+    then decodes once, the most decided regions first, each avoiding
+    labels its neighbors already took (`_ranked_decode`).  A decode that
     verifies ends the run; otherwise the first FIX_FRACTION of the open
     regions that found a free label are frozen with it as givens for
     the next round.  A run that annihilates (the frozen labels were
     jointly wrong) starts a new attempt with the next preference seed.
     Attempts differ only in that seed, so there are `retries` of them,
     the first included, when `bias_delta > 0` and one otherwise.
-    Returns the last outcome if every attempt fails, so callers check
-    `.valid`; if no attempt got past its first round, the last
-    attempt's ContradictionError propagates.
+    Returns the last decoded round if every attempt fails, so callers
+    check `.valid`; if no attempt got past its first round, the last
+    attempt's ContradictionError propagates.  The outcome's message
+    count and times add up every round, those that dead-ended included.
     """
     if retries < 1:
         raise ValueError(f"retries must be >= 1, got {retries}")
-    if options is None:
-        options = InferenceOptions()
     cliques = maximal_cliques(problem)
     base_givens = anchor_largest_clique(problem, cliques)
     attempts = retries if bias_delta > 0 else 1
@@ -236,25 +227,29 @@ def color_problem(
     build_ms = 0.0
     infer_ms = 0.0
     cluster_count = 0
-    outcome: SolveOutcome | None = None
+    decoded = None  # the last decoded round's assignment, report, converged
     for attempt in range(attempts):
         work = dataclasses.replace(problem, givens=base_givens)
         try:
             while True:
-                outcome = _solve(
-                    work, cliques, "ltrip", None, options, bias_delta, seed + attempt,
-                    time.perf_counter(),
+                started = time.perf_counter()
+                state, clusters = _compile(
+                    work, cliques, "ltrip", None, options, bias_delta, seed + attempt
                 )
-                messages += outcome.messages
-                build_ms += outcome.build_ms
-                infer_ms += outcome.infer_ms
-                cluster_count = cluster_count or outcome.cluster_count
-                assignment, free = _ranked_decode(work, outcome.marginals)
+                build_ms += (time.perf_counter() - started) * 1000.0
+                cluster_count = cluster_count or clusters
+                converged, marginals = True, {}
+                if state is not None:
+                    try:
+                        posterior = state.run()
+                    finally:
+                        messages += state.stats.messages
+                        infer_ms += state.stats.wall_ms
+                    converged, marginals = posterior.converged, posterior.marginals
+                assignment, free = _ranked_decode(work, marginals)
                 report = verify_coloring(work, assignment)
-                outcome = dataclasses.replace(
-                    outcome, assignment=assignment, report=report
-                )
-                if outcome.valid or not free:
+                decoded = assignment, report, converged
+                if report.valid or not free:
                     break
                 open_count = len(problem.variables) - len(work.givens)
                 quota = math.ceil(open_count * FIX_FRACTION)
@@ -268,17 +263,14 @@ def color_problem(
                 work = dataclasses.replace(work, givens={**work.givens, **fixes})
         except ContradictionError as exc:
             log.info("attempt %d dead-ended: %s", attempt, exc)
-            if outcome is None and attempt == attempts - 1:
+            if decoded is None and attempt == attempts - 1:
                 raise
             continue
-        if outcome.valid:
+        if report.valid:
             break
-    return dataclasses.replace(
-        outcome,
-        cluster_count=cluster_count,
-        messages=messages,
-        build_ms=build_ms,
-        infer_ms=infer_ms,
+    assignment, report, converged = decoded
+    return SolveOutcome(
+        assignment, converged, report, cluster_count, messages, build_ms, infer_ms
     )
 
 
@@ -519,7 +511,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--semiring",
-        choices=("max", "sum"),
+        choices=SEMIRINGS,
         default="max",
         help="message algebra: max decodes a best assignment, sum marginals",
     )

@@ -19,6 +19,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from clusterbp.factors import (
+    SEMIRINGS,
     ContradictionError,
     Semiring,
     SparseTable,
@@ -48,7 +49,7 @@ class InferenceOptions:
     damping: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.semiring not in ("sum", "max"):
+        if self.semiring not in SEMIRINGS:
             raise ValueError(f"unknown semiring {self.semiring!r}")
         if not self.threshold > 0.0:
             raise ValueError(f"threshold must be > 0, got {self.threshold}")
@@ -376,22 +377,25 @@ class InferenceState:
 
         Exhausting the message budget is not an error: the posterior
         comes back with `converged=False` and whatever the beliefs hold.
-        Contradictions (a message emptying a belief) do raise.
+        Contradictions (a message emptying a belief) do raise, and the
+        time spent until then still counts in `stats.wall_ms`.
         """
         options = self.options
         started = time.perf_counter()
-        while self._hot and self.stats.messages < options.max_messages:
-            edge = self._pop()
-            if edge is None:
-                # The queue drained with edges still hot, as when a caller
-                # re-runs after catching a contradiction mid-message: rebuild
-                # it from their residuals.
-                for hot_edge in sorted(self.residuals):
-                    if self.residuals[hot_edge] >= options.threshold:
-                        self._push(hot_edge, self.residuals[hot_edge])
-                continue
-            self.pass_message(*edge)
-        self.stats.wall_ms += (time.perf_counter() - started) * 1e3
+        try:
+            while self._hot and self.stats.messages < options.max_messages:
+                edge = self._pop()
+                if edge is None:
+                    # The queue drained with edges still hot, as when a caller
+                    # re-runs after catching a contradiction mid-message:
+                    # rebuild it from their residuals.
+                    for hot_edge in sorted(self.residuals):
+                        if self.residuals[hot_edge] >= options.threshold:
+                            self._push(hot_edge, self.residuals[hot_edge])
+                    continue
+                self.pass_message(*edge)
+        finally:
+            self.stats.wall_ms += (time.perf_counter() - started) * 1e3
         return self._posterior()
 
     def _posterior(self) -> Posterior:

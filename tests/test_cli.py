@@ -34,7 +34,7 @@ from clusterbp.coloring import (
     verify_coloring,
 )
 from clusterbp.factors import ContradictionError, SparseTable
-from clusterbp.inference import InferenceOptions
+from clusterbp.inference import InferenceOptions, InferenceState
 from conftest import SEVEN_REGION_TEXT
 from oracles import solve_sudoku
 
@@ -82,13 +82,13 @@ def map_file(tmp_path):
 def rounds(monkeypatch):
     """The seed of every round `color_problem` runs, one per propagation."""
     seeds = []
-    solve = clusterbp.cli._solve
+    compile_round = clusterbp.cli._compile
 
-    def counting(problem, cliques, topology, size, options, bias, seed, started):
+    def counting(problem, cliques, topology, size, options, bias, seed):
         seeds.append(seed)
-        return solve(problem, cliques, topology, size, options, bias, seed, started)
+        return compile_round(problem, cliques, topology, size, options, bias, seed)
 
-    monkeypatch.setattr("clusterbp.cli._solve", counting)
+    monkeypatch.setattr("clusterbp.cli._compile", counting)
     return seeds
 
 
@@ -286,6 +286,24 @@ class TestColorMap:
         with pytest.raises(ContradictionError):
             color_problem(parse_adjacency(WHEEL, 3), bias_delta=0.0)
         assert rounds == [0]
+
+    def test_dead_ended_rounds_count(self, monkeypatch):
+        # A round of the first attempt dead-ends; the messages it sent
+        # before the contradiction still count in the total.
+        returned = []
+        pass_message = InferenceState.pass_message
+
+        def counting(state, src, dst):
+            residual = pass_message(state, src, dst)
+            returned.append(residual)
+            return residual
+
+        monkeypatch.setattr(InferenceState, "pass_message", counting)
+        problem = dataclasses.replace(random_planar_map(5, 7, seed=26), k=3)
+        outcome = color_problem(
+            problem, options=InferenceOptions(damping=0.3, max_messages=20_000)
+        )
+        assert outcome.messages == len(returned)
 
     def test_library_rejects_zero_retries(self):
         with pytest.raises(ValueError, match="retries"):

@@ -286,6 +286,18 @@ class TestRunControl:
                 state.run()
         assert state.stats.messages == 0
 
+    def test_contradiction_still_records_its_time(self):
+        clusters = (Cluster(0, frozenset({A, B})), Cluster(1, frozenset({A, C})))
+        graph = ClusterGraph(
+            clusters, (Sepset((0, 1), frozenset({A})),), kind="custom"
+        )
+        f0 = SparseTable((A, B), (2, 3), {(0, 0): 1.0})  # pins A=0
+        f1 = SparseTable((A, C), (2, 2), {(1, 0): 1.0})  # pins A=1
+        state = InferenceState(graph, [f0, f1])
+        with pytest.raises(ContradictionError):
+            state.run()
+        assert state.stats.wall_ms > 0
+
 
 class TestDamping:
     def test_damped_tree_reaches_the_same_fixed_point(self):
