@@ -4,8 +4,9 @@ A coloring problem is variables, disagreement edges, a shared label
 count, and optional fixed labels.  Builders turn Sudoku grids and map
 adjacency lists into problems; the machinery here enumerates maximal
 cliques, optionally splits oversized ones, compiles cliques into
-all-different potential tables (with givens folded in and an optional
-symmetry-breaking bias), and verifies decoded assignments.
+all-different potential tables over each variable's domain (the labels
+its given neighbours leave), with an optional symmetry-breaking bias,
+and verifies decoded assignments.
 """
 
 from __future__ import annotations
@@ -281,21 +282,24 @@ def build_factors(
     bias: Mapping[Variable, Sequence[float]] | None = None,
     delta: float = 0.01,
 ) -> list[tuple[Cluster, SparseTable]]:
-    """Compile cliques into subset-free all-different tables, givens folded in.
+    """Compile cliques into subset-free all-different tables over domains.
 
     Every disagreement edge must lie inside some clique, otherwise the
     compiled problem would silently drop a constraint.  Observed
-    variables are conditioned out of their cliques (shrinking scopes);
-    cliques observed away completely are dropped, so a fully-given
-    problem compiles to an empty list.  A clique whose remaining scope
-    lies inside another's is folded into it (see `_fold_cliques`), so
-    the output is subset-free and ready for `ltrip`.  `bias` optionally
-    assigns each variable a per-label preference, applied once per
-    clique as a multiplicative nudge of 1 + delta * preference — strong
+    variables are conditioned out of their cliques, and each free
+    variable's domain loses the labels of the givens it shares a clique
+    with (node consistency; every such restriction is implied by some
+    clique, so the joint is unchanged).  One table is built per
+    `purged_clusters` cluster, so a fully-given problem compiles to an
+    empty list.  A table's keys are its scope's sorted domains with no
+    label used twice, in lexicographic order.  `bias` optionally assigns
+    each variable a per-label preference, applied once per table that
+    holds it as a multiplicative nudge of 1 + delta * preference — strong
     enough to break ties after convergence, weak enough to never beat a
-    hard zero.  Clusters are numbered 0..n-1 in clique order.  A table
-    that would enumerate more than MAX_TABLE_ENTRIES permutations is
-    refused with a ValueError before any is built.
+    hard zero.  A table over more than MAX_TABLE_ENTRIES keys, counted as
+    P(labels its domains hold, scope size), is refused with a ValueError
+    before any is built.  An emptied domain or an empty table is a
+    ContradictionError naming the variable or the clique.
     """
     covered: set[frozenset[Variable]] = set()
     for clique in cliques:
@@ -307,7 +311,7 @@ def build_factors(
             f"edge {a.name}-{b.name} is not inside any clique; "
             f"the cover is incomplete"
         )
-    labels: list[list[int]] = []
+    domains: dict[Variable, set[int]] = {}
     nudges: dict[Variable, tuple[float, ...]] = {}
     for clique in cliques:
         members = clique.sorted_vars()
@@ -317,14 +321,20 @@ def build_factors(
             raise ContradictionError(
                 f"givens repeat a label inside clique {{{clique.label()}}}"
             )
-        labels.append([x for x in range(problem.k) if x not in taken])
         free = [v for v in members if v not in problem.givens]
-        if len(free) > len(labels[-1]):
+        if len(free) > problem.k - len(taken):
             raise ContradictionError(
                 f"clique {{{clique.label()}}} needs {len(free)} distinct "
-                f"labels but only {len(labels[-1])} remain"
+                f"labels but only {problem.k - len(taken)} remain"
             )
         for variable in free:
+            domain = domains.setdefault(variable, set(range(problem.k)))
+            domain -= taken
+            if not domain:
+                raise ContradictionError(
+                    f"the givens around {variable.name} take all "
+                    f"{problem.k} labels"
+                )
             preference = None if bias is None else bias.get(variable)
             if preference is None or variable in nudges:
                 continue
@@ -340,60 +350,59 @@ def build_factors(
             )
             nudges[variable] = tuple(weights[(x,)] for x in range(problem.k))
     out: list[tuple[Cluster, SparseTable]] = []
-    for cluster, members in _fold_cliques(problem, cliques):
+    for cluster in purged_clusters(problem, cliques):
         scope = cluster.sorted_vars()
-        count = math.perm(len(labels[members[0]]), len(scope))
+        pooled = set().union(*(domains[v] for v in scope))
+        count = math.perm(len(pooled), len(scope))
         if count > MAX_TABLE_ENTRIES:
             raise ValueError(
                 f"clique {{{cluster.label()}}} would compile {count:,} "
                 f"entries, over the limit of {MAX_TABLE_ENTRIES:,}; "
                 f"split it into smaller clusters"
             )
-        where = {v: i for i, v in enumerate(scope)}
-        # A folded clique bans the labels its givens take but the kept
-        # clique's do not, and brings its own nudges.  Nudge products are
-        # formed per clique in sorted scope order, then multiplied kept
-        # clique first and folded ones in fold order: the same float
-        # operations as multiplying per-clique tables into one another.
-        blocked: set[tuple[int, int]] = set()
-        parts = []
-        for i in members:
-            sub = sorted(cliques[i].vars & cluster.vars)
-            banned = set(labels[members[0]]) - set(labels[i])
-            blocked.update((where[v], x) for v in sub for x in banned)
-            parts.append([(where[v], nudges[v]) for v in sub if v in nudges])
-        keys = [
-            key
-            for key in itertools.permutations(labels[members[0]], len(scope))
-            if blocked.isdisjoint(enumerate(key))
-        ]
-        if nudges:
+        keys = _distinct_keys([sorted(domains[v]) for v in scope])
+        weights = [(p, nudges[v]) for p, v in enumerate(scope) if v in nudges]
+        if weights:
             entries = {}
             for key in keys:
-                weight = math.prod(
-                    math.prod(w[key[p]] for p, w in part) for part in parts
-                )
+                weight = math.prod(w[key[p]] for p, w in weights)
                 if weight:  # a zero nudge, or underflow, makes no entry
                     entries[key] = weight
         else:
             entries = dict.fromkeys(keys, 1.0)
+        if not entries:
+            raise ContradictionError(
+                f"clique {{{cluster.label()}}} has no assignment its "
+                f"domains allow"
+            )
         table = SparseTable._trusted(scope, (problem.k,) * len(scope), entries)
         out.append((cluster, table))
     return out
 
 
-def _fold_cliques(
+def _distinct_keys(domains: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Every key taking position i from sorted `domains[i]`, no label twice.
+
+    Keys come in lexicographic order, as `itertools.permutations` gives
+    them over a shared label range.
+    """
+    keys: list[tuple[int, ...]] = [()]
+    for domain in domains:
+        keys = [key + (x,) for key in keys for x in domain if x not in key]
+    return keys
+
+
+def purged_clusters(
     problem: ColoringProblem, cliques: Sequence[Cluster]
-) -> list[tuple[Cluster, tuple[int, ...]]]:
-    """Which cliques survive conditioning, and which fold into each.
+) -> list[Cluster]:
+    """The clusters `build_factors` returns, without building any table.
 
     The givens are conditioned out of every clique and emptied scopes
     vanish.  Walking the rest largest first (then by sorted scope, then
-    by clique index), a scope contained in an already kept scope folds
-    into the first such one; otherwise it is kept.  Returns, for each
-    kept clique in clique order, its renumbered cluster and the indices
-    of the cliques it stands for: itself first, then those folded into
-    it in fold order.
+    by clique index), a scope contained in an already kept scope is
+    dropped; otherwise it is kept.  The kept scopes are renumbered
+    0..n-1 in clique order.  Nothing here checks the givens, so
+    unsatisfiable problems still get their cluster shape.
     """
     scopes = [
         frozenset(v for v in clique.vars if v not in problem.givens)
@@ -403,28 +412,11 @@ def _fold_cliques(
         (i for i, scope in enumerate(scopes) if scope),
         key=lambda i: (-len(scopes[i]), tuple(sorted(scopes[i])), i),
     )
-    folds: dict[int, list[int]] = {}
+    kept: list[int] = []
     for i in order:
-        target = next((j for j in folds if scopes[i] <= scopes[j]), None)
-        if target is None:
-            folds[i] = [i]
-        else:
-            folds[target].append(i)
-    return [
-        (Cluster(new_id, scopes[i]), tuple(folds[i]))
-        for new_id, i in enumerate(sorted(folds))
-    ]
-
-
-def purged_clusters(
-    problem: ColoringProblem, cliques: Sequence[Cluster]
-) -> list[Cluster]:
-    """The clusters `build_factors` returns, without building any table.
-
-    Nothing here checks the givens, so unsatisfiable problems still get
-    their cluster shape.
-    """
-    return [cluster for cluster, _ in _fold_cliques(problem, cliques)]
+        if not any(scopes[i] <= scopes[j] for j in kept):
+            kept.append(i)
+    return [Cluster(new_id, scopes[i]) for new_id, i in enumerate(sorted(kept))]
 
 
 def label_preferences(

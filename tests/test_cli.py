@@ -123,6 +123,14 @@ class TestSolve:
         assert main(["solve", str(path)]) == EXIT_UNSATISFIABLE
         assert "unsatisfiable" in capsys.readouterr().err
 
+    def test_cell_left_without_a_label(self, tmp_path, capsys):
+        # A sees 1 and 2 in its row, 3 in its column and 4 in its box.
+        path = tmp_path / "cornered.txt"
+        path.write_text("..12\n.4..\n3...\n....\n")
+        assert main(["solve", str(path)]) == EXIT_UNSATISFIABLE
+        err = capsys.readouterr().err
+        assert "unsatisfiable: the givens around A take all 4 labels" in err
+
     def test_symmetric_grid_decodes_invalid(self, tmp_path, capsys):
         path = tmp_path / "blank.txt"
         path.write_text("." * 16)

@@ -1,11 +1,13 @@
 """Coloring problems: builders, clique machinery, potentials, verification."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clusterbp
 from clusterbp.coloring import (
     ColoringProblem,
     anchor_largest_clique,
@@ -36,6 +38,10 @@ from oracles import (
     maximal_cliques_brute,
     solve_sudoku,
 )
+
+EASY01 = (
+    Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy01.txt"
+).read_text()
 
 
 def triangle_problem(k=3, givens=None):
@@ -474,29 +480,34 @@ def ids_and_scopes(items):
 
 
 class TestFoldSubsets:
-    """`build_factors` folds cliques whose conditioned scope lies inside
+    """`build_factors` drops cliques whose conditioned scope lies inside
     another's, so its output is subset-free.  G and H are always given;
-    the labels they take show up as bans in the table a clique folds into."""
+    the labels they take leave the domains of their clique neighbours, in
+    every table that holds them."""
 
     def test_subset_folds_into_superset(self):
         # {A,B} is inside both; the larger one takes it, not the earlier.
         items = compile_cover(["ABE", "ABCD", "ABG"], givens={"G": 0})
         assert ids_and_scopes(items) == [(0, "A,B,E"), (1, "A,B,C,D")]
-        assert any(key[0] == 0 for key in items[0][1])
+        # G=0 leaves A and B without label 0 in both tables.
+        assert len(items[0][1]) == 12  # A and B from 1..3, E one of the two left
+        assert not any(0 in key[:2] for key in items[0][1])
         assert len(items[1][1]) == 12  # 0 sits at C or D: 2 * 3!
         assert not any(0 in key[:2] for key in items[1][1])
         # On a tie in size the earliest superset takes it.
         items = compile_cover(["ABC", "ABD", "ABG"], givens={"G": 0})
         assert ids_and_scopes(items) == [(0, "A,B,C"), (1, "A,B,D")]
-        assert not any(0 in key[:2] for key in items[0][1])
-        assert any(key[0] == 0 for key in items[1][1])
+        for _, table in items:
+            assert len(table) == 12
+            assert not any(0 in key[:2] for key in table)
 
     def test_survivors_keep_order_and_renumber(self):
         items = compile_cover(["AB", "BG", "BC"], k=3, givens={"G": 0})
         assert ids_and_scopes(items) == [(0, "A,B"), (1, "B,C")]
-        # {B} folded into {A,B}: largest first, then by sorted scope
+        # {B} lies inside {A,B}: largest first, then by sorted scope.
+        # G=0 leaves B the domain {1, 2} in both tables.
         assert set(items[0][1]) == {(0, 1), (0, 2), (1, 2), (2, 1)}
-        assert (0, 1) in items[1][1]
+        assert set(items[1][1]) == {(1, 0), (1, 2), (2, 0), (2, 1)}
 
     def test_identical_clusters_merge(self):
         items = compile_cover(
@@ -506,8 +517,8 @@ class TestFoldSubsets:
             delta=0.5,
         )
         assert ids_and_scopes(items) == [(0, "A,B")]
-        # each clique applies A's nudge once: (1 + 0.5 * 2) ** 2
-        assert items[0][1].entries == {(2, 3): 4.0, (3, 2): 6.25}
+        # the one table holding A applies its nudge once: 1 + 0.5 * 2
+        assert items[0][1].entries == {(2, 3): 2.0, (3, 2): 2.5}
 
     def test_chain_of_subsets(self):
         items = compile_cover(["AG", "ABC", "ABH"], givens={"G": 0, "H": 1})
@@ -529,7 +540,9 @@ class TestFoldSubsets:
 
 def clique_by_clique_reference(problem, cliques, bias, delta):
     """The dense joint of one all-different factor per clique, givens
-    observed and nudges applied, built from the oracles alone."""
+    observed, built from the oracles; only the nudge count comes from the
+    package: each free variable's nudge is applied once per
+    `purged_clusters` cluster that holds it."""
     k = problem.k
     factors = []
     for clique in cliques:
@@ -540,12 +553,18 @@ def clique_by_clique_reference(problem, cliques, bias, delta):
         for variable in members:
             if variable in problem.givens:
                 factor = factor.observe(variable, problem.givens[variable])
-            elif bias is not None and variable in bias:
-                nudge = DenseFactor.from_function(
-                    (variable,), (k,), lambda key: 1 + delta * bias[variable][key[0]]
-                )
-                factor = factor.multiply(nudge)
         factors.append(factor)
+    if bias is not None:
+        for cluster in purged_clusters(problem, cliques):
+            for variable in cluster.vars:
+                if variable in bias:
+                    factors.append(
+                        DenseFactor.from_function(
+                            (variable,),
+                            (k,),
+                            lambda key: 1 + delta * bias[variable][key[0]],
+                        )
+                    )
     return dense_joint(factors)
 
 
@@ -609,6 +628,98 @@ class TestFoldMatchesDenseOracle:
         cliques = split_cliques(maximal_cliques(problem), 3)
         bias = label_preferences(problem, seed) if delta else None
         assert_joint_matches(problem, cliques, bias, delta)
+
+
+def labels_of_given_neighbours(problem):
+    return {
+        v: {problem.givens[u] for u in problem.neighbors(v) if u in problem.givens}
+        for v in problem.variables
+        if v not in problem.givens
+    }
+
+
+def assert_no_given_neighbour_label(problem, cliques):
+    banned = labels_of_given_neighbours(problem)
+    for _, table in build_factors(problem, cliques):
+        for key in table.entries:
+            for variable, label in zip(table.scope, key):
+                assert label not in banned[variable]
+
+
+class TestDomains:
+    """Each free variable's domain loses its given neighbours' labels, and
+    every table is built over those domains."""
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(0, 10_000),
+        st.sampled_from([None, 2]),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_maps_with_givens(self, rows, cols, seed, size, data):
+        problem = random_planar_map(rows, cols, seed=seed)
+        solution = color_by_backtracking(
+            [v.name for v in problem.variables],
+            [tuple(sorted(v.name for v in e)) for e in problem.edges],
+            4,
+        )
+        revealed = data.draw(st.sets(st.sampled_from(problem.variables)))
+        problem = ColoringProblem(
+            problem.variables,
+            problem.edges,
+            4,
+            {v: solution[v.name] for v in revealed},
+        )
+        cliques = maximal_cliques(problem)
+        if size is not None:
+            cliques = split_cliques(cliques, size)
+        assert_no_given_neighbour_label(problem, cliques)
+
+    @given(st.integers(0, 287), st.data())
+    @settings(deadline=None, max_examples=25)
+    def test_grids_split_at_three(self, which, data):
+        full = solve_sudoku([0] * 16, 4)[which]
+        blanks = data.draw(st.sets(st.integers(0, 15), min_size=1, max_size=10))
+        grid = "".join("." if i in blanks else str(d) for i, d in enumerate(full))
+        problem = sudoku_problem(grid, n=4)
+        assert_no_given_neighbour_label(
+            problem, split_cliques(maximal_cliques(problem), 3)
+        )
+
+    @pytest.mark.parametrize(
+        "grid,n,size",
+        [
+            ("....\n3.12\n2..3\n....\n", 4, None),
+            ("1..4\n....\n....\n4..1\n", 4, 3),
+            (EASY01, 9, 3),
+        ],
+        ids=["grid4", "corners4-split3", "easy01-split3"],
+    )
+    def test_keys_are_permutations_within_domains(self, grid, n, size):
+        problem = sudoku_problem(grid, n)
+        domains = {
+            v: set(range(n)) - banned
+            for v, banned in labels_of_given_neighbours(problem).items()
+        }
+        cliques = maximal_cliques(problem)
+        if size is not None:
+            cliques = split_cliques(cliques, size)
+        for _, table in build_factors(problem, cliques):
+            expected = [
+                key
+                for key in itertools.permutations(range(n), len(table.scope))
+                if all(x in domains[v] for v, x in zip(table.scope, key))
+            ]
+            assert list(table.entries) == expected
+
+    def test_empty_table_names_its_clique(self):
+        # G=1 and H=2 leave A and B only label 0, which they cannot share.
+        with pytest.raises(ContradictionError, match=r"clique \{A,B\} has no"):
+            compile_cover(
+                ["AB", "AG", "AH", "BG", "BH"], k=3, givens={"G": 1, "H": 2}
+            )
 
 
 class TestPreferences:

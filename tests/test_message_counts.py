@@ -4,10 +4,17 @@ A change to how problems compile into tables, or to the propagation
 kernel, may speed things up but must not change what BP computes.  Each
 instance pins the message count, validity and cluster count, plus the
 sha256 of the `src,dst` sequence of every `pass_message` call (dead-ended
-decimation rounds included).  The counts were recorded before the compile
-path was rewritten and the digests before the scheduler queue was
-reworked; any drift in a table entry, its iteration order, the cluster
-numbering or the order messages are sent in shows up here.
+decimation rounds included).  Any drift in a table entry, its iteration
+order, the cluster numbering or the order messages are sent in shows up
+here.
+
+ROADMAP item 3 re-pinned every instance when tables came to be compiled
+over each free variable's domain (the labels left once its given clique
+neighbours are removed), with each bias nudge applied once per table
+holding the variable.  The joint is unchanged, but the tables are smaller
+and BP's fixed points and message orders moved: easy01 ltrip/9 went from
+406 to 314 messages, and the two maps from 409 and 1,321 to 402 and 815.
+Every valid flag and cluster count stayed as it was.
 """
 
 import hashlib
@@ -29,99 +36,98 @@ CORNERS_4 = "1..4\n....\n....\n4..1\n"
 # (topology, cluster size) -> (messages, valid, clusters, sequence sha256)
 EASY01_COUNTS = {
     ("ltrip", 9): (
-        406, True, 27,
-        "86aedabb8d287a4438fb366c920b230f431c0939aaf253adc567c46cb692cc04",
+        314, True, 27,
+        "c15837b8d3a6fce010687d838efd7d9d6f75dffc556d29b1d5631636913a941c",
     ),
     ("bethe", 9): (
-        1365, True, 27,
-        "c0830209093058becd1d69fd4137cc083dcd0bd1a0484e626ef6f2f0a8723258",
+        1034, True, 27,
+        "c31c52d9823a7bc0f2d5f00f2436939956ec71ca8ca4de6eb1df6633c19a90dd",
     ),
     ("ltrip", 5): (
-        2884, True, 138,
-        "c9286941ea154442cd5d325bf4ebbe63d0ea3617c02c9fd7e961ba966c33ff97",
+        2581, True, 138,
+        "5bb26f4eb992dc3a87317660ecee812f8047a8c9703f2a5a526a2903203b2094",
     ),
 }
 
 # (grid, topology, cluster size, bias) -> (messages, valid, clusters, sequence sha256)
 GRID4_COUNTS = {
     (WELL_DEFINED_4, "ltrip", None, 0.0): (
-        53, True, 10,
-        "3c9d25b507e03c16a13cc31b8f6cfd8c647aa3c71f6886666cecb11e3addbcc2",
+        43, True, 10,
+        "67619b4f2169cb950498f61c5dca5376457354bd7757595095a6376eec6d43ad",
     ),
     (WELL_DEFINED_4, "ltrip", None, 0.01): (
-        53, True, 10,
-        "3f4b9af091a11eda13dbfd9f816e142cc5748b48910686c81b8a3ef041fde370",
+        43, True, 10,
+        "67619b4f2169cb950498f61c5dca5376457354bd7757595095a6376eec6d43ad",
     ),
     (WELL_DEFINED_4, "ltrip", 3, 0.0): (
-        98, True, 16,
-        "f4f14e98b683ba16229cb35c93a0eb7c8cb7b94a1398b4357868acf2d5ebcb99",
+        88, True, 16,
+        "9c827eba99b03c6edbf5fe44bc4d43bd309fe36ec4970963c9562eb9e9db7dc8",
     ),
     (WELL_DEFINED_4, "ltrip", 3, 0.01): (
-        99, True, 16,
-        "d028943880060fcf4309094c32c8d72b3b40f2e119dc77b66ee1b14dcc642964",
+        87, True, 16,
+        "4481922a096170b28907c0bb0bee0c3ca75be0330b5e8415c9e87c4134fbc059",
     ),
     (WELL_DEFINED_4, "bethe", None, 0.0): (
-        138, True, 10,
-        "6c3553f6c189bee0d687092607a18a1cf53670b550ea9692ea84ad92ab43d540",
+        112, True, 10,
+        "e45e2ecfca9c53035010199ba8c36b19f79f98a1d68c60998751a2de2726541c",
     ),
     (WELL_DEFINED_4, "bethe", None, 0.01): (
-        138, True, 10,
-        "705cdf5a024b5604433c9954f71c5c467288519cd7ff56688ee8a2996f159b7a",
+        112, True, 10,
+        "6b91f4739626dd905b3162089a11d0255d35ec63ddc9cfb38d89f0c342c30039",
     ),
     (WELL_DEFINED_4, "bethe", 3, 0.0): (
-        191, True, 16,
-        "7822406eae8ac32aabca60935c420d454dc9b4d2f291eba1878c5e19e45c7e34",
+        174, True, 16,
+        "40c7161c0c3e77e72a049d85c8c7b87cc8deda0d9ccda3049730188c051e1d32",
     ),
     (WELL_DEFINED_4, "bethe", 3, 0.01): (
-        187, True, 16,
-        "1043594878a512d0af813b7667df7b2afa9119d7b69dd9ae0d194e046f4c7601",
+        174, True, 16,
+        "c29e802d1f215952bbd69fffcb42933321fcb679c2f362553aaf19ac6a9a5a71",
     ),
     (CORNERS_4, "ltrip", None, 0.0): (
-        65, False, 12,
-        "8cd236f5154a160f1be1791a5b7fd753e932a0f05a2bc745b02ef70475fde5eb",
+        53, False, 12,
+        "af935863bac912e86a3d3478792c6c8d101d33531e89653bf3c866511ae8a360",
     ),
     (CORNERS_4, "ltrip", None, 0.01): (
-        189, True, 12,
-        "4b8561df7dcea5c61107c0a66c327e314d835d46b8c3f648b6485bdde2f20bc4",
+        185, True, 12,
+        "7d86fbf273a2c9422b51ec6576aae60d38c1c8bfe94dab7648993fcbed84154a",
     ),
     (CORNERS_4, "ltrip", 3, 0.0): (
-        130, False, 20,
-        "fdd24933d6572917c9a14d9a248cde680c3d728ec3e57ccf2a6072447eb9ccb7",
+        117, False, 20,
+        "8315e92473fb1851153bf57e3108d99e3077487153a5690a73f08e1b57d1ed0b",
     ),
     (CORNERS_4, "ltrip", 3, 0.01): (
-        309, True, 20,
-        "eb3d4a57ca99f0de1319d3dad9b1b40e058625291932119eeada054ef52d4e45",
+        318, True, 20,
+        "abf39734a52a9deae372010f436538f6123ab11eeabab95609b37235eb5a6d80",
     ),
     (CORNERS_4, "bethe", None, 0.0): (
-        168, False, 12,
-        "aa4cd56abe1c6057d536455bea6e1d6a14636fb3eb7e3027437d786f3bc69428",
+        132, False, 12,
+        "32ba061868e3fb9d1df880433efc946c058f1b4fde663c33c2b61f73bde9504a",
     ),
     (CORNERS_4, "bethe", None, 0.01): (
-        473, True, 12,
-        "024d06a1f41eaa00855f8c26c981f219e7264636d17d9eea96016fc4cf905610",
+        475, True, 12,
+        "fa303388ede3db2473340ec3ac38aeab118e98177be77037185b03db9ee37275",
     ),
     (CORNERS_4, "bethe", 3, 0.0): (
-        244, False, 20,
-        "66cf55b5d6fdf4e078ff8494efed9e2b42946ece8068af6ec73a89ae17c8a8c6",
+        211, False, 20,
+        "bc96f1ef6d9a28e57b3f544e0141393d9927daf76f43655cf65203166deb735f",
     ),
     (CORNERS_4, "bethe", 3, 0.01): (
-        507, True, 20,
-        "2d04b0ced45ee693a41bfed427bfec2a409adcba5ef62aa6b002a8d48cf43881",
+        510, True, 20,
+        "3080732e0bcff70c3078ce74d43c5130aa70308e03e6468434af8cb441962d7a",
     ),
 }
 
 # (rows, cols, seed) -> (messages, valid, clusters, sequence sha256) under
 # color_problem.  (5, 5, 3) took two rounds and 591 messages while rounds
-# decoded by argmax; the margin-ranked decode of the same first round (409
-# messages) verifies.
+# decoded by argmax; the margin-ranked decode of its first round verifies.
 MAP_COUNTS = {
     (5, 5, 3): (
-        409, True, 25,
-        "ccb877e5bb61ac2e4655ffe24bedaf6d225b8d7689653c20d33d1b6f7dbc2592",
+        402, True, 25,
+        "f401369d5e7dc5aa85ab0a60cca9594d0a251e3d368e4f34bef2656542a3b37c",
     ),
     (6, 6, 7): (
-        1321, True, 39,
-        "0feaa137dfb6a3f907ece682a5f6d03587881508130fab730211831b6bbacca9",
+        815, True, 39,
+        "8acb93b560a4bec29284c1254a1f2391927f1f110c44ab4b3fc4b2d7d3c3dfe4",
     ),
 }
 
