@@ -33,11 +33,7 @@ from clusterbp.graphs import (
     max_spanning_tree,
     validate_rip,
 )
-from clusterbp.inference import (
-    InferenceOptions,
-    InferenceState,
-    Posterior,
-)
+from clusterbp.inference import InferenceOptions, InferenceState
 
 __version__ = "0.1.0"
 
@@ -48,7 +44,6 @@ __all__ = [
     "ContradictionError",
     "InferenceOptions",
     "InferenceState",
-    "Posterior",
     "Sepset",
     "SparseTable",
     "Variable",

@@ -97,7 +97,8 @@ def solve_problem(
     """Run the whole pipeline: cliques, factors, graph, propagation, decode.
 
     Cluster-size splitting and bias are opt-in; `bias_delta` must be
-    finite and >= 0.  The decoded assignment always covers every
+    finite and >= 0.  The run is decoded as `color_problem` decodes a
+    round (`_ranked_decode`), so the assignment always covers every
     variable — observed ones come straight from the givens.
     """
     started = time.perf_counter()
@@ -106,13 +107,12 @@ def solve_problem(
         problem, cliques, topology, cluster_size, options, bias_delta, seed
     )
     build_ms = (time.perf_counter() - started) * 1000.0
-    assignment = dict(problem.givens)
-    converged, messages, infer_ms = True, 0, 0.0
+    converged, marginals, messages, infer_ms = True, {}, 0, 0.0
     if state is not None:
-        posterior = state.run()
-        assignment.update(posterior.assignment)
-        converged, messages = posterior.converged, posterior.stats.messages
-        infer_ms = posterior.stats.wall_ms
+        state.run()
+        converged, marginals = state.converged, state.marginals
+        messages, infer_ms = state.stats.messages, state.stats.wall_ms
+    assignment, _ = _ranked_decode(problem, marginals)
     report = verify_coloring(problem, assignment)
     return SolveOutcome(
         assignment, converged, report, cluster_count, messages, build_ms, infer_ms
@@ -241,11 +241,11 @@ def color_problem(
                 converged, marginals = True, {}
                 if state is not None:
                     try:
-                        posterior = state.run()
+                        state.run()
                     finally:
                         messages += state.stats.messages
                         infer_ms += state.stats.wall_ms
-                    converged, marginals = posterior.converged, posterior.marginals
+                    converged, marginals = state.converged, state.marginals
                 assignment, free = _ranked_decode(work, marginals)
                 report = verify_coloring(work, assignment)
                 decoded = assignment, report, converged

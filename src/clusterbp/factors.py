@@ -31,11 +31,16 @@ class Variable:
     """A discrete variable: an integer handle plus a human-readable name.
 
     Identity is the ``(id, name)`` pair; ordering follows ``id`` so that
-    sorted scopes are deterministic.
+    sorted scopes are deterministic.  The hash is the ``id`` alone: equal
+    variables share it, and sets of variables iterate in the same order
+    whatever the string hash seed.
     """
 
     id: int
     name: str
+
+    def __hash__(self) -> int:
+        return self.id
 
     def __str__(self) -> str:
         return self.name

@@ -6,6 +6,10 @@ belief the sepset last carried.  Each delivery is scored by how much the
 sepset belief moved (KL divergence), and those scores both schedule the
 next messages — biggest mover first — and decide convergence: the run is
 done when every directed edge's most recent score sits below threshold.
+
+`InferenceState.run` returns the state itself.  Its `marginals` and
+`assignment` are read off the current beliefs on each access, so a run
+builds no table that nobody reads.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
@@ -65,17 +69,6 @@ class InferenceOptions:
 class RunStats:
     messages: int = 0
     wall_ms: float = 0.0
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """What a run produced: per-variable marginals and their decoding."""
-
-    marginals: dict[Variable, SparseTable]
-    assignment: dict[Variable, int]
-    beliefs: tuple[SparseTable, ...]
-    converged: bool
-    stats: RunStats
 
 
 @dataclass(frozen=True)
@@ -372,11 +365,12 @@ class InferenceState:
             out[key] = SparseTable._trusted(scope, cards, entries)
         return out
 
-    def run(self) -> Posterior:
+    def run(self) -> InferenceState:
         """Propagate until every residual clears threshold or budget ends.
 
-        Exhausting the message budget is not an error: the posterior
-        comes back with `converged=False` and whatever the beliefs hold.
+        Returns the state itself, so `run().assignment` reads the decode.
+        Exhausting the message budget is not an error: the state comes
+        back with `converged` False and whatever the beliefs hold.
         Contradictions (a message emptying a belief) do raise, and the
         time spent until then still counts in `stats.wall_ms`.
         """
@@ -396,29 +390,34 @@ class InferenceState:
                 self.pass_message(*edge)
         finally:
             self.stats.wall_ms += (time.perf_counter() - started) * 1e3
-        return self._posterior()
+        return self
 
-    def _posterior(self) -> Posterior:
+    @property
+    def marginals(self) -> dict[Variable, SparseTable]:
+        """Each variable's normalized marginal, in variable order.
+
+        A variable's marginal comes from the first cluster holding it, and
+        only those clusters' tables are built.
+        """
         semiring = self.options.semiring
-        marginals: dict[Variable, SparseTable] = {}
-        assignment: dict[Variable, int] = {}
-        # A variable's marginal comes from the first cluster holding it.
         holders: dict[Variable, int] = {}
         for cluster in self.graph.clusters:
             for variable in cluster.vars:
                 holders.setdefault(variable, cluster.id)
-        for variable in sorted(holders):
-            marginal = self._belief(holders[variable]).marginalize([variable], semiring)
-            marginal = marginal.normalize(semiring)
-            marginals[variable] = marginal
-            assignment[variable] = marginal.argmax()[0]
-        return Posterior(
-            marginals=marginals,
-            assignment=assignment,
-            beliefs=tuple(self.beliefs),
-            converged=self.converged,
-            stats=replace(self.stats),
-        )
+        return {
+            variable: self._belief(holders[variable])
+            .marginalize([variable], semiring)
+            .normalize(semiring)
+            for variable in sorted(holders)
+        }
+
+    @property
+    def assignment(self) -> dict[Variable, int]:
+        """Each variable's argmax label, ties to the lowest."""
+        return {
+            variable: marginal.argmax()[0]
+            for variable, marginal in self.marginals.items()
+        }
 
     def check_calibration(self, tol: float = 1e-9) -> CalibrationReport:
         """How far each edge's two endpoint marginals are from agreeing.

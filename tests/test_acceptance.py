@@ -325,11 +325,11 @@ def test_06_converged_beliefs_preserve_every_solution():
         problem = sudoku_problem(grid_text(puzzle), 4)
         items = build_factors(problem, maximal_cliques(problem))
         graph = ltrip([cluster for cluster, _ in items])
-        posterior = InferenceState(graph, [table for _, table in items]).run()
-        assert posterior.converged
+        state = InferenceState(graph, [table for _, table in items]).run()
+        assert state.converged
         solutions = solve_sudoku(list(puzzle), 4)
         assert len(solutions) >= 2
-        for belief in posterior.beliefs:
+        for belief in state.beliefs:
             for solution in solutions:
                 key = tuple(solution[v.id] - 1 for v in belief.scope)
                 assert key in belief, (grid_text(puzzle), key)

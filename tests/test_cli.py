@@ -131,12 +131,21 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "unsatisfiable: the givens around A take all 4 labels" in err
 
-    def test_symmetric_grid_decodes_invalid(self, tmp_path, capsys):
+    def test_symmetric_grid_decodes_valid(self, tmp_path, capsys):
+        # Every marginal ties, so argmax would give 1111 rows; the ranked
+        # decode dodges the labels earlier cells took.
         path = tmp_path / "blank.txt"
         path.write_text("." * 16)
-        assert main(["solve", str(path)]) == EXIT_NO_SOLUTION
+        assert main(["solve", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "valid: yes" in captured.out
+
+    def test_budget_cut_run_exits_without_solution(self, capsys):
+        grid = Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy01.txt"
+        assert main(["solve", str(grid), "--max-messages", "1"]) == EXIT_NO_SOLUTION
         captured = capsys.readouterr()
         assert "valid: no" in captured.out
+        assert "did not converge" in captured.err
 
     def test_malformed_grid(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

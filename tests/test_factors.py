@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clusterbp
 from clusterbp import (
     ContradictionError,
     SparseTable,
@@ -125,6 +130,31 @@ class TestConstruction:
     def test_variables_order_by_id(self):
         assert sorted([C, A, B]) == [A, B, C]
         assert str(A) == "A"
+
+    def test_variable_set_order_ignores_the_hash_seed(self):
+        # Variables hash by id, so a set of them iterates the same way
+        # whatever seed salts the names' string hashes.
+        source = str(Path(clusterbp.__file__).resolve().parents[1])
+        script = (
+            "from clusterbp import Variable; "
+            "print([v.id for v in {Variable(i, f'x{i}') for i in range(8)}])"
+        )
+        orders = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [source, env.get("PYTHONPATH")])
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            orders.append(done.stdout)
+        assert orders[0] == orders[1]
 
 
 class TestAllDifferent:

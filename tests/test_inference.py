@@ -194,13 +194,13 @@ class TestTreeExactness:
     def test_sum_marginals_match_dense_joint(self):
         graph, factors = chain_setup(seed=99)
         state = InferenceState(graph, factors, InferenceOptions(semiring="sum"))
-        posterior = state.run()
-        assert posterior.converged
+        state.run()
+        assert state.converged
         # Convergence on a tree needs O(edges): the initial sweep plus a
         # few deliver-and-certify passes per directed edge.
-        assert posterior.stats.messages <= 4 * len(state.residuals)
+        assert state.stats.messages <= 4 * len(state.residuals)
         joint = dense_joint([DenseFactor.from_sparse(f) for f in factors])
-        for variable, marginal in posterior.marginals.items():
+        for variable, marginal in state.marginals.items():
             want = joint.marginalize([variable], "sum").normalize("sum")
             for key, value in want.values.items():
                 assert math.isclose(marginal[key], value, rel_tol=1e-9)
@@ -208,12 +208,12 @@ class TestTreeExactness:
     def test_max_marginals_and_decoding_match_dense_joint(self):
         graph, factors = chain_setup(seed=7)
         state = InferenceState(graph, factors, InferenceOptions(semiring="max"))
-        posterior = state.run()
-        assert posterior.converged
+        state.run()
+        assert state.converged
         joint = dense_joint([DenseFactor.from_sparse(f) for f in factors])
         best = dict(zip(joint.scope, joint.argmax()))
-        assert posterior.assignment == best
-        for variable, marginal in posterior.marginals.items():
+        assert state.assignment == best
+        for variable, marginal in state.marginals.items():
             want = joint.marginalize([variable], "max").normalize("max")
             for key, value in want.values.items():
                 assert math.isclose(marginal[key], value, rel_tol=1e-9)
@@ -237,17 +237,36 @@ class TestRunControl:
         state = InferenceState(
             graph, factors, InferenceOptions(semiring="sum", max_messages=3)
         )
-        posterior = state.run()
-        assert not posterior.converged
-        assert posterior.stats.messages == 3
+        state.run()
+        assert not state.converged
+        assert state.stats.messages == 3
 
     def test_rerun_after_convergence_sends_nothing(self):
         graph, factors = chain_setup()
         state = InferenceState(graph, factors, InferenceOptions(semiring="sum"))
-        first = state.run()
-        again = state.run()
-        assert again.stats.messages == first.stats.messages
-        assert again.assignment == first.assignment
+        state.run()
+        # run() hands back the state itself, so capture before re-running.
+        messages, assignment = state.stats.messages, state.assignment
+        assert state.run() is state
+        assert state.stats.messages == messages
+        assert state.assignment == assignment
+
+    def test_run_builds_no_cluster_table(self, monkeypatch):
+        graph, factors = chain_setup()
+        state = InferenceState(graph, factors, InferenceOptions(semiring="sum"))
+        built = []
+        trusted = SparseTable._trusted.__func__
+
+        def counting(cls, scope, cards, entries):
+            built.append(scope)
+            return trusted(cls, scope, cards, entries)
+
+        monkeypatch.setattr(SparseTable, "_trusted", classmethod(counting))
+        state.run()
+        assert state.converged
+        assert built == []
+        state.beliefs
+        assert built == [factor.scope for factor in factors]
 
     def test_first_message_goes_out_on_the_lowest_edge(self):
         graph, factors = chain_setup()
@@ -265,10 +284,10 @@ class TestRunControl:
             [SparseTable((A,), (2,), {(0,): 0.5, (1,): 1.5})],
             InferenceOptions(semiring="sum"),
         )
-        posterior = state.run()
-        assert posterior.converged
-        assert posterior.stats.messages == 0
-        assert posterior.assignment == {A: 1}
+        state.run()
+        assert state.converged
+        assert state.stats.messages == 0
+        assert state.assignment == {A: 1}
 
     def test_contradiction_escapes_run(self):
         clusters = (Cluster(0, frozenset({A, B})), Cluster(1, frozenset({A, C})))
@@ -372,11 +391,11 @@ class TestLoopyColoring:
         state = InferenceState(
             seven_graph, seven_coloring_factors(seven_cliques)
         )
-        posterior = state.run()
-        assert posterior.converged
+        state.run()
+        assert state.converged
         # Nothing breaks the label symmetry, so every label survives
         # in every marginal and decoding cannot pick a proper coloring.
-        for marginal in posterior.marginals.values():
+        for marginal in state.marginals.values():
             assert len(marginal) == 4
 
     def test_biased_potentials_decode_a_proper_coloring(
@@ -384,10 +403,10 @@ class TestLoopyColoring:
     ):
         factors = self._biased_factors(seven_cliques)
         state = InferenceState(seven_graph, factors)
-        posterior = state.run()
-        assert posterior.converged
+        state.run()
+        assert state.converged
         for cluster in seven_cliques:
-            labels = [posterior.assignment[v] for v in cluster.sorted_vars()]
+            labels = [state.assignment[v] for v in cluster.sorted_vars()]
             assert len(set(labels)) == len(labels)
 
     def test_runs_are_deterministic(self, seven_graph, seven_cliques):
