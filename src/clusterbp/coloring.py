@@ -121,11 +121,8 @@ def maximal_cliques(problem: ColoringProblem) -> list[Cluster]:
         if not candidates and not seen:
             found.append(frozenset(grown))
             return
-        pivot = max(
-            sorted(candidates | seen),
-            key=lambda u: len(candidates & adjacency[u]),
-        )
-        for v in sorted(candidates - adjacency[pivot]):
+        pivot = max(candidates | seen, key=lambda u: len(candidates & adjacency[u]))
+        for v in candidates - adjacency[pivot]:
             expand(
                 grown | {v}, candidates & adjacency[v], seen & adjacency[v]
             )
@@ -143,8 +140,9 @@ def split_cliques(cliques: Sequence[Cluster], size: int) -> list[Cluster]:
     Each oversized clique is replaced by a greedy cover: walk its
     size-combinations in lexicographic variable order and keep one
     whenever it contains a variable pair no kept combination covers yet,
-    until all pairs are covered.  Smaller cliques pass through.  The
-    result is deduplicated, subset-pruned, and renumbered.
+    until all pairs are covered.  Smaller cliques pass through.  Repeats
+    are dropped and the result renumbered.  Of maximal cliques no scope
+    lies inside another; `purged_clusters` drops any that do.
     """
     if size < 2:
         raise ValueError(f"cluster size must be >= 2, got {size}")
@@ -162,13 +160,7 @@ def split_cliques(cliques: Sequence[Cluster], size: int) -> list[Cluster]:
                 uncovered -= pairs
                 if not uncovered:
                     break
-    pruned: list[frozenset[Variable]] = []
-    for vars_ in chosen:
-        if any(vars_ <= other for other in pruned):
-            continue
-        pruned = [kept for kept in pruned if not kept < vars_]
-        pruned.append(vars_)
-    return [Cluster(i, vars_) for i, vars_ in enumerate(pruned)]
+    return [Cluster(i, vars_) for i, vars_ in enumerate(dict.fromkeys(chosen))]
 
 
 def sudoku_problem(text: str, n: int = 9) -> ColoringProblem:
@@ -398,24 +390,24 @@ def purged_clusters(
     """The clusters `build_factors` returns, without building any table.
 
     The givens are conditioned out of every clique and emptied scopes
-    vanish.  Walking the rest largest first (then by sorted scope, then
-    by clique index), a scope contained in an already kept scope is
-    dropped; otherwise it is kept.  The kept scopes are renumbered
-    0..n-1 in clique order.  Nothing here checks the givens, so
-    unsatisfiable problems still get their cluster shape.
+    vanish.  Walking the rest largest first, then by clique index, a
+    scope inside a kept scope that holds its smallest variable (as any
+    superset must) is dropped, and otherwise kept and renumbered 0..n-1
+    in clique order.  Nothing here checks the givens, so unsatisfiable
+    problems still get their cluster shape.
     """
-    scopes = [
-        frozenset(v for v in clique.vars if v not in problem.givens)
-        for clique in cliques
-    ]
+    scopes = [clique.vars.difference(problem.givens) for clique in cliques]
     order = sorted(
         (i for i, scope in enumerate(scopes) if scope),
-        key=lambda i: (-len(scopes[i]), tuple(sorted(scopes[i])), i),
+        key=lambda i: (-len(scopes[i]), i),
     )
     kept: list[int] = []
+    holders: dict[Variable, list[int]] = {}  # variable -> kept scopes
     for i in order:
-        if not any(scopes[i] <= scopes[j] for j in kept):
+        if not any(scopes[i] <= scopes[j] for j in holders.get(min(scopes[i]), ())):
             kept.append(i)
+            for variable in scopes[i]:
+                holders.setdefault(variable, []).append(i)
     return [Cluster(new_id, scopes[i]) for new_id, i in enumerate(sorted(kept))]
 
 

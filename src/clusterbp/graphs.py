@@ -217,15 +217,20 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
     running-intersection property hold by construction.
 
     Input clusters must already be subset-free, as `build_factors`
-    leaves them; a cluster contained in another is an error.
+    leaves them; a cluster contained in another is an error, checked
+    against the holders of its smallest variable, as any superset is one.
     """
     clusters = tuple(clusters)
     if not clusters:
         raise ValueError("at least one cluster is required")
     if len({c.id for c in clusters}) != len(clusters):
         raise ValueError("cluster ids must be unique")
+    holders: dict[Variable, list[Cluster]] = {}
+    for cluster in clusters:
+        for variable in cluster.vars:
+            holders.setdefault(variable, []).append(cluster)
     for a in clusters:
-        for b in clusters:
+        for b in holders[min(a.vars)]:
             if a.id != b.id and a.vars <= b.vars:
                 raise ValueError(
                     f"cluster {a.id} ({{{a.label()}}}) is contained in cluster "
@@ -234,9 +239,8 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
                 )
     sepset_vars: dict[tuple[int, int], set[Variable]] = {}
     layers: list[LayerTree] = []
-    all_vars = sorted({v for c in clusters for v in c.vars})
-    for variable in all_vars:
-        members = [c for c in clusters if variable in c.vars]
+    for variable in sorted(holders):
+        members = holders[variable]
         if len(members) < 2:
             continue  # nothing to join; the variable stays local
         weights = connection_weights(members)

@@ -162,8 +162,10 @@ class InferenceState:
         self._cells: list[dict[int, list[int]]] = [{} for _ in factors]
         self._sepset_scope: dict[tuple[int, int], tuple[Variable, ...]] = {}
         self._sepsets: dict[tuple[int, int], list[float]] = {}
-        # The cells holding mass, in the order the sepset's table lists them.
+        # The cells holding mass, in the order the sepset's table lists them,
+        # and their sum in that order.
         self._orders: dict[tuple[int, int], list[int]] = {}
+        self._totals: dict[tuple[int, int], float] = {}
         # Damped messages mix cells in the source's sorted key order.
         self._mix_order: dict[DirectedEdge, Sequence[int]] = {}
         # Sepsets with the same cardinalities share their cell numbering.
@@ -179,38 +181,48 @@ class InferenceState:
             self._sepset_scope[key] = scope
             self._sepsets[key] = [1.0] * len(assignments)
             self._orders[key] = list(range(len(assignments)))
+            self._totals[key] = sum(self._sepsets[key])
             for end, peer in (key, key[::-1]):
                 pick = [factors[end].scope.index(v) for v in scope]
                 self._cells[end][peer] = _row_cells(self._rows[end], pick, cell_of)
                 if options.damping > 0.0:
                     self._mix_order[end, peer] = _key_order(assignments, pick)
-        self.residuals: dict[DirectedEdge, float] = {}
         # Heap entries are (-priority, ticket, edge); the ticket breaks ties
         # first-queued first.  `_queued` maps each queued edge to its live
         # entry, and entries it no longer points at are stale.
         self._heap: list[tuple[float, int, DirectedEdge]] = []
         self._queued: dict[DirectedEdge, tuple[float, int, DirectedEdge]] = {}
         self._ticket = itertools.count()
-        self._hot = 0
-        for i, j in sorted(self._sepset_scope):
-            for edge in ((i, j), (j, i)):
-                self.residuals[edge] = float("inf")
-                self._hot += 1
-                self._push(edge, float("inf"))
+        edges = [e for i, j in sorted(self._sepset_scope) for e in ((i, j), (j, i))]
+        self.residuals: dict[DirectedEdge, float] = dict.fromkeys(edges, math.inf)
+        self._hot = len(edges)
+        # Each cluster's outgoing edges, re-queued when it takes a message.
+        self._out = [
+            tuple((i, j) for j in graph.neighbors(i)) for i in range(len(factors))
+        ]
+        self._push(edges, math.inf)
 
     # -- queue plumbing ----------------------------------------------------
 
-    def _push(self, edge: DirectedEdge, priority: float) -> None:
-        # A queued entry is only ever strengthened: letting a later, weaker
-        # residual overwrite a pending one can starve an edge that still
-        # has real information to deliver.
-        queued = self._queued.get(edge)
-        if queued is not None and -queued[0] >= priority:
-            return
-        entry = (-priority, next(self._ticket), edge)
-        self._queued[edge] = entry
-        heapq.heappush(self._heap, entry)
-        if len(self._heap) > 4 * len(self.residuals) + 16:
+    def _push(self, edges: Sequence[DirectedEdge], priority: float) -> None:
+        """Queue each edge at `priority`, or at its own last residual if higher.
+
+        Flooring at its own residual keeps an edge not yet certified below
+        threshold reachable.  A queued entry is only ever strengthened: a
+        later, weaker residual overwriting a pending one can starve an edge
+        that still has real information to deliver.
+        """
+        residuals = self.residuals
+        queued = self._queued
+        for edge in edges:
+            own = residuals[edge]
+            at = own if own > priority else priority
+            entry = queued.get(edge)
+            if entry is not None and -entry[0] >= at:
+                continue
+            entry = queued[edge] = (-at, next(self._ticket), edge)
+            heapq.heappush(self._heap, entry)
+        if len(self._heap) > 4 * len(residuals) + 16:
             self._heap = [e for e in self._heap if self._queued.get(e[2]) is e]
             heapq.heapify(self._heap)
 
@@ -222,13 +234,6 @@ class InferenceState:
                 del self._queued[edge]
                 return edge
         return None
-
-    def _set_residual(self, edge: DirectedEdge, value: float) -> None:
-        threshold = self.options.threshold
-        before = self.residuals[edge] >= threshold
-        after = value >= threshold
-        self._hot += int(after) - int(before)
-        self.residuals[edge] = value
 
     @property
     def converged(self) -> bool:
@@ -270,30 +275,37 @@ class InferenceState:
             # Geometric mixing: message support never exceeds the stored
             # support, so every mixed cell meets a positive stored value.
             keep = 1.0 - damping
-            mix_order = self._mix_order[src, dst]
-            for cell in mix_order:
-                if message[cell]:
-                    message[cell] = message[cell] ** keep * stored[cell] ** damping
-            order = [cell for cell in mix_order if message[cell]]
+            order = []
+            for cell in self._mix_order[src, dst]:
+                value = message[cell]
+                if value:
+                    value = message[cell] = value**keep * stored[cell] ** damping
+                    if value:
+                        order.append(cell)
         else:
             order = list(dict.fromkeys(itertools.compress(cells, values)))
 
         # The residual D(message || stored), as kl_divergence computes it,
         # and the ratio message / stored that updates the target.
         new_total = sum(map(message.__getitem__, order))
-        old_total = sum(map(stored.__getitem__, self._orders[key]))
+        old_total = self._totals[key]
         residual = 0.0
         ratio = [0.0] * len(stored)
         for cell in order:
             value = message[cell]
-            if stored[cell] == 0.0:
+            held = stored[cell]
+            # A zero or underflowed stored cell would make the target
+            # belief infinite, then NaN.
+            quotient = value / held if held else math.inf
+            if quotient == math.inf:
                 raise ZeroDivisionError(
                     f"message {src}->{dst} puts mass on cell {cell}, where "
-                    f"the sepset belief has none"
+                    f"the sepset belief holds {held!r}: the quotient "
+                    f"leaves the float range"
                 )
             p = value / new_total
-            residual += p * math.log(p / (stored[cell] / old_total))
-            ratio[cell] = value / stored[cell]
+            residual += p * math.log(p / (held / old_total))
+            ratio[cell] = quotient
         residual = max(residual, 0.0)
 
         targets = self._cells[dst][src]
@@ -305,19 +317,21 @@ class InferenceState:
                 f"message {src}->{dst} over {{{scope}}} annihilated the "
                 f"target belief"
             )
-        updated = [value / total for value in updated]
+        # Max-product totals are often exactly 1.0, and x / 1.0 is x.
+        if total != 1.0:
+            updated = [value / total for value in updated]
         self._vals[dst] = updated
         self._views[dst] = None
         if updated.count(0.0) * 2 > len(updated):
             self._compact(dst)
         self._sepsets[key] = message
         self._orders[key] = order
-        self._set_residual((src, dst), residual)
-        for peer in self.graph.neighbors(dst):
-            out = (dst, peer)
-            # Floor at the edge's own last residual: an edge that has not
-            # yet certified itself below threshold must stay reachable.
-            self._push(out, max(residual, self.residuals[out]))
+        self._totals[key] = new_total
+        threshold = self.options.threshold
+        before = self.residuals[src, dst] >= threshold
+        self._hot += (residual >= threshold) - before
+        self.residuals[src, dst] = residual
+        self._push(self._out[dst], residual)
         self.stats.messages += 1
         return residual
 
@@ -370,9 +384,11 @@ class InferenceState:
 
         Returns the state itself, so `run().assignment` reads the decode.
         Exhausting the message budget is not an error: the state comes
-        back with `converged` False and whatever the beliefs hold.
-        Contradictions (a message emptying a belief) do raise, and the
-        time spent until then still counts in `stats.wall_ms`.
+        back with `converged` False and whatever the beliefs hold.  So
+        does a message whose quotient leaves the float range, which
+        `pass_message` refuses before it changes anything.  Contradictions
+        (a message emptying a belief) do raise, and the time spent until
+        then still counts in `stats.wall_ms`.
         """
         options = self.options
         started = time.perf_counter()
@@ -383,11 +399,14 @@ class InferenceState:
                     # The queue drained with edges still hot, as when a caller
                     # re-runs after catching a contradiction mid-message:
                     # rebuild it from their residuals.
-                    for hot_edge in sorted(self.residuals):
-                        if self.residuals[hot_edge] >= options.threshold:
-                            self._push(hot_edge, self.residuals[hot_edge])
+                    threshold = options.threshold
+                    hot = [e for e, r in self.residuals.items() if r >= threshold]
+                    self._push(sorted(hot), 0.0)
                     continue
-                self.pass_message(*edge)
+                try:
+                    self.pass_message(*edge)
+                except ZeroDivisionError:
+                    break  # the beliefs left the float range; stop unconverged
         finally:
             self.stats.wall_ms += (time.perf_counter() - started) * 1e3
         return self

@@ -28,6 +28,7 @@ from clusterbp.cli import (
     solve_problem,
 )
 from clusterbp.coloring import (
+    format_adjacency,
     parse_adjacency,
     random_planar_map,
     sudoku_problem,
@@ -36,7 +37,7 @@ from clusterbp.coloring import (
 from clusterbp.factors import ContradictionError, SparseTable
 from clusterbp.inference import InferenceOptions, InferenceState
 from conftest import SEVEN_REGION_TEXT
-from oracles import solve_sudoku
+from oracles import color_by_backtracking, solve_sudoku
 
 # Five givens force the unique completion 1234/3412/2143/4321.
 WELL_DEFINED_4 = "....\n3.12\n2..3\n....\n"
@@ -291,6 +292,19 @@ class TestColorMap:
         path.write_text(WHEEL)
         assert main(["color-map", str(path), "--k", "3"]) == EXIT_UNSATISFIABLE
         assert capsys.readouterr().err.startswith("unsatisfiable:")
+
+    def test_beliefs_leaving_the_float_range_end_the_round(self, tmp_path, capsys):
+        # Undamped, a sepset cell of this map decays to a subnormal value
+        # and a later quotient overflows; the run stops unconverged.
+        problem = random_planar_map(5, 7, seed=5)
+        names = [v.name for v in problem.variables]
+        borders = [tuple(v.name for v in e) for e in problem.edges]
+        assert color_by_backtracking(names, borders, 3) is None
+        path = tmp_path / "map.txt"
+        path.write_text(format_adjacency(problem))
+        argv = ["color-map", str(path), "--k", "3", "--damping", "0"]
+        assert main(argv) == EXIT_NO_SOLUTION
+        assert capsys.readouterr().err.startswith("no valid coloring found")
 
     def test_library_reraises_the_last_dead_end(self, rounds):
         with pytest.raises(ContradictionError):
@@ -613,6 +627,16 @@ class TestDeterminismAcrossProcesses:
         assert first[0] == EXIT_OK
         assert len(first[1]) == 7
         assert self.run_cli(["color-map", str(regions)], 1) == first
+
+    def test_graph_dot(self, tmp_path):
+        puzzle = Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy01.txt"
+        dots = []
+        for hash_seed in (0, 1):
+            dot = tmp_path / f"seed{hash_seed}.dot"
+            args = ["graph", str(puzzle), "--cluster-size", "3", "--dot", str(dot)]
+            assert self.run_cli(args, hash_seed)[0] == EXIT_OK
+            dots.append(dot.read_text())
+        assert dots[0] == dots[1]
 
     def test_error_exit(self, tmp_path):
         # Read as a 4x4 grid, the K4 border list has several pairs of

@@ -173,6 +173,8 @@ class TestSplitCliques:
         assert len(covered) == 36  # every pair of the nine
 
     def test_duplicates_and_subsets_pruned(self):
+        # Splitting drops the repeated {A,B}; the contained one survives
+        # it once, and purged_clusters, where contained scopes go, drops it.
         a, b, c, d = make_variables("ABCD")
         cliques = [
             Cluster(0, frozenset({a, b, c, d})),
@@ -180,11 +182,33 @@ class TestSplitCliques:
             Cluster(2, frozenset({a, b})),
         ]
         split = split_cliques(cliques, 3)
-        labels = [c.label() for c in split]
-        assert len(labels) == len(set(labels))
-        vars_list = [c.vars for c in split]
-        for mine in vars_list:
-            assert not any(mine < other for other in vars_list)
+        assert [c.label() for c in split] == ["A,B,C", "A,B,D", "A,C,D", "A,B"]
+        assert [c.id for c in split] == [0, 1, 2, 3]
+        problem = ColoringProblem((a, b, c, d), frozenset(), k=4)
+        purged = purged_clusters(problem, split)
+        assert [(c.id, c.label()) for c in purged] == [
+            (0, "A,B,C"),
+            (1, "A,B,D"),
+            (2, "A,C,D"),
+        ]
+
+    @given(
+        st.sampled_from(["map", "grid4", "grid9"]),
+        st.integers(0, 30),
+        st.integers(2, 5),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_split_maximal_cliques_hold_no_contained_scope(self, source, seed, size):
+        # Why split_cliques needs no subset prune of its own.
+        if source == "map":
+            problem = random_planar_map(2 + seed % 6, 3 + seed % 5, seed=seed)
+        else:
+            side = 4 if source == "grid4" else 9
+            problem = sudoku_problem("." * side * side, side)
+        scopes = [c.vars for c in split_cliques(maximal_cliques(problem), size)]
+        assert len(set(scopes)) == len(scopes)
+        for mine in scopes:
+            assert not any(mine < other for other in scopes if len(other) > len(mine))
 
     def test_renumbered_sequentially(self):
         cliques = [Cluster(5, frozenset(make_variables("ABCDE")))]
@@ -479,6 +503,46 @@ def ids_and_scopes(items):
     return [(c.id, c.label()) for c, _ in items]
 
 
+def purged_pairwise(problem, cliques):
+    """`purged_clusters` as it compared every pair: each scope, walked
+    largest first, then by sorted scope, then by index, is kept unless
+    an already kept scope contains it."""
+    scopes = [
+        frozenset(v for v in clique.vars if v not in problem.givens)
+        for clique in cliques
+    ]
+    order = sorted(
+        (i for i, scope in enumerate(scopes) if scope),
+        key=lambda i: (-len(scopes[i]), tuple(sorted(scopes[i])), i),
+    )
+    kept = []
+    for i in order:
+        if not any(scopes[i] <= scopes[j] for j in kept):
+            kept.append(i)
+    return [Cluster(new_id, scopes[i]) for new_id, i in enumerate(sorted(kept))]
+
+
+class TestPurgedClusters:
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_pairwise_walk(self, data):
+        variables = make_variables("ABCDEF")
+        pick = st.sampled_from(variables)
+        scopes = data.draw(st.lists(st.frozensets(pick, min_size=1), max_size=12))
+        # Repeats and nested subsets of the scopes drawn so far.
+        for _ in range(data.draw(st.integers(0, 6)) if scopes else 0):
+            base = sorted(data.draw(st.sampled_from(scopes)))
+            scopes.append(data.draw(st.frozensets(st.sampled_from(base), min_size=1)))
+        scopes = data.draw(st.permutations(scopes))
+        # Givens can empty a scope or make two scopes equal.
+        shown = data.draw(st.sets(pick))
+        problem = ColoringProblem(
+            tuple(variables), frozenset(), k=4, givens=dict.fromkeys(shown, 0)
+        )
+        cliques = [Cluster(i, scope) for i, scope in enumerate(scopes)]
+        assert purged_clusters(problem, cliques) == purged_pairwise(problem, cliques)
+
+
 class TestFoldSubsets:
     """`build_factors` drops cliques whose conditioned scope lies inside
     another's, so its output is subset-free.  G and H are always given;
@@ -504,7 +568,7 @@ class TestFoldSubsets:
     def test_survivors_keep_order_and_renumber(self):
         items = compile_cover(["AB", "BG", "BC"], k=3, givens={"G": 0})
         assert ids_and_scopes(items) == [(0, "A,B"), (1, "B,C")]
-        # {B} lies inside {A,B}: largest first, then by sorted scope.
+        # {B} lies inside {A,B}: largest first, then by clique index.
         # G=0 leaves B the domain {1, 2} in both tables.
         assert set(items[0][1]) == {(0, 1), (0, 2), (1, 2), (2, 1)}
         assert set(items[1][1]) == {(1, 0), (1, 2), (2, 0), (2, 1)}

@@ -13,6 +13,7 @@ Covers:
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,17 @@ class TestLayeredConstruction:
     def test_subset_clusters_rejected(self):
         with pytest.raises(ValueError, match="fold subsets"):
             ltrip([cl(0, "ABC"), cl(1, "AB")])
+
+    def test_containment_error_names_the_first_pair(self):
+        with pytest.raises(
+            ValueError, match=re.escape("cluster 5 ({A,B}) is contained in cluster 7")
+        ):
+            ltrip([cl(5, "AB"), cl(7, "AB")])
+        # The first contained cluster in input order, then its first holder.
+        with pytest.raises(
+            ValueError, match=re.escape("cluster 3 ({C,D}) is contained in cluster 1")
+        ):
+            ltrip([cl(3, "CD"), cl(1, "ABCD"), cl(0, "BCD")])
 
     def test_triangle_of_pairwise_cliques(self):
         # Every variable lives in exactly two clusters, so each layer is

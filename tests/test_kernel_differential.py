@@ -13,12 +13,14 @@ Covers:
 * a damped, anchored planar map through every decimation round
 * factors whose scopes are not sorted, damped and undamped
 * the setup check on sepset variables, row compaction, and a failed
-  message leaving the state untouched
+  message (a contradiction, or a quotient that overflows) leaving the
+  state untouched
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -270,6 +272,15 @@ def test_compaction_changes_nothing(monkeypatch):
     assert final_state() == with_compaction
 
 
+def snapshot(state):
+    return (
+        [entries(t) for t in state.beliefs],
+        {key: entries(t) for key, t in state.sepset_beliefs.items()},
+        dict(state.residuals),
+        state.stats.messages,
+    )
+
+
 @pytest.mark.parametrize("damping", [0.0, 0.5])
 def test_contradiction_changes_nothing(damping):
     a, b, c = make_variables("ABC")
@@ -288,16 +299,33 @@ def test_contradiction_changes_nothing(damping):
     ]
     state = InferenceState(graph, factors, InferenceOptions(damping=damping))
     state.pass_message(2, 1)
-
-    def snapshot():
-        return (
-            [entries(t) for t in state.beliefs],
-            {key: entries(t) for key, t in state.sepset_beliefs.items()},
-            dict(state.residuals),
-            state.stats.messages,
-        )
-
-    before = snapshot()
+    before = snapshot(state)
     with pytest.raises(ContradictionError, match="0->1"):
         state.pass_message(0, 1)
-    assert snapshot() == before
+    assert snapshot(state) == before
+
+
+def test_overflowing_quotient_changes_nothing_and_stops_the_run():
+    # Cluster 0 leaves a subnormal A=1 cell on sepset (0, 1).  Cluster 2
+    # then lifts A=1 in cluster 1 back to 1.0, so the message 1->0
+    # divides 1.0 by that cell, which overflows.
+    (a,) = make_variables("A")
+    graph = ClusterGraph(
+        tuple(Cluster(i, frozenset({a})) for i in range(3)),
+        (Sepset((0, 1), frozenset({a})), Sepset((1, 2), frozenset({a}))),
+    )
+    factors = [
+        SparseTable((a,), (2,), {(0,): 1.0, (1,): 1e-310}),
+        uniform_factor((a,), (2,)),
+        SparseTable((a,), (2,), {(0,): 1e-310, (1,): 1.0}),
+    ]
+    state = InferenceState(graph, factors)
+    state.pass_message(0, 1)
+    state.pass_message(2, 1)
+    before = snapshot(state)
+    with pytest.raises(ZeroDivisionError, match="1->0 .* float range"):
+        state.pass_message(1, 0)
+    assert snapshot(state) == before
+    assert state.run() is state
+    assert not state.converged
+    assert all(math.isfinite(v) for t in state.beliefs for v in t.entries.values())
