@@ -6,10 +6,12 @@ directory of puzzles over topologies and cluster sizes into a CSV, and
 `graph` builds, validates, and exports the cluster graph itself.
 
 Exit codes partition what went wrong: 0 a verified solution (or a clean
-report), 2 unreadable or malformed input, 3 a provably unsatisfiable
-problem, 4 inference that finished without a valid answer.  Set the
-CLUSTERBP_LOG environment variable (debug/info/warning) for progress
-logging on stderr.
+report), 2 unreadable or malformed input or a bad flag value, 3 a
+provably unsatisfiable problem, 4 inference that finished without a
+valid answer.  The parser only converts flag values; the library checks
+them, once, and its ValueError is exit 2.  Set the CLUSTERBP_LOG
+environment variable (debug/info/warning) for progress logging on
+stderr.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ CSV_COLUMNS = (
 
 # Share of the open regions a decimation round freezes.
 FIX_FRACTION = 0.2
+# Decimation attempts, the first included, when a bias seeds them.
+ATTEMPTS = 4
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,15 @@ def solve_problem(
 ) -> SolveOutcome:
     """Run the whole pipeline: cliques, factors, graph, propagation, decode.
 
-    Cluster-size splitting and bias are opt-in; `bias_delta` must be
-    finite and >= 0.  The run is decoded as `color_problem` decodes a
+    Cluster-size splitting and bias are opt-in.  A bad `topology` or
+    `bias_delta` (which must be finite and >= 0) is a ValueError before
+    any other work.  The run is decoded as `color_problem` decodes a
     round (`_ranked_decode`), so the assignment always covers every
     variable — observed ones come straight from the givens.
     """
+    if topology not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
+    _check_bias(bias_delta)
     started = time.perf_counter()
     cliques = maximal_cliques(problem)
     state, cluster_count = _compile(
@@ -131,12 +139,9 @@ def _compile(
     """Compile enumerated cliques into an inference state, not yet run.
 
     Returns the state, or None when every variable is given, and the
-    number of factor clusters (Bethe hubs not counted).
+    number of factor clusters (Bethe hubs not counted).  The callers
+    have checked `topology` and `bias_delta`.
     """
-    if topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
-    if not 0.0 <= bias_delta < math.inf:
-        raise ValueError(f"bias_delta must be finite and >= 0, got {bias_delta}")
     if cluster_size is not None:
         cliques = split_cliques(cliques, cluster_size)
     bias = label_preferences(problem, seed) if bias_delta > 0 else None
@@ -156,6 +161,11 @@ def _compile(
         "%s graph: %d clusters, %d edges", topology, len(clusters), len(graph.sepsets)
     )
     return InferenceState(graph, tables, options), len(clusters)
+
+
+def _check_bias(bias_delta: float) -> None:
+    if not 0.0 <= bias_delta < math.inf:
+        raise ValueError(f"bias_delta must be finite and >= 0, got {bias_delta}")
 
 
 def _ranked_decode(problem: ColoringProblem, marginals: dict) -> tuple[dict, list]:
@@ -199,30 +209,30 @@ def color_problem(
     options: InferenceOptions | None = None,
     bias_delta: float = 0.01,
     seed: int = 0,
-    retries: int = 4,
 ) -> SolveOutcome:
     """Color a map, decimating when one propagation pass cannot decide.
 
-    Decimation starts from `anchor_largest_clique`: the givens, or one
-    largest clique pinned when there are none.  Each round propagates,
-    then decodes once, the most decided regions first, each avoiding
-    labels its neighbors already took (`_ranked_decode`).  A decode that
-    verifies ends the run; otherwise the first FIX_FRACTION of the open
-    regions that found a free label are frozen with it as givens for
-    the next round.  A run that annihilates (the frozen labels were
-    jointly wrong) starts a new attempt with the next preference seed.
-    Attempts differ only in that seed, so there are `retries` of them,
-    the first included, when `bias_delta > 0` and one otherwise.
+    `bias_delta` must be finite and >= 0; a bad one is a ValueError
+    before any other work, whatever the map.  Decimation starts from
+    `anchor_largest_clique`: the givens, or one largest clique pinned
+    when there are none.  Each round propagates, then decodes once, the
+    most decided regions first, each avoiding labels its neighbors
+    already took (`_ranked_decode`).  A decode that verifies ends the
+    run; otherwise the first FIX_FRACTION of the open regions that found
+    a free label are frozen with it as givens for the next round.  A
+    run that annihilates (the frozen labels were jointly wrong) starts a
+    new attempt with the next preference seed.  Attempts differ only in
+    that seed, so there are ATTEMPTS of them, the first included, when
+    `bias_delta > 0` and one otherwise.
     Returns the last decoded round if every attempt fails, so callers
     check `.valid`; if no attempt got past its first round, the last
     attempt's ContradictionError propagates.  The outcome's message
     count and times add up every round, those that dead-ended included.
     """
-    if retries < 1:
-        raise ValueError(f"retries must be >= 1, got {retries}")
+    _check_bias(bias_delta)
     cliques = maximal_cliques(problem)
     base_givens = anchor_largest_clique(problem, cliques)
-    attempts = retries if bias_delta > 0 else 1
+    attempts = ATTEMPTS if bias_delta > 0 else 1
     messages = 0
     build_ms = 0.0
     infer_ms = 0.0
@@ -306,7 +316,14 @@ def load_problem(path: str | Path, k: int) -> ColoringProblem:
     side = GRID_SIDES.get(len(cells))
     if side is not None and set(cells) <= GRID_CHARS:
         return sudoku_problem(text, side)
-    return parse_adjacency(text, k)
+    return _parse_map(path, text, k)
+
+
+def _parse_map(path: str | Path, text: str, k: int) -> ColoringProblem:
+    problem = parse_adjacency(text, k)
+    if not problem.variables:
+        raise ValueError(f"{path}: no regions found")
+    return problem
 
 
 def _options_from(args: argparse.Namespace) -> InferenceOptions:
@@ -356,9 +373,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_color_map(args: argparse.Namespace) -> int:
-    problem = parse_adjacency(Path(args.map).read_text(), args.k)
-    if not problem.variables:
-        raise ValueError(f"{args.map}: no regions found")
+    problem = _parse_map(args.map, Path(args.map).read_text(), args.k)
     if len(problem.variables) > 1 and not problem.edges:
         raise ValueError(
             f"{args.map}: {len(problem.variables)} regions but no border; "
@@ -369,7 +384,6 @@ def cmd_color_map(args: argparse.Namespace) -> int:
         options=_options_from(args),
         bias_delta=args.bias,
         seed=args.seed,
-        retries=args.retries,
     )
     if not outcome.valid:
         detail = (
@@ -535,27 +549,6 @@ def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("cluster size must be >= 2")
-    return value
-
-
-def _attempt_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("retries must be >= 1")
-    return value
-
-
-def _bias_strength(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError("bias must be finite and >= 0")
-    return value
-
-
 def _size_list(text: str) -> list[int]:
     try:
         sizes = [int(part) for part in text.split(",") if part.strip()]
@@ -580,13 +573,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--topology", choices=TOPOLOGIES, default="ltrip")
     solve.add_argument(
         "--cluster-size",
-        type=_positive_int,
+        type=int,
         default=None,
         help="split cliques larger than this before building the graph",
     )
     solve.add_argument(
         "--bias",
-        type=_bias_strength,
+        type=float,
         default=0.0,
         help="tie-breaking nudge strength (0 disables)",
     )
@@ -601,16 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmap.add_argument("--k", type=int, default=4, help="number of colors")
     cmap.add_argument(
         "--bias",
-        type=_bias_strength,
+        type=float,
         default=0.01,
-        help="tie-breaking nudge strength (0 disables)",
-    )
-    cmap.add_argument(
-        "--retries",
-        type=_attempt_count,
-        default=4,
-        help="attempts, the first included, before giving up on dead ends; "
-        "attempts differ only in the bias seed, so --bias 0 makes one",
+        help="tie-breaking nudge strength; 0 disables it and makes one "
+        "attempt instead of four",
     )
     cmap.add_argument("--out", help="write 'name label' lines here, not stdout")
     cmap.add_argument("--seed", type=int, default=0, help="seed for label preferences")
@@ -640,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     graph.add_argument("input", help="grid or adjacency file")
     graph.add_argument("--topology", choices=TOPOLOGIES, default="ltrip")
-    graph.add_argument("--cluster-size", type=_positive_int, default=None)
+    graph.add_argument("--cluster-size", type=int, default=None)
     graph.add_argument("--k", type=int, default=4, help="colors for adjacency input")
     graph.add_argument(
         "--validate", action="store_true", help="check the tree-per-variable property"

@@ -307,31 +307,35 @@ def validate_rip(graph: ClusterGraph) -> RipReport:
     graph — never how it was built — so it serves as an independent
     check on any construction.
     """
+    holders: dict[Variable, set[int]] = {}
+    for cluster in graph.clusters:
+        for variable in cluster.vars:
+            holders.setdefault(variable, set()).add(cluster.id)
+    # Per variable, the sepset edges carrying it between two holders.
+    carried: dict[Variable, list[tuple[int, int]]] = {v: [] for v in holders}
     violations: list[str] = []
     for sepset in graph.sepsets:
         i, j = sepset.clusters
         if not sepset.vars:
             violations.append(f"sepset ({i},{j}) is empty")
             continue
-        stray = sepset.vars - (graph.clusters[i].vars & graph.clusters[j].vars)
+        shared = graph.clusters[i].vars & graph.clusters[j].vars
+        stray = sepset.vars - shared
         if stray:
             names = ",".join(v.name for v in sorted(stray))
             violations.append(
                 f"sepset ({i},{j}) carries {{{names}}} not shared by both endpoints"
             )
-    for variable in graph.variables():
-        holders = {c.id for c in graph.clusters if variable in c.vars}
-        edges = [
-            s.clusters
-            for s in graph.sepsets
-            if variable in s.vars and s.clusters[0] in holders and s.clusters[1] in holders
-        ]
-        if len(edges) != len(holders) - 1:
+        for variable in sepset.vars & shared:
+            carried[variable].append(sepset.clusters)
+    for variable in sorted(holders):
+        held, edges = holders[variable], carried[variable]
+        if len(edges) != len(held) - 1:
             violations.append(
-                f"variable {variable.name}: {len(holders)} clusters hold it but "
-                f"{len(edges)} sepset edges carry it (a tree needs {len(holders) - 1})"
+                f"variable {variable.name}: {len(held)} clusters hold it but "
+                f"{len(edges)} sepset edges carry it (a tree needs {len(held) - 1})"
             )
-        if not _connected(holders, edges):
+        if not _connected(held, edges):
             violations.append(
                 f"variable {variable.name}: the clusters holding it are not "
                 f"connected by the sepsets carrying it"

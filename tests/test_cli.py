@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import clusterbp
 from clusterbp.cli import (
+    ATTEMPTS,
     CSV_COLUMNS,
     EXIT_BAD_INPUT,
     EXIT_NO_SOLUTION,
@@ -308,9 +309,9 @@ class TestColorMap:
 
     def test_library_reraises_the_last_dead_end(self, rounds):
         with pytest.raises(ContradictionError):
-            color_problem(parse_adjacency(WHEEL, 3), retries=2)
-        # `retries` counts attempts: two attempts, one round each.
-        assert rounds == [0, 1]
+            color_problem(parse_adjacency(WHEEL, 3))
+        # ATTEMPTS counts attempts: four of them, one round each.
+        assert rounds == list(range(ATTEMPTS)) == [0, 1, 2, 3]
 
     def test_unbiased_dead_end_runs_once(self, rounds):
         # Without bias every attempt would repeat the first one exactly.
@@ -336,16 +337,16 @@ class TestColorMap:
         )
         assert outcome.messages == len(returned)
 
-    def test_library_rejects_zero_retries(self):
-        with pytest.raises(ValueError, match="retries"):
-            color_problem(parse_adjacency(SEVEN_REGION_TEXT), retries=0)
-
-    @pytest.mark.parametrize("retries", ["0", "-1"])
-    def test_parser_rejects_retries_below_one(self, map_file, capsys, retries):
-        with pytest.raises(SystemExit) as stop:
-            main(["color-map", str(map_file), "--retries", retries])
-        assert stop.value.code == EXIT_BAD_INPUT
-        assert "retries must be >= 1" in capsys.readouterr().err
+    def test_bias_is_checked_before_anchoring(self, tmp_path, capsys):
+        # K4 cannot take three labels, so anchoring would raise
+        # ContradictionError; the bad argument is reported first.
+        with pytest.raises(ValueError, match="bias_delta must be finite and >= 0"):
+            color_problem(parse_adjacency(NUMERIC_K4, 3), bias_delta=-1.0)
+        path = tmp_path / "k4.txt"
+        path.write_text(NUMERIC_K4)
+        argv = ["color-map", str(path), "--k", "3", "--bias=-1"]
+        assert main(argv) == EXIT_BAD_INPUT
+        assert "error: bias_delta must be finite and >= 0" in capsys.readouterr().err
 
 
 @st.composite
@@ -437,11 +438,47 @@ class TestRankedDecode:
 @pytest.mark.parametrize("command", ["solve", "color-map"])
 @pytest.mark.parametrize("bias", ["-1", "nan", "inf", "-inf"])
 def test_parser_rejects_unusable_bias(puzzle_file, map_file, capsys, command, bias):
+    # The parser reads the float; the library's check rejects it.
     target = puzzle_file if command == "solve" else map_file
-    with pytest.raises(SystemExit) as stop:
-        main([command, str(target), f"--bias={bias}"])
-    assert stop.value.code == EXIT_BAD_INPUT
-    assert "bias must be finite and >= 0" in capsys.readouterr().err
+    assert main([command, str(target), f"--bias={bias}"]) == EXIT_BAD_INPUT
+    assert "bias_delta must be finite and >= 0" in capsys.readouterr().err
+
+
+# Each value flag's bad value, the commands that take it, and the
+# library's message for it.
+BAD_FLAG_VALUES = [
+    (["--cluster-size", "1"], ("solve", "graph"), "cluster size must be >= 2"),
+    (["--bias=-1"], ("solve", "color-map"), "bias_delta must be finite and >= 0"),
+    (["--threshold", "0"], ("solve", "color-map", "bench"), "threshold must be > 0"),
+    (
+        ["--max-messages", "0"],
+        ("solve", "color-map", "bench"),
+        "max_messages must be >= 1",
+    ),
+    (["--damping", "1"], ("solve", "color-map", "bench"), "damping must lie in [0, 1)"),
+    (["--k", "0"], ("color-map", "graph"), "label count must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        pytest.param(command, flag, message, id=f"{command} {' '.join(flag)}")
+        for flag, commands, message in BAD_FLAG_VALUES
+        for command in commands
+    ],
+)
+def test_bad_flag_value_exits_2(
+    tmp_path, puzzle_file, map_file, capsys, command, flag, message
+):
+    targets = {
+        "solve": [str(puzzle_file)],
+        "color-map": [str(map_file)],
+        "graph": [str(map_file)],
+        "bench": [str(tmp_path), "--out", str(tmp_path / "bench.csv")],
+    }
+    assert main([command, *targets[command], *flag]) == EXIT_BAD_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("run", [solve_problem, color_problem])
@@ -562,6 +599,16 @@ class TestGraph:
         path.write_text(WELL_DEFINED_4_SOLUTION)
         assert main(["graph", str(path)]) == EXIT_OK
         assert "empty" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["", "# nothing here\n"], ids=["empty", "comment"])
+    def test_no_regions(self, tmp_path, capsys, text):
+        # The same file color-map rejects: no region, so nothing to build.
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        assert main(["graph", str(path)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {path}: no regions found" in captured.err
 
     def test_numeric_region_names_are_borders(self, tmp_path, capsys):
         path = tmp_path / "numeric.txt"

@@ -17,11 +17,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbp import make_variables
 from clusterbp.graphs import (
     Cluster,
     ClusterGraph,
+    RipReport,
     Sepset,
     bethe_graph,
     connection_weights,
@@ -379,6 +382,103 @@ class TestRipValidation:
                     clusters.append(Cluster(len(clusters), s))
             assert validate_rip(ltrip(clusters)).valid
             assert validate_rip(bethe_graph(clusters)).valid
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_reports_match_a_per_variable_scan(self, data):
+        graph = data.draw(rip_graphs())
+        assert validate_rip(graph) == per_variable_scan(graph)
+
+
+def per_variable_scan(graph):
+    """`validate_rip` as it was first written: every cluster and every
+    sepset scanned once per variable.  The reference for the indexed check.
+    """
+    violations = []
+    for sepset in graph.sepsets:
+        i, j = sepset.clusters
+        if not sepset.vars:
+            violations.append(f"sepset ({i},{j}) is empty")
+            continue
+        stray = sepset.vars - (graph.clusters[i].vars & graph.clusters[j].vars)
+        if stray:
+            names = ",".join(v.name for v in sorted(stray))
+            violations.append(
+                f"sepset ({i},{j}) carries {{{names}}} not shared by both endpoints"
+            )
+    for variable in graph.variables():
+        holders = {c.id for c in graph.clusters if variable in c.vars}
+        edges = [
+            s.clusters
+            for s in graph.sepsets
+            if variable in s.vars and s.clusters[0] in holders and s.clusters[1] in holders
+        ]
+        if len(edges) != len(holders) - 1:
+            violations.append(
+                f"variable {variable.name}: {len(holders)} clusters hold it but "
+                f"{len(edges)} sepset edges carry it (a tree needs {len(holders) - 1})"
+            )
+        if not connected(holders, edges):
+            violations.append(
+                f"variable {variable.name}: the clusters holding it are not "
+                f"connected by the sepsets carrying it"
+            )
+    return RipReport(tuple(violations))
+
+
+def connected(nodes, edges):
+    if not nodes:
+        return True
+    adjacency = {n: [] for n in nodes}
+    for i, j in edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    stack = [next(iter(nodes))]
+    seen = set(stack)
+    while stack:
+        for peer in adjacency[stack.pop()]:
+            if peer not in seen:
+                seen.add(peer)
+                stack.append(peer)
+    return seen == nodes
+
+
+@st.composite
+def rip_graphs(draw):
+    """Cluster graphs over A..G, valid and broken.
+
+    Either the layered or Bethe graph of drawn clusters, with some of
+    its sepsets dropped, emptied or widened, or drawn clusters joined by
+    drawn sepsets.  Widened and drawn sepsets may carry variables an
+    endpoint lacks or no cluster holds; dropped edges disconnect a
+    layer, added ones close cycles.
+    """
+    names = st.frozensets(st.sampled_from(VARS), min_size=1, max_size=5)
+    scopes = draw(st.lists(names, min_size=1, max_size=7, unique=True))
+    clusters = [Cluster(i, scope) for i, scope in enumerate(scopes)]
+    if draw(st.booleans()) and not any(a < b for a in scopes for b in scopes):
+        built = draw(st.sampled_from([ltrip, bethe_graph]))(clusters)
+        clusters = list(built.clusters)
+        sepsets = []
+        for sepset in built.sepsets:
+            edit = draw(st.sampled_from(["keep", "keep", "drop", "empty", "widen"]))
+            if edit == "empty":
+                sepset = Sepset(sepset.clusters, frozenset())
+            elif edit == "widen":
+                sepset = Sepset(sepset.clusters, sepset.vars | {draw(st.sampled_from(VARS))})
+            if edit != "drop":
+                sepsets.append(sepset)
+    else:
+        pairs = [(i, j) for j in range(len(clusters)) for i in range(j)]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        sepsets = []
+        for i, j in chosen:
+            shared = sorted(clusters[i].vars & clusters[j].vars)
+            carried = draw(st.frozensets(st.sampled_from(shared))) if shared else frozenset()
+            if draw(st.booleans()):
+                carried |= draw(st.frozensets(st.sampled_from(VARS), max_size=2))
+            sepsets.append(Sepset((i, j), carried))
+    return ClusterGraph(tuple(clusters), tuple(sepsets))
 
 
 class TestDotExport:

@@ -28,7 +28,7 @@ import pytest
 
 import clusterbp
 from clusterbp import ContradictionError, SparseTable, make_variables, uniform_factor
-from clusterbp.cli import color_problem, solve_problem
+from clusterbp.cli import ATTEMPTS, color_problem, solve_problem
 from clusterbp.coloring import (
     build_factors,
     maximal_cliques,
@@ -174,16 +174,14 @@ def test_damped_anchored_map(runs):
 
 def test_dead_end_map(runs):
     with pytest.raises(ContradictionError):
-        color_problem(
-            parse_adjacency(WHEEL, 3), options=InferenceOptions(damping=0.3), retries=2
-        )
+        color_problem(parse_adjacency(WHEEL, 3), options=InferenceOptions(damping=0.3))
     failed = [
         (src, dst)
         for *_, sent in runs.values()
         for src, dst, residual in sent
         if residual is None
     ]
-    assert len(failed) == 2  # one dead end per attempt
+    assert len(failed) == ATTEMPTS == 4  # one dead end per attempt
     assert_replays(runs)
 
 
