@@ -9,9 +9,10 @@ Exit codes partition what went wrong: 0 a verified solution (or a clean
 report), 2 unreadable or malformed input or a bad flag value, 3 a
 provably unsatisfiable problem, 4 inference that finished without a
 valid answer.  The parser only converts flag values; the library checks
-them, once, and its ValueError is exit 2.  Set the CLUSTERBP_LOG
-environment variable (debug/info/warning) for progress logging on
-stderr.
+them, once, and its ValueError is exit 2.  Runs use max-product and
+`inference.THRESHOLD`; of the inference options, only `--max-messages`
+and `--damping` are flags.  Set the CLUSTERBP_LOG environment variable
+(debug/info/warning) for progress logging on stderr.
 """
 
 from __future__ import annotations
@@ -42,8 +43,15 @@ from clusterbp.coloring import (
     sudoku_problem,
     verify_coloring,
 )
-from clusterbp.factors import SEMIRINGS, ContradictionError, uniform_factor
-from clusterbp.graphs import Cluster, bethe_graph, export_dot, ltrip, validate_rip
+from clusterbp.factors import ContradictionError, uniform_factor
+from clusterbp.graphs import (
+    Cluster,
+    ClusterGraph,
+    bethe_graph,
+    export_dot,
+    ltrip,
+    validate_rip,
+)
 from clusterbp.inference import InferenceOptions, InferenceState
 
 log = logging.getLogger("clusterbp")
@@ -304,35 +312,30 @@ def load_puzzle(path: str | Path) -> ColoringProblem:
     return sudoku_problem(text, side)
 
 
-def load_problem(path: str | Path, k: int) -> ColoringProblem:
+def load_problem(path: str | Path) -> ColoringProblem:
     """Read either input format: a Sudoku grid or a border list.
 
     The file is a grid only when its non-whitespace text is exactly 16 or
     81 grid characters; anything else, such as a border list with
-    numeric region names, is read as a border list.
+    numeric region names, is read as a border list with
+    `parse_adjacency`'s default label count.
     """
     text = Path(path).read_text()
     cells = "".join(text.split())
     side = GRID_SIDES.get(len(cells))
     if side is not None and set(cells) <= GRID_CHARS:
         return sudoku_problem(text, side)
-    return _parse_map(path, text, k)
+    return _with_regions(path, parse_adjacency(text))
 
 
-def _parse_map(path: str | Path, text: str, k: int) -> ColoringProblem:
-    problem = parse_adjacency(text, k)
+def _with_regions(path: str | Path, problem: ColoringProblem) -> ColoringProblem:
     if not problem.variables:
         raise ValueError(f"{path}: no regions found")
     return problem
 
 
 def _options_from(args: argparse.Namespace) -> InferenceOptions:
-    return InferenceOptions(
-        semiring=args.semiring,
-        threshold=args.threshold,
-        max_messages=args.max_messages,
-        damping=args.damping,
-    )
+    return InferenceOptions(max_messages=args.max_messages, damping=args.damping)
 
 
 def _flag(value: bool) -> str:
@@ -373,7 +376,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_color_map(args: argparse.Namespace) -> int:
-    problem = _parse_map(args.map, Path(args.map).read_text(), args.k)
+    problem = _with_regions(
+        args.map, parse_adjacency(Path(args.map).read_text(), args.k)
+    )
     if len(problem.variables) > 1 and not problem.edges:
         raise ValueError(
             f"{args.map}: {len(problem.variables)} regions but no border; "
@@ -489,20 +494,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    problem = load_problem(args.input, args.k)
+    problem = load_problem(args.input)
     cliques = maximal_cliques(problem)
     if args.cluster_size is not None:
         cliques = split_cliques(cliques, args.cluster_size)
     clusters = purged_clusters(problem, cliques)
     if not clusters:
         print("every variable is given; the graph is empty")
-        return EXIT_OK
-    graph = ltrip(clusters) if args.topology == "ltrip" else bethe_graph(clusters)
-    sizes = sorted(len(c.vars) for c in graph.clusters)
-    print(f"kind: {graph.kind}")
-    print(f"clusters: {len(graph.clusters)} (sizes {sizes[0]}..{sizes[-1]})")
-    print(f"edges: {len(graph.sepsets)}")
-    print(f"variables: {len(graph.variables())}")
+        graph = ClusterGraph((), ())
+    else:
+        graph = ltrip(clusters) if args.topology == "ltrip" else bethe_graph(clusters)
+        sizes = sorted(len(c.vars) for c in graph.clusters)
+        print(f"kind: {args.topology}")
+        print(f"clusters: {len(graph.clusters)} (sizes {sizes[0]}..{sizes[-1]})")
+        print(f"edges: {len(graph.sepsets)}")
+        print(f"variables: {len(graph.variables())}")
     code = EXIT_OK
     if args.validate:
         report = validate_rip(graph)
@@ -523,18 +529,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--semiring",
-        choices=SEMIRINGS,
-        default="max",
-        help="message algebra: max decodes a best assignment, sum marginals",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=1e-8,
-        help="residual below which a message counts as converged",
-    )
     parser.add_argument(
         "--max-messages",
         type=int,
@@ -628,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     graph.add_argument("input", help="grid or adjacency file")
     graph.add_argument("--topology", choices=TOPOLOGIES, default="ltrip")
     graph.add_argument("--cluster-size", type=int, default=None)
-    graph.add_argument("--k", type=int, default=4, help="colors for adjacency input")
     graph.add_argument(
         "--validate", action="store_true", help="check the tree-per-variable property"
     )

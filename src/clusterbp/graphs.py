@@ -16,8 +16,6 @@ from typing import Sequence
 
 from clusterbp.factors import Variable
 
-GRAPH_KINDS = ("ltrip", "bethe", "custom")
-
 
 @dataclass(frozen=True)
 class Cluster:
@@ -82,22 +80,20 @@ class LayerTree:
 class ClusterGraph:
     """An undirected graph of clusters joined by sepsets.
 
-    Construction enforces only structural sanity (sequential ids, valid
-    endpoints, no duplicate edges) so that deliberately broken graphs
-    can still be built and handed to `validate_rip`.
+    It does not record which builder made it.  Construction enforces
+    only structural sanity (sequential ids, valid endpoints, no duplicate
+    edges) so that deliberately broken graphs can still be built and
+    handed to `validate_rip`.
     """
 
     clusters: tuple[Cluster, ...]
     sepsets: tuple[Sepset, ...]
-    kind: str = "custom"
     layers: tuple[LayerTree, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clusters", tuple(self.clusters))
         object.__setattr__(self, "sepsets", tuple(self.sepsets))
         object.__setattr__(self, "layers", tuple(self.layers))
-        if self.kind not in GRAPH_KINDS:
-            raise ValueError(f"unknown graph kind {self.kind!r}")
         for i, cluster in enumerate(self.clusters):
             if cluster.id != i:
                 raise ValueError(
@@ -253,7 +249,7 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
     sepsets = tuple(
         Sepset(edge, frozenset(vars_)) for edge, vars_ in sorted(sepset_vars.items())
     )
-    return ClusterGraph(clusters, sepsets, kind="ltrip", layers=tuple(layers))
+    return ClusterGraph(clusters, sepsets, layers=tuple(layers))
 
 
 def bethe_graph(clusters: Sequence[Cluster]) -> ClusterGraph:
@@ -281,7 +277,7 @@ def bethe_graph(clusters: Sequence[Cluster]) -> ClusterGraph:
         for variable in cluster.sorted_vars()
     ]
     sepsets.sort(key=lambda s: s.clusters)
-    return ClusterGraph(tuple(nodes), tuple(sepsets), kind="bethe")
+    return ClusterGraph(tuple(nodes), tuple(sepsets))
 
 
 @dataclass(frozen=True)
@@ -361,12 +357,16 @@ def _connected(nodes: set[int], edges: Sequence[tuple[int, int]]) -> bool:
 
 
 def export_dot(graph: ClusterGraph) -> str:
-    """Render the graph as DOT text, deterministically ordered."""
+    """Render the graph as DOT text with escaped labels, in a fixed order."""
     lines = ["graph cluster_graph {", "  node [shape=ellipse];"]
     for cluster in graph.clusters:
-        lines.append(f'  c{cluster.id} [label="{cluster.label()}"];')
+        lines.append(f"  c{cluster.id} [label={_quoted(cluster.label())}];")
     for sepset in sorted(graph.sepsets, key=lambda s: s.clusters):
         i, j = sepset.clusters
-        lines.append(f'  c{i} -- c{j} [label="{sepset.label()}"];')
+        lines.append(f"  c{i} -- c{j} [label={_quoted(sepset.label())}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -5,7 +5,7 @@ the target belief is multiplied by the ratio of that marginal to the
 belief the sepset last carried.  Each delivery is scored by how much the
 sepset belief moved (KL divergence), and those scores both schedule the
 next messages — biggest mover first — and decide convergence: the run is
-done when every directed edge's most recent score sits below threshold.
+done when every directed edge's most recent score sits below `THRESHOLD`.
 
 `InferenceState.run` returns the state itself.  Its `marginals` and
 `assignment` are read off the current beliefs on each access, so a run
@@ -34,29 +34,30 @@ from clusterbp.graphs import ClusterGraph
 
 DirectedEdge = tuple[int, int]
 
+# The residual below which a directed edge counts as settled.
+THRESHOLD = 1e-8
+
 
 @dataclass(frozen=True)
 class InferenceOptions:
     """Knobs for a propagation run.
 
     `semiring` picks sum-product (marginal mass) or max-product (best
-    completion scores); `threshold` is the residual level below which a
-    directed edge counts as settled; `max_messages` caps the run.
+    completion scores); `max_messages` caps the run.  The residual a
+    directed edge must fall below to count as settled is the module
+    constant `THRESHOLD`, not an option.
     `damping` geometrically mixes each new sepset belief with the stored
     one — it leaves fixed points untouched but tames the oscillation
     loopy graphs with soft potentials are prone to.
     """
 
     semiring: Semiring = "max"
-    threshold: float = 1e-8
     max_messages: int = 1_000_000
     damping: float = 0.0
 
     def __post_init__(self) -> None:
         if self.semiring not in SEMIRINGS:
             raise ValueError(f"unknown semiring {self.semiring!r}")
-        if not self.threshold > 0.0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
         if self.max_messages < 1:
             raise ValueError(f"max_messages must be >= 1, got {self.max_messages}")
         if not 0.0 <= self.damping < 1.0:
@@ -327,9 +328,8 @@ class InferenceState:
         self._sepsets[key] = message
         self._orders[key] = order
         self._totals[key] = new_total
-        threshold = self.options.threshold
-        before = self.residuals[src, dst] >= threshold
-        self._hot += (residual >= threshold) - before
+        before = self.residuals[src, dst] >= THRESHOLD
+        self._hot += (residual >= THRESHOLD) - before
         self.residuals[src, dst] = residual
         self._push(self._out[dst], residual)
         self.stats.messages += 1
@@ -380,7 +380,7 @@ class InferenceState:
         return out
 
     def run(self) -> InferenceState:
-        """Propagate until every residual clears threshold or budget ends.
+        """Propagate until every residual clears THRESHOLD or budget ends.
 
         Returns the state itself, so `run().assignment` reads the decode.
         Exhausting the message budget is not an error: the state comes
@@ -399,8 +399,7 @@ class InferenceState:
                     # The queue drained with edges still hot, as when a caller
                     # re-runs after catching a contradiction mid-message:
                     # rebuild it from their residuals.
-                    threshold = options.threshold
-                    hot = [e for e, r in self.residuals.items() if r >= threshold]
+                    hot = [e for e, r in self.residuals.items() if r >= THRESHOLD]
                     self._push(sorted(hot), 0.0)
                     continue
                 try:

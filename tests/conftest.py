@@ -73,5 +73,4 @@ def seven_graph(seven_vars, seven_cliques):
             sep(2, 4, "G"),
             sep(3, 4, "DE"),
         ),
-        kind="custom",
     )

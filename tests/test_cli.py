@@ -1,5 +1,6 @@
 """Command-line behavior: pipelines, exit codes, CSV output, DOT export."""
 
+import argparse
 import csv
 import dataclasses
 import itertools
@@ -22,6 +23,7 @@ from clusterbp.cli import (
     EXIT_OK,
     EXIT_UNSATISFIABLE,
     _ranked_decode,
+    build_parser,
     color_problem,
     load_problem,
     load_puzzle,
@@ -449,14 +451,13 @@ def test_parser_rejects_unusable_bias(puzzle_file, map_file, capsys, command, bi
 BAD_FLAG_VALUES = [
     (["--cluster-size", "1"], ("solve", "graph"), "cluster size must be >= 2"),
     (["--bias=-1"], ("solve", "color-map"), "bias_delta must be finite and >= 0"),
-    (["--threshold", "0"], ("solve", "color-map", "bench"), "threshold must be > 0"),
     (
         ["--max-messages", "0"],
         ("solve", "color-map", "bench"),
         "max_messages must be >= 1",
     ),
     (["--damping", "1"], ("solve", "color-map", "bench"), "damping must lie in [0, 1)"),
-    (["--k", "0"], ("color-map", "graph"), "label count must be >= 1"),
+    (["--k", "0"], ("color-map",), "label count must be >= 1"),
 ]
 
 
@@ -479,6 +480,65 @@ def test_bad_flag_value_exits_2(
     }
     assert main([command, *targets[command], *flag]) == EXIT_BAD_INPUT
     assert f"error: {message}" in capsys.readouterr().err
+
+
+# Every option string of every subcommand, --help aside: adding or
+# dropping a flag changes this table.
+OPTION_STRINGS = {
+    "solve": [
+        "--topology",
+        "--cluster-size",
+        "--bias",
+        "--seed",
+        "--max-messages",
+        "--damping",
+    ],
+    "color-map": ["--k", "--bias", "--out", "--seed", "--max-messages", "--damping"],
+    "bench": ["--sizes", "--topologies", "--out", "--max-messages", "--damping"],
+    "graph": ["--topology", "--cluster-size", "--validate", "--dot"],
+}
+
+
+def test_option_strings():
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    found = {
+        name: [
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        ]
+        for name, sub in commands.choices.items()
+    }
+    assert found == OPTION_STRINGS
+    assert sum(map(len, found.values())) == 21
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("graph", ["--k", "4"]),
+        ("solve", ["--threshold", "1e-8"]),
+        ("bench", ["--semiring", "max"]),
+    ],
+)
+def test_parser_rejects_fixed_settings(
+    tmp_path, puzzle_file, map_file, capsys, command, flag
+):
+    # graph reads no label count; the threshold and max-product are fixed.
+    targets = {
+        "solve": [str(puzzle_file)],
+        "graph": [str(map_file)],
+        "bench": [str(tmp_path), "--out", str(tmp_path / "bench.csv")],
+    }
+    with pytest.raises(SystemExit) as stop:
+        main([command, *targets[command], *flag])
+    assert stop.value.code == EXIT_BAD_INPUT
+    assert flag[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("run", [solve_problem, color_problem])
@@ -600,6 +660,19 @@ class TestGraph:
         assert main(["graph", str(path)]) == EXIT_OK
         assert "empty" in capsys.readouterr().out
 
+    def test_fully_given_grid_writes_the_empty_dot(self, tmp_path, capsys):
+        path = tmp_path / "done.txt"
+        path.write_text(WELL_DEFINED_4_SOLUTION)
+        dot = tmp_path / "empty.dot"
+        argv = ["graph", str(path), "--validate", "--dot", str(dot)]
+        assert main(argv) == EXIT_OK
+        assert dot.read_text() == "graph cluster_graph {\n  node [shape=ellipse];\n}\n"
+        assert capsys.readouterr().out.splitlines() == [
+            "every variable is given; the graph is empty",
+            "validation: passed",
+            f"wrote {dot}",
+        ]
+
     @pytest.mark.parametrize("text", ["", "# nothing here\n"], ids=["empty", "comment"])
     def test_no_regions(self, tmp_path, capsys, text):
         # The same file color-map rejects: no region, so nothing to build.
@@ -625,8 +698,8 @@ class TestLoaders:
         grid.write_text(WELL_DEFINED_4)
         regions = tmp_path / "regions.txt"
         regions.write_text("A B\n")
-        assert len(load_problem(grid, 4).variables) == 16
-        assert len(load_problem(regions, 4).variables) == 2
+        assert len(load_problem(grid).variables) == 16
+        assert len(load_problem(regions).variables) == 2
 
     def test_rejects_off_size_grid(self, tmp_path):
         path = tmp_path / "grid.txt"

@@ -122,10 +122,6 @@ class TestStructures:
         with pytest.raises(ValueError, match="duplicate"):
             ClusterGraph((cl(0, "AB"), cl(1, "AC")), (sep, sep))
 
-    def test_graph_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            ClusterGraph((cl(0, "A"),), (), kind="mesh")
-
     def test_neighbors_and_lookup(self, seven_graph):
         assert seven_graph.neighbors(3) == (1, 2, 4)
         assert seven_graph.sepset_between(4, 2) is seven_graph.sepset_between(2, 4)
@@ -303,7 +299,6 @@ class TestBetheConstruction:
 
     def test_seven_region_hubs(self, seven_cliques):
         graph = bethe_graph(seven_cliques)
-        assert graph.kind == "bethe"
         originals, hubs = graph.clusters[:5], graph.clusters[5:]
         assert tuple(originals) == tuple(seven_cliques)
         assert [names_of(h.vars) for h in hubs] == list("ABCDEFG")
@@ -338,9 +333,7 @@ class TestRipValidation:
             Sepset(s.clusters, s.vars | {E}) if s.clusters == (2, 4) else s
             for s in seven_graph.sepsets
         )
-        report = validate_rip(
-            ClusterGraph(seven_graph.clusters, sepsets, kind="custom")
-        )
+        report = validate_rip(ClusterGraph(seven_graph.clusters, sepsets))
         assert not report.valid
         assert any("E" in v and "tree" in v for v in report.violations)
 
@@ -498,6 +491,18 @@ class TestDotExport:
         # five node statements, six edge statements
         assert sum(1 for l in lines if "--" in l) == 6
         assert sum(1 for l in lines if "label" in l and "--" not in l) == 5
+
+    def test_labels_escape_quotes_and_backslashes(self):
+        quoted, slashed, x, y = make_variables(['a"b', "d\\", "x", "y"])
+        graph = ltrip(
+            [
+                Cluster(0, frozenset({quoted, slashed, x})),
+                Cluster(1, frozenset({quoted, slashed, y})),
+            ]
+        )
+        lines = export_dot(graph).splitlines()
+        assert '  c0 [label="a\\"b,d\\\\,x"];' in lines
+        assert '  c0 -- c1 [label="a\\"b,d\\\\"];' in lines
 
     def test_edges_are_sorted_by_endpoints(self, seven_graph):
         text = export_dot(seven_graph)

@@ -66,7 +66,6 @@ class TestOptions:
     def test_defaults(self):
         options = InferenceOptions()
         assert options.semiring == "max"
-        assert options.threshold == 1e-8
         assert options.max_messages == 1_000_000
         assert options.damping == 0.0
 
@@ -74,8 +73,6 @@ class TestOptions:
         "kwargs",
         [
             {"semiring": "min"},
-            {"threshold": 0.0},
-            {"threshold": -1e-9},
             {"max_messages": 0},
             {"damping": -0.1},
             {"damping": 1.0},
@@ -150,9 +147,7 @@ class TestSingleMessage:
         x, y, z = make_variables("XYZ")
         self.x, self.y, self.z = x, y, z
         clusters = (Cluster(0, frozenset({x, y})), Cluster(1, frozenset({y, z})))
-        graph = ClusterGraph(
-            clusters, (Sepset((0, 1), frozenset({y})),), kind="custom"
-        )
+        graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({y})),))
         f0 = SparseTable((x, y), (2, 2), {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 1.0})
         f1 = uniform_factor((y, z), (2, 2))
         self.state = InferenceState(
@@ -291,9 +286,7 @@ class TestRunControl:
 
     def test_contradiction_escapes_run(self):
         clusters = (Cluster(0, frozenset({A, B})), Cluster(1, frozenset({A, C})))
-        graph = ClusterGraph(
-            clusters, (Sepset((0, 1), frozenset({A})),), kind="custom"
-        )
+        graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({A})),))
         f0 = SparseTable((A, B), (2, 3), {(0, 0): 1.0, (0, 2): 1.0})  # pins A=0
         f1 = SparseTable((A, C), (2, 2), {(1, 0): 1.0, (1, 1): 1.0})  # pins A=1
         state = InferenceState(graph, [f0, f1], InferenceOptions(semiring="max"))
@@ -307,9 +300,7 @@ class TestRunControl:
 
     def test_contradiction_still_records_its_time(self):
         clusters = (Cluster(0, frozenset({A, B})), Cluster(1, frozenset({A, C})))
-        graph = ClusterGraph(
-            clusters, (Sepset((0, 1), frozenset({A})),), kind="custom"
-        )
+        graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({A})),))
         f0 = SparseTable((A, B), (2, 3), {(0, 0): 1.0})  # pins A=0
         f1 = SparseTable((A, C), (2, 2), {(1, 0): 1.0})  # pins A=1
         state = InferenceState(graph, [f0, f1])
@@ -319,12 +310,13 @@ class TestRunControl:
 
 
 class TestDamping:
-    def test_damped_tree_reaches_the_same_fixed_point(self):
+    def test_damped_tree_reaches_the_same_fixed_point(self, monkeypatch):
         graph, factors = chain_setup(seed=17)
         plain = InferenceState(graph, factors).run()
-        damped = InferenceState(
-            graph, factors, InferenceOptions(damping=0.5, threshold=1e-12)
-        ).run()
+        # Damping approaches the fixed point geometrically; a tighter
+        # threshold lets it get close enough to compare marginals.
+        monkeypatch.setattr("clusterbp.inference.THRESHOLD", 1e-12)
+        damped = InferenceState(graph, factors, InferenceOptions(damping=0.5)).run()
         assert damped.converged
         assert damped.assignment == plain.assignment
         for variable in plain.marginals:
@@ -344,9 +336,7 @@ class TestDamping:
 
     def test_contradiction_still_escapes_when_damped(self):
         clusters = (Cluster(0, frozenset({A, B})), Cluster(1, frozenset({A, C})))
-        graph = ClusterGraph(
-            clusters, (Sepset((0, 1), frozenset({A})),), kind="custom"
-        )
+        graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({A})),))
         f0 = SparseTable((A, B), (2, 3), {(0, 0): 1.0, (0, 2): 1.0})
         f1 = SparseTable((A, C), (2, 2), {(1, 0): 1.0, (1, 1): 1.0})
         state = InferenceState(
