@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: `solve` runs a Sudoku grid through the cluster-graph
-pipeline, `color-map` four-colors an adjacency file, `bench` runs a
-directory of puzzles over topologies and cluster sizes into a CSV, and
-`graph` builds, validates, and exports the cluster graph itself.
+Subcommands: `solve` runs a Sudoku grid and `color-map` four-colors an
+adjacency file, through one pipeline that decimates when a decode fails;
+`bench` sweeps a puzzle directory over topologies and cluster sizes into
+a CSV, and `graph` builds, validates, and exports the cluster graph.
 
 Exit codes partition what went wrong: 0 a verified solution (or a clean
 report), 2 unreadable or malformed input or a bad flag value, 3 a
@@ -106,30 +106,104 @@ def solve_problem(
     bias_delta: float = 0.0,
     seed: int = 0,
 ) -> SolveOutcome:
-    """Run the whole pipeline: cliques, factors, graph, propagation, decode.
+    """Solve a grid, or any problem, through `_pipeline`; no bias by default."""
+    return _pipeline(problem, topology, cluster_size, options, bias_delta, seed)
 
-    Cluster-size splitting and bias are opt-in.  A bad `topology` or
-    `bias_delta` (which must be finite and >= 0) is a ValueError before
-    any other work.  The run is decoded as `color_problem` decodes a
-    round (`_ranked_decode`), so the assignment always covers every
-    variable — observed ones come straight from the givens.
+
+def color_problem(
+    problem: ColoringProblem,
+    *,
+    options: InferenceOptions | None = None,
+    bias_delta: float = 0.01,
+    seed: int = 0,
+) -> SolveOutcome:
+    """Color a map through `_pipeline`: ltrip, no split, a 0.01 bias."""
+    return _pipeline(problem, "ltrip", None, options, bias_delta, seed)
+
+
+def _pipeline(
+    problem: ColoringProblem,
+    topology: str,
+    cluster_size: int | None,
+    options: InferenceOptions | None,
+    bias_delta: float,
+    seed: int,
+) -> SolveOutcome:
+    """Cliques, split, then rounds of compile, run, decode and verify.
+
+    A bad `topology` or `bias_delta` (which must be finite and >= 0) is a
+    ValueError before any other work.  The cliques are split once.
+    Decimation starts from `anchor_largest_clique`: the givens, or one
+    largest clique pinned when there are none.  Each round propagates,
+    then decodes the most decided variables first, each avoiding labels
+    its neighbors already took (`_ranked_decode`).  A decode that
+    verifies ends the run; otherwise the first FIX_FRACTION of the open
+    variables that found a free label are frozen with it as givens for
+    the next round.  A round that annihilates (the frozen labels were
+    jointly wrong) starts a new attempt with the next preference seed,
+    so there are ATTEMPTS of them, the first included, when
+    `bias_delta > 0` and one otherwise.
+    Returns the last decoded round if every attempt fails, so callers
+    check `.valid`; if no attempt got past its first round, the last
+    attempt's ContradictionError propagates.  Messages and times add up
+    every round, dead-ended ones included.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
-    _check_bias(bias_delta)
+    if not 0.0 <= bias_delta < math.inf:
+        raise ValueError(f"bias_delta must be finite and >= 0, got {bias_delta}")
     started = time.perf_counter()
     cliques = maximal_cliques(problem)
-    state, cluster_count = _compile(
-        problem, cliques, topology, cluster_size, options, bias_delta, seed
-    )
+    anchor = anchor_largest_clique(problem, cliques)
+    # Givens come back unchanged; only an anchor needs a new problem.
+    base = problem if problem.givens else dataclasses.replace(problem, givens=anchor)
+    if cluster_size is not None:
+        cliques = split_cliques(cliques, cluster_size)
     build_ms = (time.perf_counter() - started) * 1000.0
-    converged, marginals, messages, infer_ms = True, {}, 0, 0.0
-    if state is not None:
-        state.run()
-        converged, marginals = state.converged, state.marginals
-        messages, infer_ms = state.stats.messages, state.stats.wall_ms
-    assignment, _ = _ranked_decode(problem, marginals)
-    report = verify_coloring(problem, assignment)
+    attempts = ATTEMPTS if bias_delta > 0 else 1
+    messages, infer_ms, cluster_count = 0, 0.0, 0
+    decoded = None  # the last decoded round's assignment, report, converged
+    for attempt in range(attempts):
+        work = base
+        try:
+            while True:
+                started = time.perf_counter()
+                state, clusters = _compile(
+                    work, cliques, topology, options, bias_delta, seed + attempt
+                )
+                build_ms += (time.perf_counter() - started) * 1000.0
+                cluster_count = cluster_count or clusters
+                converged, marginals = True, {}
+                if state is not None:
+                    try:
+                        state.run()
+                    finally:
+                        messages += state.stats.messages
+                        infer_ms += state.stats.wall_ms
+                    converged, marginals = state.converged, state.marginals
+                assignment, free = _ranked_decode(work, marginals)
+                report = verify_coloring(work, assignment)
+                decoded = assignment, report, converged
+                if report.valid or not free:
+                    break
+                open_count = len(problem.variables) - len(work.givens)
+                quota = math.ceil(open_count * FIX_FRACTION)
+                fixes = {v: assignment[v] for v in free[:quota]}
+                log.info(
+                    "attempt %d: froze %d labels, %d variables open",
+                    attempt,
+                    len(fixes),
+                    open_count - len(fixes),
+                )
+                work = dataclasses.replace(work, givens={**work.givens, **fixes})
+        except ContradictionError as exc:
+            log.info("attempt %d dead-ended: %s", attempt, exc)
+            if decoded is None and attempt == attempts - 1:
+                raise
+            continue
+        if report.valid:
+            break
+    assignment, report, converged = decoded
     return SolveOutcome(
         assignment, converged, report, cluster_count, messages, build_ms, infer_ms
     )
@@ -139,19 +213,16 @@ def _compile(
     problem: ColoringProblem,
     cliques: list[Cluster],
     topology: str,
-    cluster_size: int | None,
     options: InferenceOptions | None,
     bias_delta: float,
     seed: int,
 ) -> tuple[InferenceState | None, int]:
-    """Compile enumerated cliques into an inference state, not yet run.
+    """Compile one round's cliques, already split, into an unrun state.
 
     Returns the state, or None when every variable is given, and the
-    number of factor clusters (Bethe hubs not counted).  The callers
-    have checked `topology` and `bias_delta`.
+    number of factor clusters (Bethe hubs not counted).  `_pipeline` has
+    checked `topology` and `bias_delta`.
     """
-    if cluster_size is not None:
-        cliques = split_cliques(cliques, cluster_size)
     bias = label_preferences(problem, seed) if bias_delta > 0 else None
     items = build_factors(problem, cliques, bias=bias, delta=bias_delta)
     if not items:
@@ -169,11 +240,6 @@ def _compile(
         "%s graph: %d clusters, %d edges", topology, len(clusters), len(graph.sepsets)
     )
     return InferenceState(graph, tables, options), len(clusters)
-
-
-def _check_bias(bias_delta: float) -> None:
-    if not 0.0 <= bias_delta < math.inf:
-        raise ValueError(f"bias_delta must be finite and >= 0, got {bias_delta}")
 
 
 def _ranked_decode(problem: ColoringProblem, marginals: dict) -> tuple[dict, list]:
@@ -209,87 +275,6 @@ def _ranked_decode(problem: ColoringProblem, marginals: dict) -> tuple[dict, lis
             labels or range(problem.k), key=scores[variable].__getitem__
         )
     return assignment, free
-
-
-def color_problem(
-    problem: ColoringProblem,
-    *,
-    options: InferenceOptions | None = None,
-    bias_delta: float = 0.01,
-    seed: int = 0,
-) -> SolveOutcome:
-    """Color a map, decimating when one propagation pass cannot decide.
-
-    `bias_delta` must be finite and >= 0; a bad one is a ValueError
-    before any other work, whatever the map.  Decimation starts from
-    `anchor_largest_clique`: the givens, or one largest clique pinned
-    when there are none.  Each round propagates, then decodes once, the
-    most decided regions first, each avoiding labels its neighbors
-    already took (`_ranked_decode`).  A decode that verifies ends the
-    run; otherwise the first FIX_FRACTION of the open regions that found
-    a free label are frozen with it as givens for the next round.  A
-    run that annihilates (the frozen labels were jointly wrong) starts a
-    new attempt with the next preference seed.  Attempts differ only in
-    that seed, so there are ATTEMPTS of them, the first included, when
-    `bias_delta > 0` and one otherwise.
-    Returns the last decoded round if every attempt fails, so callers
-    check `.valid`; if no attempt got past its first round, the last
-    attempt's ContradictionError propagates.  The outcome's message
-    count and times add up every round, those that dead-ended included.
-    """
-    _check_bias(bias_delta)
-    cliques = maximal_cliques(problem)
-    base_givens = anchor_largest_clique(problem, cliques)
-    attempts = ATTEMPTS if bias_delta > 0 else 1
-    messages = 0
-    build_ms = 0.0
-    infer_ms = 0.0
-    cluster_count = 0
-    decoded = None  # the last decoded round's assignment, report, converged
-    for attempt in range(attempts):
-        work = dataclasses.replace(problem, givens=base_givens)
-        try:
-            while True:
-                started = time.perf_counter()
-                state, clusters = _compile(
-                    work, cliques, "ltrip", None, options, bias_delta, seed + attempt
-                )
-                build_ms += (time.perf_counter() - started) * 1000.0
-                cluster_count = cluster_count or clusters
-                converged, marginals = True, {}
-                if state is not None:
-                    try:
-                        state.run()
-                    finally:
-                        messages += state.stats.messages
-                        infer_ms += state.stats.wall_ms
-                    converged, marginals = state.converged, state.marginals
-                assignment, free = _ranked_decode(work, marginals)
-                report = verify_coloring(work, assignment)
-                decoded = assignment, report, converged
-                if report.valid or not free:
-                    break
-                open_count = len(problem.variables) - len(work.givens)
-                quota = math.ceil(open_count * FIX_FRACTION)
-                fixes = {v: assignment[v] for v in free[:quota]}
-                log.info(
-                    "attempt %d: froze %d labels, %d regions open",
-                    attempt,
-                    len(fixes),
-                    open_count - len(fixes),
-                )
-                work = dataclasses.replace(work, givens={**work.givens, **fixes})
-        except ContradictionError as exc:
-            log.info("attempt %d dead-ended: %s", attempt, exc)
-            if decoded is None and attempt == attempts - 1:
-                raise
-            continue
-        if report.valid:
-            break
-    assignment, report, converged = decoded
-    return SolveOutcome(
-        assignment, converged, report, cluster_count, messages, build_ms, infer_ms
-    )
 
 
 # -- input loading -----------------------------------------------------------
@@ -575,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--bias",
         type=float,
         default=0.0,
-        help="tie-breaking nudge strength (0 disables)",
+        help="tie-breaking nudge strength; 0 disables it and makes one "
+        "attempt instead of four",
     )
     solve.add_argument("--seed", type=int, default=0, help="seed for label preferences")
     _add_inference_flags(solve)

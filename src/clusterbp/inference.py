@@ -5,7 +5,8 @@ the target belief is multiplied by the ratio of that marginal to the
 belief the sepset last carried.  Each delivery is scored by how much the
 sepset belief moved (KL divergence), and those scores both schedule the
 next messages — biggest mover first — and decide convergence: the run is
-done when every directed edge's most recent score sits below `THRESHOLD`.
+done when every directed edge's most recent score, and every score still
+queued, sits below `THRESHOLD`.
 
 `InferenceState.run` returns the state itself.  Its `marginals` and
 `assignment` are read off the current beliefs on each access, so a run
@@ -236,9 +237,21 @@ class InferenceState:
                 return edge
         return None
 
+    def _loud(self) -> bool:
+        """Whether a queued edge holds a priority at or above THRESHOLD.
+
+        `_hot` can be 0 while one does: a message re-queues its target's
+        outgoing edges at its own residual.  Drops stale entries on top.
+        """
+        heap = self._heap
+        while heap and self._queued.get(heap[0][2]) is not heap[0]:
+            heapq.heappop(heap)
+        return bool(heap) and -heap[0][0] >= THRESHOLD
+
     @property
     def converged(self) -> bool:
-        return self._hot == 0
+        """A fixed point: no edge's last or queued residual reaches THRESHOLD."""
+        return self._hot == 0 and not self._loud()
 
     # -- propagation -------------------------------------------------------
 
@@ -380,7 +393,7 @@ class InferenceState:
         return out
 
     def run(self) -> InferenceState:
-        """Propagate until every residual clears THRESHOLD or budget ends.
+        """Propagate to a fixed point (`converged`) or until the budget ends.
 
         Returns the state itself, so `run().assignment` reads the decode.
         Exhausting the message budget is not an error: the state comes
@@ -390,10 +403,10 @@ class InferenceState:
         (a message emptying a belief) do raise, and the time spent until
         then still counts in `stats.wall_ms`.
         """
-        options = self.options
+        budget = self.options.max_messages
         started = time.perf_counter()
         try:
-            while self._hot and self.stats.messages < options.max_messages:
+            while (self._hot or self._loud()) and self.stats.messages < budget:
                 edge = self._pop()
                 if edge is None:
                     # The queue drained with edges still hot, as when a caller

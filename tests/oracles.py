@@ -263,6 +263,20 @@ def color_by_backtracking(names, edges, k, givens=None):
     return dict(assignment) if backtrack(0) else None
 
 
+def is_proper_coloring(names, edges, k, givens, labels):
+    """Whether `labels` (name -> label) is a proper k-coloring.
+
+    Every name needs a label in 0..k-1, the givens must keep theirs, and
+    no edge may join two names of one label.
+    """
+    return (
+        set(labels) == set(names)
+        and all(labels[name] in range(k) for name in names)
+        and all(labels[name] == label for name, label in (givens or {}).items())
+        and all(labels[a] != labels[b] for a, b in edges)
+    )
+
+
 # -- spanning-tree enumeration ----------------------------------------------
 
 

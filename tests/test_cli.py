@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -31,16 +32,17 @@ from clusterbp.cli import (
     solve_problem,
 )
 from clusterbp.coloring import (
+    ColoringProblem,
     format_adjacency,
     parse_adjacency,
     random_planar_map,
     sudoku_problem,
     verify_coloring,
 )
-from clusterbp.factors import ContradictionError, SparseTable
+from clusterbp.factors import ContradictionError, SparseTable, make_variables
 from clusterbp.inference import InferenceOptions, InferenceState
 from conftest import SEVEN_REGION_TEXT
-from oracles import color_by_backtracking, solve_sudoku
+from oracles import color_by_backtracking, is_proper_coloring, solve_sudoku
 
 # Five givens force the unique completion 1234/3412/2143/4321.
 WELL_DEFINED_4 = "....\n3.12\n2..3\n....\n"
@@ -88,9 +90,9 @@ def rounds(monkeypatch):
     seeds = []
     compile_round = clusterbp.cli._compile
 
-    def counting(problem, cliques, topology, size, options, bias, seed):
+    def counting(problem, cliques, topology, options, bias, seed):
         seeds.append(seed)
-        return compile_round(problem, cliques, topology, size, options, bias, seed)
+        return compile_round(problem, cliques, topology, options, bias, seed)
 
     monkeypatch.setattr("clusterbp.cli._compile", counting)
     return seeds
@@ -171,6 +173,43 @@ class TestSolve:
         out = capsys.readouterr().out
         assert out.startswith(WELL_DEFINED_4_SOLUTION)
         assert "messages: 0" in out
+
+
+class TestOnePipeline:
+    """Grids and maps run the same clique-to-verify sequence."""
+
+    def test_grid_round_that_fails_decimates(self):
+        # ltrip/5 converges on easy07 to a decode with 9 violated edges;
+        # frozen labels repair it in later rounds.
+        grid = Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy07.txt"
+        outcome = solve_problem(load_puzzle(grid), "ltrip", 5)
+        assert outcome.valid
+
+    def test_map_under_the_factor_graph(self):
+        # The pinned count is that of the anchored pipeline color_problem
+        # runs, here over the factor graph.
+        outcome = solve_problem(
+            random_planar_map(7, 7, seed=0),
+            "bethe",
+            bias_delta=0.01,
+            options=InferenceOptions(damping=0.3),
+        )
+        assert outcome.valid
+        assert outcome.messages == 11_258
+
+    def test_entry_points_differ_only_in_defaults(self, rounds):
+        # This map needs decimation rounds without a bias.
+        problem = random_planar_map(8, 8, seed=8)
+        damped = InferenceOptions(damping=0.3)
+        grid_way = solve_problem(problem, options=damped)
+        map_way = color_problem(problem, options=damped, bias_delta=0.0)
+        assert len(rounds) > 2
+        assert grid_way.valid and map_way.valid
+        assert grid_way.assignment == map_way.assignment
+        assert (grid_way.messages, grid_way.cluster_count) == (
+            map_way.messages,
+            map_way.cluster_count,
+        )
 
 
 class TestColorMap:
@@ -435,6 +474,67 @@ class TestRankedDecode:
             b: SparseTable((b,), (3,), {(0,): 1.0}),
         }
         assert _ranked_decode(problem, marginals) == ({a: 1, b: 0}, [b, a])
+
+
+def small_problem(seed):
+    """A random coloring problem: 3-9 variables, k of 2-4, edge chance
+    0.2-0.8, each variable given with probability 0.15.
+
+    Returns the names, name-pair edges, k and given labels by name.
+    """
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(rng.randint(3, 9))]
+    k = rng.randint(2, 4)
+    chance = rng.uniform(0.2, 0.8)
+    edges = [
+        pair for pair in itertools.combinations(names, 2) if rng.random() < chance
+    ]
+    givens = {name: rng.randrange(k) for name in names if rng.random() < 0.15}
+    return names, edges, k, givens
+
+
+class TestSmallInputFuzz:
+    """Both entry points graded against brute force on tiny problems.
+
+    A run may fail to find a coloring, but a contradiction must mean
+    there is none, and an answer reported valid must be one.
+    """
+
+    BUDGET = 20_000
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=1000, derandomize=True)
+    def test_answers_are_sound(self, seed):
+        names, edges, k, givens = small_problem(seed)
+        coloring = color_by_backtracking(names, edges, k, givens)
+        variables = make_variables(names)
+        by_name = dict(zip(names, variables))
+        runs = {
+            "solve_problem": lambda p: solve_problem(
+                p, options=InferenceOptions(max_messages=self.BUDGET)
+            ),
+            "color_problem": lambda p: color_problem(
+                p, options=InferenceOptions(damping=0.3, max_messages=self.BUDGET)
+            ),
+        }
+        for name, run in runs.items():
+            try:
+                problem = ColoringProblem(
+                    variables,
+                    [(by_name[a], by_name[b]) for a, b in edges],
+                    k,
+                    {by_name[n]: x for n, x in givens.items()},
+                )
+                outcome = run(problem)
+            except ContradictionError:
+                assert coloring is None, (name, seed)
+                continue
+            if outcome.valid:
+                labels = {v.name: x for v, x in outcome.assignment.items()}
+                assert is_proper_coloring(names, edges, k, givens, labels), (
+                    name,
+                    seed,
+                )
 
 
 @pytest.mark.parametrize("command", ["solve", "color-map"])

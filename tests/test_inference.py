@@ -6,7 +6,7 @@ Covers:
 * exact sum- and max-marginals on tree graphs vs. the dense oracle
 * message budget exhaustion (not an error) and early-out on re-runs
 * contradiction propagation out of `run`, and re-runs after one
-* calibration reporting
+* calibration reporting, and calibration of every converged bundled run
 * determinism across repeated runs
 """
 
@@ -15,9 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import clusterbp
 from clusterbp import (
     ContradictionError,
     SparseTable,
@@ -25,6 +27,8 @@ from clusterbp import (
     permutation_factor,
     uniform_factor,
 )
+from clusterbp.cli import TOPOLOGIES, _compile, load_puzzle
+from clusterbp.coloring import maximal_cliques, split_cliques
 from clusterbp.graphs import Cluster, ClusterGraph, Sepset, ltrip
 from clusterbp.inference import (
     CalibrationReport,
@@ -224,6 +228,35 @@ class TestTreeExactness:
         assert after.calibrated
         assert set(after.per_edge) == {(0, 1), (1, 2)}
         assert after.max_divergence <= 1e-9
+
+
+BUNDLED = sorted(
+    (Path(clusterbp.__file__).parent / "data" / "puzzles").glob("*.txt")
+)
+
+
+class TestFixedPoint:
+    """`converged` means no edge, sent or still queued, can move a belief."""
+
+    @pytest.mark.parametrize("size", [3, 5, 7, 9])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_converged_bundled_runs_are_calibrated(self, topology, size):
+        # Unbiased max-product over the bundled 9x9 puzzles, one round
+        # each.  Every edge's last residual can be below threshold while
+        # a message queued at log 2 or more is still unsent; stopping
+        # there leaves beliefs that neighbours disagree on (easy01
+        # bethe/5, easy04 ltrip/3, easy08 bethe/3, easy09 bethe/7).
+        converged = 0
+        for path in BUNDLED:
+            problem = load_puzzle(path)
+            cliques = split_cliques(maximal_cliques(problem), size)
+            state, _ = _compile(problem, cliques, topology, None, 0.0, 0)
+            state.run()
+            if state.converged:
+                converged += 1
+                report = state.check_calibration()
+                assert report.calibrated, (path.name, report.max_divergence)
+        assert converged == len(BUNDLED) == 10
 
 
 class TestRunControl:

@@ -22,6 +22,17 @@ marginals tie, so argmax filled rows with one label, while the ranked
 decode gives each cell a label no earlier neighbour took.  Decoding reads
 the beliefs after the run, so no message count, cluster count or digest
 moved.
+
+When "converged" came to mean a fixed point (the run stops at threshold
+only once no queued edge holds a priority at or above `THRESHOLD`),
+`well-ltrip-3-0.01` went from 87 to 88 messages: its run used to stop
+with one such edge still queued, and now sends that message too.  Its
+valid flag and cluster count did not move.
+
+Both entry points now run one pipeline, with the decimation fallback and
+the largest-clique anchor for `solve_problem` too.  Every pinned run
+verifies in its first round, and every grid here has givens, so no other
+pin moved.
 """
 
 import hashlib
@@ -71,8 +82,8 @@ GRID4_COUNTS = {
         "9c827eba99b03c6edbf5fe44bc4d43bd309fe36ec4970963c9562eb9e9db7dc8",
     ),
     (WELL_DEFINED_4, "ltrip", 3, 0.01): (
-        87, True, 16,
-        "4481922a096170b28907c0bb0bee0c3ca75be0330b5e8415c9e87c4134fbc059",
+        88, True, 16,
+        "251b5bd6f95a45d51be426368392492e856c94644f577d6b2aa87e8dfddf4835",
     ),
     (WELL_DEFINED_4, "bethe", None, 0.0): (
         112, True, 10,
