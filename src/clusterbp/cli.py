@@ -10,8 +10,9 @@ report), 2 unreadable or malformed input or a bad flag value, 3 a
 provably unsatisfiable problem, 4 inference that finished without a
 valid answer.  The parser only converts flag values; the library checks
 them, once, and its ValueError is exit 2.  Runs use max-product and
-`inference.THRESHOLD`; of the inference options, only `--max-messages`
-and `--damping` are flags.  Set the CLUSTERBP_LOG environment variable
+`inference.THRESHOLD`; `--max-messages` and `--damping` are the only
+inference flags, and `bench`, whose unbiased grids hold only 0 and 1,
+takes no `--damping`.  Set the CLUSTERBP_LOG environment variable
 (debug/info/warning) for progress logging on stderr.
 """
 
@@ -435,7 +436,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if p.is_file() and not p.name.startswith(".")
     )
     topologies = TOPOLOGIES if args.topologies == "both" else (args.topologies,)
-    options = _options_from(args)
+    options = InferenceOptions(max_messages=args.max_messages)
     rows: list[tuple] = []
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -513,13 +514,17 @@ def cmd_graph(args: argparse.Namespace) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
+def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-messages",
         type=int,
         default=1_000_000,
         help="hard budget on passed messages",
     )
+
+
+def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
+    _add_budget_flag(parser)
     parser.add_argument(
         "--damping",
         type=float,
@@ -599,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--topologies", choices=TOPOLOGIES + ("both",), default="both"
     )
     bench.add_argument("--out", default="bench.csv", help="CSV destination")
-    _add_inference_flags(bench)
+    _add_budget_flag(bench)
     bench.set_defaults(func=cmd_bench)
 
     graph = sub.add_parser(

@@ -5,8 +5,9 @@ the target belief is multiplied by the ratio of that marginal to the
 belief the sepset last carried.  Each delivery is scored by how much the
 sepset belief moved (KL divergence), and those scores both schedule the
 next messages — biggest mover first — and decide convergence: the run is
-done when every directed edge's most recent score, and every score still
-queued, sits below `THRESHOLD`.
+done when no queued score reaches `THRESHOLD`.  Sending (s, d) queues
+(d, s) at or above its score, and sending (d, s) re-queues (s, d) at or
+above its own, so every directed edge's last score then sits below it.
 
 `InferenceState.run` returns the state itself.  Its `marginals` and
 `assignment` are read off the current beliefs on each access, so a run
@@ -197,7 +198,6 @@ class InferenceState:
         self._ticket = itertools.count()
         edges = [e for i, j in sorted(self._sepset_scope) for e in ((i, j), (j, i))]
         self.residuals: dict[DirectedEdge, float] = dict.fromkeys(edges, math.inf)
-        self._hot = len(edges)
         # Each cluster's outgoing edges, re-queued when it takes a message.
         self._out = [
             tuple((i, j) for j in graph.neighbors(i)) for i in range(len(factors))
@@ -228,20 +228,11 @@ class InferenceState:
             self._heap = [e for e in self._heap if self._queued.get(e[2]) is e]
             heapq.heapify(self._heap)
 
-    def _pop(self) -> DirectedEdge | None:
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            edge = entry[2]
-            if self._queued.get(edge) is entry:
-                del self._queued[edge]
-                return edge
-        return None
-
     def _loud(self) -> bool:
         """Whether a queued edge holds a priority at or above THRESHOLD.
 
-        `_hot` can be 0 while one does: a message re-queues its target's
-        outgoing edges at its own residual.  Drops stale entries on top.
+        The queue alone records pending work, so this alone decides if a
+        run goes on.  Drops stale entries on top, leaving the top live.
         """
         heap = self._heap
         while heap and self._queued.get(heap[0][2]) is not heap[0]:
@@ -250,8 +241,8 @@ class InferenceState:
 
     @property
     def converged(self) -> bool:
-        """A fixed point: no edge's last or queued residual reaches THRESHOLD."""
-        return self._hot == 0 and not self._loud()
+        """A fixed point, read off the queue alone: no entry reaches THRESHOLD."""
+        return not self._loud()
 
     # -- propagation -------------------------------------------------------
 
@@ -341,8 +332,6 @@ class InferenceState:
         self._sepsets[key] = message
         self._orders[key] = order
         self._totals[key] = new_total
-        before = self.residuals[src, dst] >= THRESHOLD
-        self._hot += (residual >= THRESHOLD) - before
         self.residuals[src, dst] = residual
         self._push(self._out[dst], residual)
         self.stats.messages += 1
@@ -395,30 +384,30 @@ class InferenceState:
     def run(self) -> InferenceState:
         """Propagate to a fixed point (`converged`) or until the budget ends.
 
+        The queue alone decides: the top edge is sent while `_loud`.
         Returns the state itself, so `run().assignment` reads the decode.
         Exhausting the message budget is not an error: the state comes
         back with `converged` False and whatever the beliefs hold.  So
-        does a message whose quotient leaves the float range, which
-        `pass_message` refuses before it changes anything.  Contradictions
-        (a message emptying a belief) do raise, and the time spent until
-        then still counts in `stats.wall_ms`.
+        does a message whose quotient leaves the float range.
+        Contradictions (a message emptying a belief) do raise, and the
+        time spent until then still counts in `stats.wall_ms`.  A refused
+        message changes nothing and is queued again at its priority.
         """
         budget = self.options.max_messages
         started = time.perf_counter()
         try:
-            while (self._hot or self._loud()) and self.stats.messages < budget:
-                edge = self._pop()
-                if edge is None:
-                    # The queue drained with edges still hot, as when a caller
-                    # re-runs after catching a contradiction mid-message:
-                    # rebuild it from their residuals.
-                    hot = [e for e, r in self.residuals.items() if r >= THRESHOLD]
-                    self._push(sorted(hot), 0.0)
-                    continue
+            while self.stats.messages < budget and self._loud():
+                entry = heapq.heappop(self._heap)
+                edge = entry[2]
+                del self._queued[edge]
                 try:
                     self.pass_message(*edge)
                 except ZeroDivisionError:
+                    self._push([edge], -entry[0])
                     break  # the beliefs left the float range; stop unconverged
+                except ContradictionError:
+                    self._push([edge], -entry[0])
+                    raise
         finally:
             self.stats.wall_ms += (time.perf_counter() - started) * 1e3
         return self

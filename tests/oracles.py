@@ -4,8 +4,9 @@ Everything in this module is deliberately naive and materializes full
 joint spaces or searches exhaustively, so it is slow but obviously
 correct.  Nothing here reuses clusterbp's algebra: dense factors are
 plain dicts over the complete cartesian product, puzzle solving is a
-straight backtracking search, and spanning trees are enumerated by
-decoding every Pruefer sequence.
+straight backtracking search, spanning trees are enumerated by decoding
+every Pruefer sequence, and pairwise consistency is a plain worklist
+over table rows.
 """
 
 from __future__ import annotations
@@ -146,6 +147,43 @@ def dense_joint(factors):
     for factor in factors[1:]:
         result = result.multiply(factor)
     return result
+
+
+def pairwise_closure(scopes, rows, sepsets):
+    """The greatest subset of each table's rows that every neighbour supports.
+
+    `scopes[i]` lists table i's variable ids in row order, `rows[i]` its
+    rows as tuples, and `sepsets` maps each linked pair (i, j) to the ids
+    they share.  A row stays only while, on every sepset at its table,
+    some row kept by the table across projects to the same values.  The
+    greatest such subset is unique, so the order in which the worklist
+    visits links does not matter.  Returns one set of rows per table.
+    """
+    kept = [set(r) for r in rows]
+    links = {}  # (a, b): where the shared ids sit in a's rows and in b's
+    against = {a: [] for a in range(len(scopes))}  # links pruning a neighbour by a
+    for (i, j), shared in sepsets.items():
+        ids = sorted(shared)
+        at_i = [scopes[i].index(v) for v in ids]
+        at_j = [scopes[j].index(v) for v in ids]
+        links[i, j], links[j, i] = (at_i, at_j), (at_j, at_i)
+        against[i].append((j, i))
+        against[j].append((i, j))
+    work = list(links)
+    queued = set(work)
+    while work:
+        a, b = link = work.pop()
+        queued.discard(link)
+        at_a, at_b = links[link]
+        seen = {tuple(row[p] for p in at_b) for row in kept[b]}
+        keep = {row for row in kept[a] if tuple(row[p] for p in at_a) in seen}
+        if keep != kept[a]:
+            kept[a] = keep
+            for other in against[a]:
+                if other not in queued:
+                    queued.add(other)
+                    work.append(other)
+    return kept
 
 
 # -- exhaustive puzzle search ----------------------------------------------

@@ -556,7 +556,7 @@ BAD_FLAG_VALUES = [
         ("solve", "color-map", "bench"),
         "max_messages must be >= 1",
     ),
-    (["--damping", "1"], ("solve", "color-map", "bench"), "damping must lie in [0, 1)"),
+    (["--damping", "1"], ("solve", "color-map"), "damping must lie in [0, 1)"),
     (["--k", "0"], ("color-map",), "label count must be >= 1"),
 ]
 
@@ -594,7 +594,7 @@ OPTION_STRINGS = {
         "--damping",
     ],
     "color-map": ["--k", "--bias", "--out", "--seed", "--max-messages", "--damping"],
-    "bench": ["--sizes", "--topologies", "--out", "--max-messages", "--damping"],
+    "bench": ["--sizes", "--topologies", "--out", "--max-messages"],
     "graph": ["--topology", "--cluster-size", "--validate", "--dot"],
 }
 
@@ -615,7 +615,7 @@ def test_option_strings():
         for name, sub in commands.choices.items()
     }
     assert found == OPTION_STRINGS
-    assert sum(map(len, found.values())) == 21
+    assert sum(map(len, found.values())) == 20
 
 
 @pytest.mark.parametrize(
@@ -624,12 +624,14 @@ def test_option_strings():
         ("graph", ["--k", "4"]),
         ("solve", ["--threshold", "1e-8"]),
         ("bench", ["--semiring", "max"]),
+        ("bench", ["--damping", "0.3"]),
     ],
 )
 def test_parser_rejects_fixed_settings(
     tmp_path, puzzle_file, map_file, capsys, command, flag
 ):
-    # graph reads no label count; the threshold and max-product are fixed.
+    # graph reads no label count; the threshold and max-product are fixed,
+    # and bench's unbiased grids hold only 0 and 1, which damping cannot move.
     targets = {
         "solve": [str(puzzle_file)],
         "graph": [str(map_file)],

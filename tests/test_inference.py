@@ -6,7 +6,9 @@ Covers:
 * exact sum- and max-marginals on tree graphs vs. the dense oracle
 * message budget exhaustion (not an error) and early-out on re-runs
 * contradiction propagation out of `run`, and re-runs after one
-* calibration reporting, and calibration of every converged bundled run
+* calibration reporting; every converged bundled run is calibrated, its
+  supports equal the order-free pairwise-consistency closure, and no
+  converged run leaves an edge's last residual at or above THRESHOLD
 * determinism across repeated runs
 """
 
@@ -18,6 +20,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clusterbp
 from clusterbp import (
@@ -28,14 +32,15 @@ from clusterbp import (
     uniform_factor,
 )
 from clusterbp.cli import TOPOLOGIES, _compile, load_puzzle
-from clusterbp.coloring import maximal_cliques, split_cliques
+from clusterbp.coloring import maximal_cliques, random_planar_map, split_cliques
 from clusterbp.graphs import Cluster, ClusterGraph, Sepset, ltrip
 from clusterbp.inference import (
+    THRESHOLD,
     CalibrationReport,
     InferenceOptions,
     InferenceState,
 )
-from oracles import DenseFactor, dense_joint
+from oracles import DenseFactor, dense_joint, pairwise_closure
 
 VARS = make_variables("ABCD")
 A, B, C, D = VARS
@@ -246,17 +251,50 @@ class TestFixedPoint:
         # a message queued at log 2 or more is still unsent; stopping
         # there leaves beliefs that neighbours disagree on (easy01
         # bethe/5, easy04 ltrip/3, easy08 bethe/3, easy09 bethe/7).
+        # Unbiased tables hold only 0 and 1, so a fixed point's supports
+        # are the pairwise-consistency closure, whatever the message order.
         converged = 0
         for path in BUNDLED:
             problem = load_puzzle(path)
             cliques = split_cliques(maximal_cliques(problem), size)
             state, _ = _compile(problem, cliques, topology, None, 0.0, 0)
+            tables = state.beliefs  # as compiled: no message has gone out
+            closure = pairwise_closure(
+                [tuple(v.id for v in t.scope) for t in tables],
+                [tuple(t.entries) for t in tables],
+                {s.clusters: {v.id for v in s.vars} for s in state.graph.sepsets},
+            )
             state.run()
             if state.converged:
                 converged += 1
                 report = state.check_calibration()
                 assert report.calibrated, (path.name, report.max_divergence)
+                assert max(state.residuals.values()) < THRESHOLD, path.name
+                supports = [set(t.entries) for t in state.beliefs]
+                assert supports == closure, path.name
         assert converged == len(BUNDLED) == 10
+
+    @given(
+        st.integers(2, 5),
+        st.integers(2, 5),
+        st.integers(0, 999),
+        st.sampled_from(TOPOLOGIES),
+        st.sampled_from([0.0, 0.3]),
+    )
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    def test_converged_maps_leave_every_residual_below_threshold(
+        self, rows, cols, seed, topology, damping
+    ):
+        # Biased max-product, as color-map runs it.  The queue alone
+        # decides when a run stops, and a run ends early only converged.
+        problem = random_planar_map(rows, cols, seed=seed)
+        options = InferenceOptions(damping=damping, max_messages=20_000)
+        cliques = maximal_cliques(problem)
+        state, _ = _compile(problem, cliques, topology, options, 0.01, seed)
+        state.run()
+        assert state.converged or state.stats.messages == options.max_messages
+        if state.converged:
+            assert max(state.residuals.values()) < THRESHOLD
 
 
 class TestRunControl:
@@ -323,9 +361,9 @@ class TestRunControl:
         f0 = SparseTable((A, B), (2, 3), {(0, 0): 1.0, (0, 2): 1.0})  # pins A=0
         f1 = SparseTable((A, C), (2, 2), {(1, 0): 1.0, (1, 1): 1.0})  # pins A=1
         state = InferenceState(graph, [f0, f1], InferenceOptions(semiring="max"))
-        # Re-runs raise again: each failed message was popped without being
-        # re-queued, so once the queue is empty the still-hot edges must be
-        # queued again.
+        # Re-runs raise again: a refused message goes back on the queue at
+        # the priority it was popped at, behind the edges already queued
+        # there, so the next run tries the other direction first.
         for direction in ("0->1", "1->0", "0->1"):
             with pytest.raises(ContradictionError, match=direction):
                 state.run()

@@ -14,7 +14,7 @@ Covers:
 * factors whose scopes are not sorted, damped and undamped
 * the setup check on sepset variables, row compaction, and a failed
   message (a contradiction, or a quotient that overflows) leaving the
-  state untouched
+  state untouched, and a re-run stopping at a refused edge again
 """
 
 from __future__ import annotations
@@ -327,3 +327,18 @@ def test_overflowing_quotient_changes_nothing_and_stops_the_run():
     assert state.run() is state
     assert not state.converged
     assert all(math.isfinite(v) for t in state.beliefs for v in t.entries.values())
+    # A refused message goes back on the queue, so a second run stops at
+    # a refused edge again: 1->2, queued before 1->0 at the same infinite
+    # priority, overflows too.  It sends nothing and stays unconverged.
+    tried = []
+
+    def spy(src, dst):
+        tried.append((src, dst))
+        return InferenceState.pass_message(state, src, dst)
+
+    state.pass_message = spy
+    before = snapshot(state)
+    assert state.run() is state
+    assert tried == [(1, 2)]
+    assert snapshot(state) == before
+    assert not state.converged
