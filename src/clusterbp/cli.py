@@ -210,6 +210,14 @@ def _pipeline(
     )
 
 
+def _graph(topology: str, clusters: list[Cluster]) -> ClusterGraph:
+    """Build the `topology` graph over `clusters`: the one builder choice.
+
+    Names are looked up per call, so a wrapped `ltrip` or `bethe_graph` runs.
+    """
+    return ltrip(clusters) if topology == "ltrip" else bethe_graph(clusters)
+
+
 def _compile(
     problem: ColoringProblem,
     cliques: list[Cluster],
@@ -231,12 +239,10 @@ def _compile(
         return None, 0
     clusters = [cluster for cluster, _ in items]
     tables = [table for _, table in items]
-    if topology == "ltrip":
-        graph = ltrip(clusters)
-    else:
-        graph = bethe_graph(clusters)
-        for hub in graph.clusters[len(clusters):]:
-            tables.append(uniform_factor(tuple(hub.vars), (problem.k,)))
+    graph = _graph(topology, clusters)
+    # Bethe hubs come after the factor clusters; ltrip adds none.
+    for hub in graph.clusters[len(clusters):]:
+        tables.append(uniform_factor(tuple(hub.vars), (problem.k,)))
     log.info(
         "%s graph: %d clusters, %d edges", topology, len(clusters), len(graph.sepsets)
     )
@@ -489,7 +495,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         print("every variable is given; the graph is empty")
         graph = ClusterGraph((), ())
     else:
-        graph = ltrip(clusters) if args.topology == "ltrip" else bethe_graph(clusters)
+        graph = _graph(args.topology, clusters)
         sizes = sorted(len(c.vars) for c in graph.clusters)
         print(f"kind: {args.topology}")
         print(f"clusters: {len(graph.clusters)} (sizes {sizes[0]}..{sizes[-1]})")

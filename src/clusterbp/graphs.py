@@ -10,7 +10,7 @@ property from first principles, independent of how a graph was built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -46,7 +46,8 @@ class Sepset:
     """An edge of a cluster graph: two cluster ids plus the shared variables.
 
     Endpoints are normalized to (low, high).  An empty variable set is
-    representable — `validate_rip` reports it — but never built here.
+    representable — `validate_rip` reports it and `InferenceState`
+    refuses it — but never built here.
     """
 
     clusters: tuple[int, int]
@@ -67,16 +68,6 @@ class Sepset:
 
 
 @dataclass(frozen=True)
-class LayerTree:
-    """The spanning tree chosen for one variable's layer of clusters."""
-
-    variable: Variable
-    cluster_ids: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    weights: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class ClusterGraph:
     """An undirected graph of clusters joined by sepsets.
 
@@ -88,12 +79,10 @@ class ClusterGraph:
 
     clusters: tuple[Cluster, ...]
     sepsets: tuple[Sepset, ...]
-    layers: tuple[LayerTree, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clusters", tuple(self.clusters))
         object.__setattr__(self, "sepsets", tuple(self.sepsets))
-        object.__setattr__(self, "layers", tuple(self.layers))
         for i, cluster in enumerate(self.clusters):
             if cluster.id != i:
                 raise ValueError(
@@ -210,7 +199,8 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
     and every chosen edge carries that variable in its sepset.
     Superimposing all layers yields sepsets that are exact unions of
     layer contributions, and the per-variable trees make the
-    running-intersection property hold by construction.
+    running-intersection property hold by construction.  No other record
+    of a tree is kept: a variable's tree is the sepsets that carry it.
 
     Input clusters must already be subset-free, as `build_factors`
     leaves them; a cluster contained in another is an error, checked
@@ -234,22 +224,17 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
                     f"(build_factors does)"
                 )
     sepset_vars: dict[tuple[int, int], set[Variable]] = {}
-    layers: list[LayerTree] = []
     for variable in sorted(holders):
         members = holders[variable]
         if len(members) < 2:
             continue  # nothing to join; the variable stays local
         weights = connection_weights(members)
-        edges = max_spanning_tree([c.id for c in members], weights)
-        for edge in edges:
+        for edge in max_spanning_tree([c.id for c in members], weights):
             sepset_vars.setdefault(edge, set()).add(variable)
-        layers.append(
-            LayerTree(variable, tuple(c.id for c in members), tuple(edges), weights)
-        )
     sepsets = tuple(
         Sepset(edge, frozenset(vars_)) for edge, vars_ in sorted(sepset_vars.items())
     )
-    return ClusterGraph(clusters, sepsets, layers=tuple(layers))
+    return ClusterGraph(clusters, sepsets)
 
 
 def bethe_graph(clusters: Sequence[Cluster]) -> ClusterGraph:

@@ -138,6 +138,8 @@ class InferenceState:
                         f"{cluster.id} but {cards[var]} elsewhere"
                     )
         for sepset in graph.sepsets:
+            if not sepset.vars:
+                raise ValueError(f"sepset {sepset.clusters} carries no variable")
             for end in sepset.clusters:
                 cluster = graph.clusters[end]
                 outside = sorted(sepset.vars - cluster.vars)
@@ -160,7 +162,6 @@ class InferenceState:
                 top = max(vals)
                 vals = [v / top for v in vals]
             self._vals.append(vals)
-        self._views: list[SparseTable | None] = [None] * len(factors)
         # _cells[i][j]: the cell of the (i, j) sepset each row of i projects to.
         self._cells: list[dict[int, list[int]]] = [{} for _ in factors]
         self._sepset_scope: dict[tuple[int, int], tuple[Variable, ...]] = {}
@@ -326,7 +327,6 @@ class InferenceState:
         if total != 1.0:
             updated = [value / total for value in updated]
         self._vals[dst] = updated
-        self._views[dst] = None
         if updated.count(0.0) * 2 > len(updated):
             self._compact(dst)
         self._sepsets[key] = message
@@ -352,22 +352,15 @@ class InferenceState:
 
     @property
     def beliefs(self) -> tuple[SparseTable, ...]:
-        """Each cluster's current belief, as a table.
-
-        A cluster's table is built when first asked for and kept until a
-        message changes that cluster.
-        """
+        """Each cluster's current belief, as a table built on each read."""
         return tuple(map(self._belief, range(len(self._vals))))
 
     def _belief(self, i: int) -> SparseTable:
-        view = self._views[i]
-        if view is None:
-            scope, cards = self._shapes[i]
-            entries = {
-                row: value for row, value in zip(self._rows[i], self._vals[i]) if value
-            }
-            view = self._views[i] = SparseTable._trusted(scope, cards, entries)
-        return view
+        scope, cards = self._shapes[i]
+        entries = {
+            row: value for row, value in zip(self._rows[i], self._vals[i]) if value
+        }
+        return SparseTable._trusted(scope, cards, entries)
 
     @property
     def sepset_beliefs(self) -> dict[tuple[int, int], SparseTable]:
@@ -417,15 +410,16 @@ class InferenceState:
         """Each variable's normalized marginal, in variable order.
 
         A variable's marginal comes from the first cluster holding it, and
-        only those clusters' tables are built.
+        only those clusters' tables are built, once each.
         """
         semiring = self.options.semiring
         holders: dict[Variable, int] = {}
         for cluster in self.graph.clusters:
             for variable in cluster.vars:
                 holders.setdefault(variable, cluster.id)
+        tables = {i: self._belief(i) for i in set(holders.values())}
         return {
-            variable: self._belief(holders[variable])
+            variable: tables[holders[variable]]
             .marginalize([variable], semiring)
             .normalize(semiring)
             for variable in sorted(holders)
@@ -447,10 +441,11 @@ class InferenceState:
         """
         per_edge: dict[tuple[int, int], float] = {}
         semiring = self.options.semiring
+        beliefs = self.beliefs
         for key, scope in self._sepset_scope.items():
             i, j = key
-            from_i = self._belief(i).marginalize(scope, semiring).normalize("sum")
-            from_j = self._belief(j).marginalize(scope, semiring).normalize("sum")
+            from_i = beliefs[i].marginalize(scope, semiring).normalize("sum")
+            from_j = beliefs[j].marginalize(scope, semiring).normalize("sum")
             if set(from_i.entries) != set(from_j.reorder(from_i.scope).entries):
                 per_edge[key] = float("inf")
             else:
@@ -469,8 +464,6 @@ def _row_cells(
     if len(pick) == 1:
         # Over one variable, the value is the cell.
         return list(map(itemgetter(pick[0]), rows))
-    if not pick:
-        return [0] * len(rows)
     return list(map(cell_of.__getitem__, map(itemgetter(*pick), rows)))
 
 

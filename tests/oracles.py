@@ -186,6 +186,19 @@ def pairwise_closure(scopes, rows, sepsets):
     return kept
 
 
+def closure_of(tables, sepsets):
+    """`pairwise_closure` over a cluster graph's tables and sepsets.
+
+    Reads only each table's `.scope` (of objects with an `.id`) and
+    `.entries`, and each sepset's `.clusters` and `.vars`.
+    """
+    return pairwise_closure(
+        [tuple(v.id for v in t.scope) for t in tables],
+        [tuple(t.entries) for t in tables],
+        {s.clusters: {v.id for v in s.vars} for s in sepsets},
+    )
+
+
 # -- exhaustive puzzle search ----------------------------------------------
 
 
@@ -240,6 +253,29 @@ def solve_sudoku(grid, n, limit=None):
 
 def count_sudoku_solutions(grid, n, cap=2):
     return len(solve_sudoku(grid, n, limit=cap))
+
+
+def grid_text(grid):
+    return "".join(str(d) if d else "." for d in grid)
+
+
+def exhaustive_4x4_suite():
+    """One well-defined puzzle per complete 4x4 grid.
+
+    Every complete grid is thinned greedily in row-major order: a given
+    is blanked whenever the remaining ones still force a unique
+    completion.  288 grids exist, so the suite has 288 puzzles, each
+    returned with its completion.
+    """
+    suite = []
+    for full in solve_sudoku([0] * 16, 4):
+        puzzle = list(full)
+        for cell in range(16):
+            held, puzzle[cell] = puzzle[cell], 0
+            if count_sudoku_solutions(puzzle, 4, cap=2) != 1:
+                puzzle[cell] = held
+        suite.append((tuple(puzzle), full))
+    return suite
 
 
 def maximal_cliques_brute(names, edges):

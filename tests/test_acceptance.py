@@ -55,9 +55,17 @@ from clusterbp.graphs import (
     max_spanning_tree,
     validate_rip,
 )
-from clusterbp.inference import InferenceOptions, InferenceState
+from clusterbp.inference import THRESHOLD, InferenceOptions, InferenceState
 from conftest import SEVEN_REGION_TEXT
-from oracles import DenseFactor, count_sudoku_solutions, dense_kl, solve_sudoku
+from oracles import (
+    DenseFactor,
+    closure_of,
+    count_sudoku_solutions,
+    dense_kl,
+    exhaustive_4x4_suite,
+    grid_text,
+    solve_sudoku,
+)
 
 BLANK_4 = "." * 16
 BLANK_9 = "." * 81
@@ -70,28 +78,6 @@ def bundled_puzzles():
     folder = resources.files("clusterbp").joinpath("data", "puzzles")
     names = sorted(p.name for p in folder.iterdir() if p.name.endswith(".txt"))
     return [(name, folder.joinpath(name).read_text()) for name in names]
-
-
-def grid_text(grid):
-    return "".join(str(d) if d else "." for d in grid)
-
-
-def exhaustive_4x4_suite():
-    """One well-defined puzzle per complete 4x4 grid.
-
-    Every complete grid is thinned greedily in row-major order: a given
-    is blanked whenever the remaining ones still force a unique
-    completion.  288 grids exist, so the suite has 288 puzzles.
-    """
-    suite = []
-    for full in solve_sudoku([0] * 16, 4):
-        puzzle = list(full)
-        for cell in range(16):
-            held, puzzle[cell] = puzzle[cell], 0
-            if count_sudoku_solutions(puzzle, 4, cap=2) != 1:
-                puzzle[cell] = held
-        suite.append((tuple(puzzle), full))
-    return suite
 
 
 # -- 1: factor algebra vs. the dense oracle ----------------------------------
@@ -325,8 +311,13 @@ def test_06_converged_beliefs_preserve_every_solution():
         problem = sudoku_problem(grid_text(puzzle), 4)
         items = build_factors(problem, maximal_cliques(problem))
         graph = ltrip([cluster for cluster, _ in items])
-        state = InferenceState(graph, [table for _, table in items]).run()
+        tables = [table for _, table in items]
+        closure = closure_of(tables, graph.sepsets)
+        state = InferenceState(graph, tables).run()
         assert state.converged
+        # A fixed point of 0/1 tables: the order-free closure, nothing moving.
+        assert [set(t.entries) for t in state.beliefs] == closure
+        assert max(state.residuals.values()) < THRESHOLD
         solutions = solve_sudoku(list(puzzle), 4)
         assert len(solutions) >= 2
         for belief in state.beliefs:

@@ -23,6 +23,7 @@ from clusterbp.cli import (
     EXIT_NO_SOLUTION,
     EXIT_OK,
     EXIT_UNSATISFIABLE,
+    SolveOutcome,
     _ranked_decode,
     build_parser,
     color_problem,
@@ -49,6 +50,8 @@ WELL_DEFINED_4 = "....\n3.12\n2..3\n....\n"
 WELL_DEFINED_4_SOLUTION = "1234\n3412\n2143\n4321\n"
 # No grid completes these givens (verified by exhaustive search).
 UNSATISFIABLE_4 = "1..4\n..2.\n.3..\n4..1\n"
+# A sees 1 and 2 in its row, 3 in its column and 4 in its box.
+CORNERED_4 = "..12\n.4..\n3...\n....\n"
 # A hub bordering a five-cycle needs four colors.  With three, anchoring
 # and the factors build, and every attempt dead-ends in its first round.
 WHEEL = "H a\nH b\nH c\nH d\nH e\na b\nb c\nc d\nd e\ne a\n"
@@ -130,9 +133,8 @@ class TestSolve:
         assert "unsatisfiable" in capsys.readouterr().err
 
     def test_cell_left_without_a_label(self, tmp_path, capsys):
-        # A sees 1 and 2 in its row, 3 in its column and 4 in its box.
         path = tmp_path / "cornered.txt"
-        path.write_text("..12\n.4..\n3...\n....\n")
+        path.write_text(CORNERED_4)
         assert main(["solve", str(path)]) == EXIT_UNSATISFIABLE
         err = capsys.readouterr().err
         assert "unsatisfiable: the givens around A take all 4 labels" in err
@@ -152,6 +154,22 @@ class TestSolve:
         captured = capsys.readouterr()
         assert "valid: no" in captured.out
         assert "did not converge" in captured.err
+
+    def test_converged_decode_that_violates_exits_without_solution(
+        self, puzzle_file, monkeypatch, capsys
+    ):
+        # A stubbed outcome, converged yet decoded to all label 0.
+        problem = load_puzzle(puzzle_file)
+        assignment = dict.fromkeys(problem.variables, 0)
+        report = verify_coloring(problem, assignment)
+        outcome = SolveOutcome(assignment, True, report, 1, 1, 0.0, 0.0)
+        monkeypatch.setattr("clusterbp.cli.solve_problem", lambda *a, **k: outcome)
+        assert main(["solve", str(puzzle_file)]) == EXIT_NO_SOLUTION
+        captured = capsys.readouterr()
+        assert "valid: no" in captured.out
+        violated = len(report.violated_edges)
+        assert violated > 0
+        assert captured.err == f"decoded grid violates {violated} constraints\n"
 
     def test_malformed_grid(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -698,6 +716,30 @@ class TestBench:
         by_name = {row[0]: row for row in rows}
         assert by_name["bad.txt"][5] == "false"
         assert by_name["good.txt"][5] == "true"
+
+    def test_unsatisfiable_instance_recorded_not_fatal(self, tmp_path, capsys):
+        directory = tmp_path / "suite"
+        directory.mkdir()
+        (directory / "cornered.txt").write_text(CORNERED_4)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", str(directory), "--sizes", "3,4", "--out", str(out)])
+        assert code == EXIT_OK
+        assert list(csv.reader(out.open()))[1:] == [
+            ["cornered.txt", topology, size, "0", "false", "false", "0", "0.000", "0.000"]
+            for topology in ("ltrip", "bethe")
+            for size in ("3", "4")
+        ]
+        summary = capsys.readouterr().out
+        assert "ltrip: 0/2 runs found a valid solution" in summary
+        assert "bethe: 0/2 runs found a valid solution" in summary
+
+    @pytest.mark.parametrize("sizes", ["1", "3,x"])
+    def test_parser_rejects_sizes(self, tmp_path, capsys, sizes):
+        out = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as stop:
+            main(["bench", str(tmp_path), "--sizes", sizes, "--out", str(out)])
+        assert stop.value.code == EXIT_BAD_INPUT
+        assert "--sizes" in capsys.readouterr().err
 
     def test_reruns_identical_modulo_timing(self, tmp_path):
         directory = tmp_path / "suite"

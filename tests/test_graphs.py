@@ -251,18 +251,22 @@ class TestLayeredConstruction:
         assert validate_rip(graph).valid
 
     def test_seven_region_layers_are_recorded(self, seven_cliques):
+        # A variable's tree is recorded as the sepsets that carry it.
         graph = ltrip(seven_cliques)
-        by_var = {layer.variable.name: layer for layer in graph.layers}
-        assert by_var["D"].cluster_ids == (1, 3, 4)
-        assert by_var["D"].weights == ((0, 5, 3), (5, 0, 5), (3, 5, 0))
-        assert by_var["D"].edges == ((1, 3), (3, 4))
-        assert by_var["A"].edges == ((0, 1),)
-        assert set(by_var) == set("ABCDEFG")
+        trees = {
+            v.name: [s.clusters for s in graph.sepsets if v in s.vars]
+            for v in graph.variables()
+        }
+        d_layer = [c for c in seven_cliques if "D" in names_of(c.vars)]
+        assert [c.id for c in d_layer] == [1, 3, 4]
+        assert connection_weights(d_layer) == ((0, 5, 3), (5, 0, 5), (3, 5, 0))
+        assert trees["D"] == [(1, 3), (3, 4)]
+        assert trees["A"] == [(0, 1)]
+        assert set(trees) == set("ABCDEFG") and all(trees.values())
 
     def test_lone_variable_contributes_nothing(self):
         graph = ltrip([cl(0, "AB"), cl(1, "BC"), cl(2, "D")])
         assert all("D" not in names_of(s.vars) for s in graph.sepsets)
-        assert all(layer.variable.name != "D" for layer in graph.layers)
         assert validate_rip(graph).valid
 
     def test_seven_region_cliques(self, seven_cliques):
@@ -282,13 +286,16 @@ class TestLayeredConstruction:
         assert layered_by_hand(WORKED_LAYER) == layered_by_hand(WORKED_LAYER)
 
     def test_sepsets_are_never_widened(self, seven_cliques):
-        # Sepsets must equal the union of layer contributions exactly.
+        # Sepsets must equal the union of layer contributions exactly, each
+        # variable's tree recomputed here from its layer alone.
         for clusters in (seven_cliques, [cl(0, "AB"), cl(1, "BC"), cl(2, "AC")]):
             graph = ltrip(clusters)
             contributions = {}
-            for layer in graph.layers:
-                for edge in layer.edges:
-                    contributions.setdefault(edge, set()).add(layer.variable)
+            for variable in graph.variables():
+                members = [c for c in clusters if variable in c.vars]
+                weights = connection_weights(members)
+                for edge in max_spanning_tree([c.id for c in members], weights):
+                    contributions.setdefault(edge, set()).add(variable)
             assert {s.clusters: set(s.vars) for s in graph.sepsets} == contributions
 
 

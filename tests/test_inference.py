@@ -6,9 +6,10 @@ Covers:
 * exact sum- and max-marginals on tree graphs vs. the dense oracle
 * message budget exhaustion (not an error) and early-out on re-runs
 * contradiction propagation out of `run`, and re-runs after one
-* calibration reporting; every converged bundled run is calibrated, its
-  supports equal the order-free pairwise-consistency closure, and no
-  converged run leaves an edge's last residual at or above THRESHOLD
+* calibration reporting; every converged bundled 9x9 run and 4x4-suite
+  run is calibrated, its supports equal the order-free
+  pairwise-consistency closure, and no converged run leaves an edge's
+  last residual at or above THRESHOLD
 * determinism across repeated runs
 """
 
@@ -32,7 +33,12 @@ from clusterbp import (
     uniform_factor,
 )
 from clusterbp.cli import TOPOLOGIES, _compile, load_puzzle
-from clusterbp.coloring import maximal_cliques, random_planar_map, split_cliques
+from clusterbp.coloring import (
+    maximal_cliques,
+    random_planar_map,
+    split_cliques,
+    sudoku_problem,
+)
 from clusterbp.graphs import Cluster, ClusterGraph, Sepset, ltrip
 from clusterbp.inference import (
     THRESHOLD,
@@ -40,7 +46,13 @@ from clusterbp.inference import (
     InferenceOptions,
     InferenceState,
 )
-from oracles import DenseFactor, dense_joint, pairwise_closure
+from oracles import (
+    DenseFactor,
+    closure_of,
+    dense_joint,
+    exhaustive_4x4_suite,
+    grid_text,
+)
 
 VARS = make_variables("ABCD")
 A, B, C, D = VARS
@@ -150,6 +162,17 @@ class TestSetup:
         with pytest.raises(ValueError, match="no .*factor covers|covers"):
             InferenceState(graph, factors)
 
+    def test_empty_sepset_is_refused(self):
+        # Representable, and `validate_rip` reports it; no message can
+        # travel over it.
+        graph = ClusterGraph(
+            (Cluster(0, frozenset({A})), Cluster(1, frozenset({B}))),
+            (Sepset((0, 1), frozenset()),),
+        )
+        factors = [uniform_factor((A,), (2,)), uniform_factor((B,), (3,))]
+        with pytest.raises(ValueError, match=r"sepset \(0, 1\) carries no variable"):
+            InferenceState(graph, factors)
+
 
 class TestSingleMessage:
     def setup_method(self):
@@ -183,7 +206,7 @@ class TestSingleMessage:
     def test_source_belief_is_untouched(self):
         before = self.state.beliefs[0]
         self.state.pass_message(0, 1)
-        assert self.state.beliefs[0] is before
+        assert self.state.beliefs[0] == before
 
     def test_repeat_message_has_zero_residual(self):
         self.state.pass_message(0, 1)
@@ -240,39 +263,58 @@ BUNDLED = sorted(
 )
 
 
+def converged_fixed_points(problems, topology, size):
+    """Run each problem for one unbiased round; check each converged run.
+
+    Every edge's last residual can be below threshold while a message
+    queued at log 2 or more is still unsent; stopping there leaves
+    beliefs that neighbours disagree on.  Unbiased tables hold only 0 and
+    1, so a fixed point's supports are the pairwise-consistency closure,
+    whatever the message order.  Returns how many runs converged.
+    """
+    converged = 0
+    for name, problem in problems:
+        cliques = maximal_cliques(problem)
+        if size is not None:
+            cliques = split_cliques(cliques, size)
+        state, _ = _compile(problem, cliques, topology, None, 0.0, 0)
+        tables = state.beliefs  # as compiled: no message has gone out
+        closure = closure_of(tables, state.graph.sepsets)
+        state.run()
+        if state.converged:
+            converged += 1
+            report = state.check_calibration()
+            assert report.calibrated, (name, report.max_divergence)
+            assert max(state.residuals.values()) < THRESHOLD, name
+            assert [set(t.entries) for t in state.beliefs] == closure, name
+    return converged
+
+
+@pytest.fixture(scope="module")
+def grids4():
+    """Acceptance test 5's 288 grids, the benchmark's sudoku4 seed 0."""
+    return [
+        (grid_text(p), sudoku_problem(grid_text(p), 4))
+        for p, _ in exhaustive_4x4_suite()
+    ]
+
+
 class TestFixedPoint:
     """`converged` means no edge, sent or still queued, can move a belief."""
 
     @pytest.mark.parametrize("size", [3, 5, 7, 9])
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_converged_bundled_runs_are_calibrated(self, topology, size):
-        # Unbiased max-product over the bundled 9x9 puzzles, one round
-        # each.  Every edge's last residual can be below threshold while
-        # a message queued at log 2 or more is still unsent; stopping
-        # there leaves beliefs that neighbours disagree on (easy01
-        # bethe/5, easy04 ltrip/3, easy08 bethe/3, easy09 bethe/7).
-        # Unbiased tables hold only 0 and 1, so a fixed point's supports
-        # are the pairwise-consistency closure, whatever the message order.
-        converged = 0
-        for path in BUNDLED:
-            problem = load_puzzle(path)
-            cliques = split_cliques(maximal_cliques(problem), size)
-            state, _ = _compile(problem, cliques, topology, None, 0.0, 0)
-            tables = state.beliefs  # as compiled: no message has gone out
-            closure = pairwise_closure(
-                [tuple(v.id for v in t.scope) for t in tables],
-                [tuple(t.entries) for t in tables],
-                {s.clusters: {v.id for v in s.vars} for s in state.graph.sepsets},
-            )
-            state.run()
-            if state.converged:
-                converged += 1
-                report = state.check_calibration()
-                assert report.calibrated, (path.name, report.max_divergence)
-                assert max(state.residuals.values()) < THRESHOLD, path.name
-                supports = [set(t.entries) for t in state.beliefs]
-                assert supports == closure, path.name
-        assert converged == len(BUNDLED) == 10
+        # The bundled 9x9 puzzles.  Stopping on last residuals alone left
+        # easy01 bethe/5, easy04 ltrip/3, easy08 bethe/3 and easy09
+        # bethe/7 uncalibrated.
+        problems = [(path.name, load_puzzle(path)) for path in BUNDLED]
+        assert converged_fixed_points(problems, topology, size) == len(problems) == 10
+
+    @pytest.mark.parametrize("size", [None, 3])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_converged_4x4_runs_reach_the_closure(self, grids4, topology, size):
+        assert converged_fixed_points(grids4, topology, size) == len(grids4) == 288
 
     @given(
         st.integers(2, 5),
