@@ -103,35 +103,51 @@ class VerifyReport:
 def maximal_cliques(problem: ColoringProblem) -> list[Cluster]:
     """Every maximal clique of the disagreement graph, deterministically.
 
-    Bron-Kerbosch with pivoting; the result is sorted by the cliques'
-    sorted variable tuples and numbered 0..n-1.
+    Bron-Kerbosch with pivoting on bitmasks: bit p stands for
+    `problem.variables[p]`, and the pivot is the candidate or seen
+    vertex with the most candidate neighbours.  The result is sorted by
+    the cliques' sorted variable tuples and numbered 0..n-1.
     """
-    if not problem.variables:
+    variables = problem.variables
+    if not variables:
         return []
-    adjacency: dict[Variable, set[Variable]] = {
-        v: set() for v in problem.variables
-    }
+    position = {v: p for p, v in enumerate(variables)}
+    adjacency = [0] * len(variables)
     for edge in problem.edges:
-        a, b = edge
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    found: list[frozenset[Variable]] = []
+        a, b = map(position.__getitem__, edge)
+        adjacency[a] |= 1 << b
+        adjacency[b] |= 1 << a
+    found: list[int] = []
 
-    def expand(grown: set[Variable], candidates: set[Variable], seen: set[Variable]):
-        if not candidates and not seen:
-            found.append(frozenset(grown))
+    def expand(grown: int, candidates: int, seen: int) -> None:
+        if not candidates | seen:
+            found.append(grown)
             return
-        pivot = max(candidates | seen, key=lambda u: len(candidates & adjacency[u]))
-        for v in candidates - adjacency[pivot]:
-            expand(
-                grown | {v}, candidates & adjacency[v], seen & adjacency[v]
-            )
-            candidates = candidates - {v}
-            seen = seen | {v}
+        most = -1
+        for u in _bits(candidates | seen):
+            count = (candidates & adjacency[u]).bit_count()
+            if count > most:
+                most, pivot = count, u
+        for v in _bits(candidates & ~adjacency[pivot]):
+            bit = 1 << v
+            expand(grown | bit, candidates & adjacency[v], seen & adjacency[v])
+            candidates &= ~bit
+            seen |= bit
 
-    expand(set(), set(problem.variables), set())
-    found.sort(key=lambda c: tuple(sorted(c)))
-    return [Cluster(i, vars_) for i, vars_ in enumerate(found)]
+    expand(0, (1 << len(variables)) - 1, 0)
+    cliques = [[variables[p] for p in _bits(mask)] for mask in found]
+    cliques.sort(key=sorted)
+    return [Cluster(i, frozenset(vars_)) for i, vars_ in enumerate(cliques)]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def split_cliques(cliques: Sequence[Cluster], size: int) -> list[Cluster]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 Semiring = Literal["sum", "max"]
@@ -26,21 +25,47 @@ class ContradictionError(ValueError):
     """Raised when a constraint system admits no consistent state."""
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
+class Variable(int):
     """A discrete variable: an integer handle plus a human-readable name.
 
-    Identity is the ``(id, name)`` pair; ordering follows ``id`` so that
-    sorted scopes are deterministic.  The hash is the ``id`` alone: equal
-    variables share it, and sets of variables iterate in the same order
-    whatever the string hash seed.
+    The int value is the ``id``, so hashing, ordering and sorting run in
+    C: ``hash(v) == v.id``, which keeps set and dict iteration orders
+    independent of the string hash seed, and scopes sort by id.
+    Identity is the ``(id, name)`` pair, and a Variable never equals a
+    bare int, in either direction.
     """
 
-    id: int
-    name: str
+    name: str  # in the instance dict: an int subclass cannot have slots
 
-    def __hash__(self) -> int:
-        return self.id
+    def __new__(cls, id: int, name: str) -> Variable:
+        self = int.__new__(cls, id)
+        self.__dict__["name"] = name
+        return self
+
+    id = property(int.__int__, doc="The integer handle, as a plain int.")
+    __hash__ = int.__hash__
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise AttributeError(f"Variable is immutable; cannot set {attr!r}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError(f"Variable is immutable; cannot delete {attr!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Variable):
+            return int.__eq__(self, other) and self.name == other.name
+        # int's own comparison would answer by value alone.
+        return False if isinstance(other, int) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __getnewargs__(self) -> tuple[int, str]:
+        return int(self), self.name
+
+    def __repr__(self) -> str:
+        return f"Variable(id={int(self)!r}, name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name

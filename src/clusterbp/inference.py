@@ -187,7 +187,7 @@ class InferenceState:
             self._orders[key] = list(range(len(assignments)))
             self._totals[key] = sum(self._sepsets[key])
             for end, peer in (key, key[::-1]):
-                pick = [factors[end].scope.index(v) for v in scope]
+                pick = [factors[end]._pos[v] for v in scope]
                 self._cells[end][peer] = _row_cells(self._rows[end], pick, cell_of)
                 if options.damping > 0.0:
                     self._mix_order[end, peer] = _key_order(assignments, pick)
@@ -409,21 +409,41 @@ class InferenceState:
     def marginals(self) -> dict[Variable, SparseTable]:
         """Each variable's normalized marginal, in variable order.
 
-        A variable's marginal comes from the first cluster holding it, and
-        only those clusters' tables are built, once each.
+        A variable's marginal comes from the first cluster holding it, in
+        one walk per holder cluster: each live row adds to, or under max
+        raises, the entry of every variable first held there, in row
+        order.  Sums, maxima and divisions are those of `marginalize`
+        followed by `normalize`, entry order included.  A belief always
+        keeps a positive row, so no marginal comes out empty.
         """
         semiring = self.options.semiring
-        holders: dict[Variable, int] = {}
-        for cluster in self.graph.clusters:
-            for variable in cluster.vars:
-                holders.setdefault(variable, cluster.id)
-        tables = {i: self._belief(i) for i in set(holders.values())}
-        return {
-            variable: tables[holders[variable]]
-            .marginalize([variable], semiring)
-            .normalize(semiring)
-            for variable in sorted(holders)
-        }
+        totals: dict[Variable, dict[int, float]] = {}
+        for i, (scope, _) in enumerate(self._shapes):
+            accs = [
+                (totals.setdefault(v, {}), p)
+                for p, v in enumerate(scope)
+                if v not in totals
+            ]
+            if not accs:
+                continue
+            for row, value in zip(self._rows[i], self._vals[i]):
+                if not value:
+                    continue
+                for acc, p in accs:
+                    x = row[p]
+                    if semiring == "sum":
+                        acc[x] = acc.get(x, 0.0) + value
+                    elif value > acc.get(x, 0.0):
+                        acc[x] = value
+        out = {}
+        for variable in sorted(totals):
+            acc = totals[variable]
+            total = sum(acc.values()) if semiring == "sum" else max(acc.values())
+            entries = {(x,): value / total for x, value in acc.items() if value / total}
+            out[variable] = SparseTable._trusted(
+                (variable,), (self._cards[variable],), entries
+            )
+        return out
 
     @property
     def assignment(self) -> dict[Variable, int]:

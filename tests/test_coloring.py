@@ -134,20 +134,40 @@ class TestMaximalCliques:
     def test_empty_problem_has_no_cliques(self):
         assert maximal_cliques(ColoringProblem((), frozenset(), k=2)) == []
 
-    @given(st.integers(2, 7), st.data())
-    @settings(deadline=None, max_examples=60)
-    def test_matches_brute_force(self, n, data):
-        variables = make_variables("ABCDEFG"[:n])
+    @given(st.integers(1, 10), st.sampled_from(["some", "none", "all"]), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_brute_force(self, n, shape, data):
+        # Ids are gapped and out of position order: the search indexes
+        # positions, while the result is ordered by id.
+        ids = data.draw(
+            st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True)
+        )
+        variables = [Variable(i, "ABCDEFGHIJ"[p]) for p, i in enumerate(ids)]
         pool = list(itertools.combinations(variables, 2))
-        picked = data.draw(st.lists(st.sampled_from(pool), unique=True))
+        if shape == "some":
+            keep = data.draw(
+                st.lists(st.booleans(), min_size=len(pool), max_size=len(pool))
+            )
+            picked = list(itertools.compress(pool, keep))
+        else:
+            picked = pool if shape == "all" else []
         edges = frozenset(frozenset(p) for p in picked)
         problem = ColoringProblem(tuple(variables), edges, k=4)
-        ours = {c.vars for c in maximal_cliques(problem)}
-        expected = maximal_cliques_brute(
-            [v.name for v in variables],
-            [tuple(v.name for v in e) for e in edges],
+        by_name = {v.name: v for v in variables}
+        expected = sorted(
+            (
+                tuple(sorted((by_name[name] for name in clique), key=lambda v: v.id))
+                for clique in maximal_cliques_brute(
+                    [v.name for v in variables],
+                    [tuple(v.name for v in e) for e in edges],
+                )
+            ),
+            key=lambda members: [v.id for v in members],
         )
-        assert {frozenset(v.name for v in c) for c in ours} == expected
+        ours = maximal_cliques(problem)
+        assert [c.id for c in ours] == list(range(len(expected)))
+        assert [c.sorted_vars() for c in ours] == expected
+        assert [c.vars for c in ours] == [frozenset(m) for m in expected]
 
 
 class TestSplitCliques:

@@ -11,9 +11,11 @@ Covers:
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -155,6 +157,65 @@ class TestConstruction:
             assert done.returncode == 0, done.stderr
             orders.append(done.stdout)
         assert orders[0] == orders[1]
+
+
+class TestVariable:
+    def test_hash_is_ints_and_equals_the_id(self):
+        assert Variable.__hash__ is int.__hash__
+        for i in (0, 1, 7, 80, 2**40):
+            assert hash(Variable(i, "x")) == i == Variable(i, "x").id
+        assert type(Variable(3, "x").id) is int
+
+    def test_sorted_orders_by_id(self):
+        shuffled = [Variable(i, name) for i, name in ((19, "a"), (2, "z"), (7, "m"))]
+        assert [v.id for v in sorted(shuffled)] == [2, 7, 19]
+        assert min(shuffled).name == "z"
+
+    def test_equality_is_the_id_name_pair(self):
+        assert Variable(1, "a") == Variable(1, "a")
+        assert not Variable(1, "a") != Variable(1, "a")
+        assert Variable(1, "a") != Variable(1, "b")
+        assert Variable(1, "a") != Variable(2, "a")
+        assert len({Variable(1, "a"), Variable(1, "b")}) == 2
+
+    def test_never_equals_a_bare_int(self):
+        v = Variable(1, "a")
+        assert v != 1
+        assert 1 != v
+        assert not v == 1
+        assert not 1 == v
+        assert v not in {1: "one"}
+        assert 1 not in {v: "a"}
+        assert v != "a"
+
+    def test_immutable(self):
+        v = Variable(1, "a")
+        with pytest.raises(AttributeError):
+            v.name = "b"
+        with pytest.raises(AttributeError):
+            del v.name
+        assert v.name == "a"
+
+    def test_repr_and_str(self):
+        assert repr(Variable(1, "a")) == "Variable(id=1, name='a')"
+        assert str(Variable(1, "a")) == "a"
+        assert f"{Variable(1, 'a')}" == "a"
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips(self, round_trip):
+        v = Variable(5, "r1c6")
+        back = round_trip(v)
+        assert type(back) is Variable
+        assert (back, back.id, back.name, hash(back)) == (v, 5, "r1c6", 5)
+        problem = clusterbp.sudoku_problem("1..4........3..2", n=4)
+        copied = round_trip(problem)
+        assert copied == problem
+        assert all(type(x) is Variable for x in copied.variables)
+        assert copied.givens == problem.givens
 
 
 class TestAllDifferent:

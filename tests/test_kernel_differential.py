@@ -5,13 +5,16 @@ below is the propagation step as it was before, written with the public
 `SparseTable` algebra.  It replays every message the kernel sent, in the
 kernel's order, and must give each residual to the last bit, raise where
 the kernel raised, and end on the same cluster and sepset beliefs: the
-same entries, values and entry order.
+same entries, values and entry order.  The state's one-walk `marginals`
+must then equal `DictPath`'s per-variable marginalize and normalize of
+each variable's first holder, to the last bit and in the same order.
 
 Covers:
 * bundled 9x9 puzzle, ltrip and bethe at size 9, max and sum
 * a 4x4 grid split at size 3 with bias, both topologies
 * a damped, anchored planar map through every decimation round
 * factors whose scopes are not sorted, damped and undamped
+* marginals after every replayed run, from clusters compacted mid-run too
 * the setup check on sepset variables, row compaction, and a failed
   message (a contradiction, or a quotient that overflows) leaving the
   state untouched, and a re-run stopping at a refused edge again
@@ -87,6 +90,20 @@ class DictPath:
         self.sepsets[key] = message
         return residual
 
+    def marginals(self, graph):
+        """Each variable's marginal from the first cluster holding it."""
+        holders = {}
+        for cluster in graph.clusters:
+            for variable in cluster.vars:
+                holders.setdefault(variable, cluster.id)
+        semiring = self.options.semiring
+        return {
+            variable: self.beliefs[holders[variable]]
+            .marginalize([variable], semiring)
+            .normalize(semiring)
+            for variable in sorted(holders)
+        }
+
 
 @pytest.fixture
 def runs(monkeypatch):
@@ -122,6 +139,11 @@ def entries(table):
     return list(table.entries.items())
 
 
+def exact(table):
+    """A table's scope, cards and entries, values as float.hex()."""
+    return table.scope, table.cards, [(k, v.hex()) for k, v in table.entries.items()]
+
+
 def assert_replays(logs):
     """Replay every recorded run through DictPath; returns messages sent."""
     total = 0
@@ -144,6 +166,11 @@ def assert_replays(logs):
         for key, want in reference.sepsets.items():
             got = sepsets[key]
             assert entries(got) == entries(want.reorder(got.scope))
+        marginals = state.marginals
+        wanted = reference.marginals(graph)
+        assert list(marginals) == list(wanted)
+        for variable, want in wanted.items():
+            assert exact(marginals[variable]) == exact(want), variable
         total += len(sent)
     return total
 
@@ -226,6 +253,28 @@ def test_unsorted_scopes(runs, semiring, damping):
             InferenceState(graph, factors, options).run()
         except ContradictionError:
             pass
+    assert assert_replays(runs) > 100
+
+
+def test_marginals_of_compacted_clusters(runs, monkeypatch):
+    problem = sudoku_problem(EASY01, 9)
+    items = build_factors(problem, split_cliques(maximal_cliques(problem), 5))
+    graph = ltrip([cluster for cluster, _ in items])
+    compacted = set()
+    compact = InferenceState._compact
+
+    def recording(self, i):
+        compacted.add(i)
+        compact(self, i)
+
+    monkeypatch.setattr(InferenceState, "_compact", recording)
+    for semiring in ("max", "sum"):
+        options = InferenceOptions(semiring=semiring, max_messages=2000)
+        InferenceState(graph, [table for _, table in items], options).run()
+    first_holders = {
+        min(c.id for c in graph.clusters if v in c.vars) for v in graph.variables()
+    }
+    assert compacted & first_holders
     assert assert_replays(runs) > 100
 
 
