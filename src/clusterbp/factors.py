@@ -32,7 +32,10 @@ class Variable(int):
     C: ``hash(v) == v.id``, which keeps set and dict iteration orders
     independent of the string hash seed, and scopes sort by id.
     Identity is the ``(id, name)`` pair, and a Variable never equals a
-    bare int, in either direction.
+    bare int, in either direction.  The one exception is a bool on the
+    left: ``True == Variable(1, "a")`` is True, because ``bool`` is not a
+    base of Variable, so its own int comparison runs first and answers
+    by value.  ``Variable(1, "a") == True`` is False.
     """
 
     name: str  # in the instance dict: an int subclass cannot have slots

@@ -99,10 +99,6 @@ class ClusterGraph:
             seen.add(sepset.clusters)
 
     @cached_property
-    def _edge_map(self) -> dict[tuple[int, int], Sepset]:
-        return {s.clusters: s for s in self.sepsets}
-
-    @cached_property
     def _neighbor_map(self) -> tuple[tuple[int, ...], ...]:
         adjacency: list[list[int]] = [[] for _ in self.clusters]
         for sepset in self.sepsets:
@@ -110,9 +106,6 @@ class ClusterGraph:
             adjacency[i].append(j)
             adjacency[j].append(i)
         return tuple(tuple(sorted(n)) for n in adjacency)
-
-    def sepset_between(self, i: int, j: int) -> Sepset | None:
-        return self._edge_map.get((min(i, j), max(i, j)))
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbor_map[i]

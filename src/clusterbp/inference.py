@@ -104,7 +104,8 @@ class InferenceState:
     belief is a dense list with one cell per assignment of its sorted
     scope, in product order, and each cluster keeps, per neighbor, the
     cell each of its rows projects to.  `beliefs` and `sepset_beliefs`
-    show the state as tables.
+    show the state as tables; a sepset's table lists the cells holding
+    mass in cell order.
     """
 
     def __init__(
@@ -166,12 +167,9 @@ class InferenceState:
         self._cells: list[dict[int, list[int]]] = [{} for _ in factors]
         self._sepset_scope: dict[tuple[int, int], tuple[Variable, ...]] = {}
         self._sepsets: dict[tuple[int, int], list[float]] = {}
-        # The cells holding mass, in the order the sepset's table lists them,
-        # and their sum in that order.
-        self._orders: dict[tuple[int, int], list[int]] = {}
+        # Each sepset's total, summed in the order its last message listed
+        # its cells: the one record of that order.
         self._totals: dict[tuple[int, int], float] = {}
-        # Damped messages mix cells in the source's sorted key order.
-        self._mix_order: dict[DirectedEdge, Sequence[int]] = {}
         # Sepsets with the same cardinalities share their cell numbering.
         grids: dict[tuple[int, ...], tuple[list, dict]] = {}
         for sepset in graph.sepsets:
@@ -184,13 +182,10 @@ class InferenceState:
             assignments, cell_of = grids[sizes]
             self._sepset_scope[key] = scope
             self._sepsets[key] = [1.0] * len(assignments)
-            self._orders[key] = list(range(len(assignments)))
             self._totals[key] = sum(self._sepsets[key])
             for end, peer in (key, key[::-1]):
                 pick = [factors[end]._pos[v] for v in scope]
                 self._cells[end][peer] = _row_cells(self._rows[end], pick, cell_of)
-                if options.damping > 0.0:
-                    self._mix_order[end, peer] = _key_order(assignments, pick)
         # Heap entries are (-priority, ticket, edge); the ticket breaks ties
         # first-queued first.  `_queued` maps each queued edge to its live
         # entry, and entries it no longer points at are stale.
@@ -256,10 +251,10 @@ class InferenceState:
         the queue drain.  A message that fails raises before it changes
         anything.
 
-        Each float operation, and each sum's order, is that of the table
-        algebra: a message's entries come in order of first appearance
-        over the source rows, or in sorted key order when damped, and a
-        total is summed in its table's entry order.  Zeros add nothing.
+        Each float operation is that of the table algebra.  A message's
+        total sums its cells in order of first appearance over the source
+        rows, or in cell order when damped, and is kept as the sepset's
+        total for the next residual.  Zeros add nothing.
         """
         key = (src, dst) if src < dst else (dst, src)
         stored = self._sepsets.get(key)
@@ -282,8 +277,7 @@ class InferenceState:
             # support, so every mixed cell meets a positive stored value.
             keep = 1.0 - damping
             order = []
-            for cell in self._mix_order[src, dst]:
-                value = message[cell]
+            for cell, value in enumerate(message):
                 if value:
                     value = message[cell] = value**keep * stored[cell] ** damping
                     if value:
@@ -330,7 +324,6 @@ class InferenceState:
         if updated.count(0.0) * 2 > len(updated):
             self._compact(dst)
         self._sepsets[key] = message
-        self._orders[key] = order
         self._totals[key] = new_total
         self.residuals[src, dst] = residual
         self._push(self._out[dst], residual)
@@ -370,7 +363,7 @@ class InferenceState:
             cards = tuple(self._cards[v] for v in scope)
             assignments = list(itertools.product(*map(range, cards)))
             values = self._sepsets[key]
-            entries = {assignments[c]: values[c] for c in self._orders[key]}
+            entries = {a: v for a, v in zip(assignments, values) if v}
             out[key] = SparseTable._trusted(scope, cards, entries)
         return out
 
@@ -485,20 +478,3 @@ def _row_cells(
         # Over one variable, the value is the cell.
         return list(map(itemgetter(pick[0]), rows))
     return list(map(cell_of.__getitem__, map(itemgetter(*pick), rows)))
-
-
-def _key_order(
-    assignments: Sequence[tuple[int, ...]], pick: Sequence[int]
-) -> Sequence[int]:
-    """Cells in the sorted order of their keys in a cluster's scope order.
-
-    `pick` gives each sorted-scope variable's position in the cluster's
-    scope; when those rise, the two orders agree.
-    """
-    if list(pick) == sorted(pick):
-        return range(len(assignments))
-    by_position = sorted(range(len(pick)), key=pick.__getitem__)
-    return sorted(
-        range(len(assignments)),
-        key=lambda c: tuple(assignments[c][k] for k in by_position),
-    )

@@ -187,6 +187,10 @@ class TestVariable:
         assert v not in {1: "one"}
         assert 1 not in {v: "a"}
         assert v != "a"
+        assert (v == True) is False  # noqa: E712
+        # The documented exception: with a bool on the left, bool's own
+        # int comparison runs first and answers by value.
+        assert (True == v) is True  # noqa: E712
 
     def test_immutable(self):
         v = Variable(1, "a")

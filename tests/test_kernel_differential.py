@@ -4,10 +4,20 @@
 below is the propagation step as it was before, written with the public
 `SparseTable` algebra.  It replays every message the kernel sent, in the
 kernel's order, and must give each residual to the last bit, raise where
-the kernel raised, and end on the same cluster and sepset beliefs: the
-same entries, values and entry order.  The state's one-walk `marginals`
-must then equal `DictPath`'s per-variable marginalize and normalize of
-each variable's first holder, to the last bit and in the same order.
+the kernel raised, and end on the same cluster beliefs (the same entries,
+values and entry order) and the same sepset beliefs (the same entries and
+values).  The state's one-walk `marginals` must then equal `DictPath`'s
+per-variable marginalize and normalize of each variable's first holder,
+to the last bit and in the same order.
+
+The kernel mixes a damped message's cells in cell order, the sorted key
+order of the sepset's sorted scope, so `DictPath` reorders a damped
+message onto that scope before mixing.  Every table the pipeline builds
+has a sorted scope, where this leaves the entry order as it was; only the
+unsorted scopes below see the difference.  A sepset's entry order decides
+nothing but the sum its next residual divides by, and every residual is
+checked bit for bit, so sepset tables are compared by value, with entry
+order ignored.
 
 Covers:
 * bundled 9x9 puzzle, ltrip and bethe at size 9, max and sum
@@ -74,6 +84,7 @@ class DictPath:
         message = self.beliefs[src].marginalize(self.scopes[key], semiring)
         damping = self.options.damping
         if damping > 0.0:
+            message = message.reorder(self.scopes[key])
             message = SparseTable(
                 message.scope,
                 message.cards,
@@ -165,7 +176,7 @@ def assert_replays(logs):
         assert sepsets.keys() == reference.sepsets.keys()
         for key, want in reference.sepsets.items():
             got = sepsets[key]
-            assert entries(got) == entries(want.reorder(got.scope))
+            assert got == want.reorder(got.scope)
         marginals = state.marginals
         wanted = reference.marginals(graph)
         assert list(marginals) == list(wanted)

@@ -43,7 +43,7 @@ import pytest
 import clusterbp
 from clusterbp.cli import color_problem, solve_problem
 from clusterbp.coloring import random_planar_map, sudoku_problem
-from clusterbp.inference import InferenceState
+from clusterbp.inference import InferenceOptions, InferenceState
 
 EASY01 = (
     Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy01.txt"
@@ -149,6 +149,25 @@ MAP_COUNTS = {
     ),
 }
 
+# The same under damping 0.3, the CLI's default for `color-map`.  (25, 10, 3)
+# is map250, the map of acceptance test 8.  Damped messages mix their cells
+# in cell order; mixing them in order of first appearance keeps every count
+# and answer here but moves the first two sequences.
+DAMPED_MAP_COUNTS = {
+    (8, 8, 0): (
+        3917, True, 81,
+        "d080c3ea4ef022079c50d92e2ccd8fe0e809bba8848efe9fb7d117b578b5cdb5",
+    ),
+    (8, 8, 5): (
+        5851, True, 83,
+        "4801b97072487ab57eed1d0551b67be25100a3624b4b135bb457670dbb99390f",
+    ),
+    (25, 10, 3): (
+        31247, True, 343,
+        "aca9c7eadb9e9396f839d39b785b8b16cdcd5ca5ace9df3402c40d0beecf9b9f",
+    ),
+}
+
 
 @pytest.fixture
 def sent(monkeypatch):
@@ -202,3 +221,12 @@ def test_grid4_message_counts(sent, grid, topology, size, bias):
 def test_map_message_counts(sent, rows, cols, seed):
     outcome = color_problem(random_planar_map(rows, cols, seed=seed))
     assert pinned(outcome, sent) == MAP_COUNTS[rows, cols, seed]
+
+
+@pytest.mark.parametrize("rows,cols,seed", sorted(DAMPED_MAP_COUNTS))
+def test_damped_map_message_counts(sent, rows, cols, seed):
+    outcome = color_problem(
+        random_planar_map(rows, cols, seed=seed),
+        options=InferenceOptions(damping=0.3),
+    )
+    assert pinned(outcome, sent) == DAMPED_MAP_COUNTS[rows, cols, seed]
