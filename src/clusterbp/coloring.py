@@ -206,18 +206,21 @@ def sudoku_problem(text: str, n: int = 9) -> ColoringProblem:
         if char not in digits:
             raise ValueError(f"cell {i}: {char!r} is not a digit 1..{n} or blank")
         givens[variables[i]] = int(char) - 1
+    # Every pair inside each row, column and box; a pair sharing two
+    # units is one edge.
     box = math.isqrt(n)
-    edges: set[frozenset[Variable]] = set()
-    for i, j in itertools.combinations(range(n * n), 2):
-        ri, ci = divmod(i, n)
-        rj, cj = divmod(j, n)
-        if (
-            ri == rj
-            or ci == cj
-            or (ri // box == rj // box and ci // box == cj // box)
-        ):
-            edges.add(frozenset({variables[i], variables[j]}))
-    return ColoringProblem(variables, frozenset(edges), k=n, givens=givens)
+    rows = [range(r * n, (r + 1) * n) for r in range(n)]
+    cols = [range(c, n * n, n) for c in range(n)]
+    boxes = [
+        [(b // box * box + i // box) * n + b % box * box + i % box for i in range(n)]
+        for b in range(n)
+    ]
+    edges = frozenset(
+        frozenset(pair)
+        for unit in rows + cols + boxes
+        for pair in itertools.combinations([variables[i] for i in unit], 2)
+    )
+    return ColoringProblem(variables, edges, k=n, givens=givens)
 
 
 def format_sudoku(problem: ColoringProblem, assignment: Mapping[Variable, int]) -> str:

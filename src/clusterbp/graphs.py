@@ -11,7 +11,6 @@ property from first principles, independent of how a graph was built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from clusterbp.factors import Variable
@@ -71,10 +70,12 @@ class Sepset:
 class ClusterGraph:
     """An undirected graph of clusters joined by sepsets.
 
-    It does not record which builder made it.  Construction enforces
-    only structural sanity (sequential ids, valid endpoints, no duplicate
-    edges) so that deliberately broken graphs can still be built and
-    handed to `validate_rip`.
+    The two fields are the whole record: a cluster's neighbours are the
+    other ends of the sepsets that name it, and no neighbour list is
+    kept beside them.  It does not record which builder made it.
+    Construction enforces only structural sanity (sequential ids, valid
+    endpoints, no duplicate edges) so that deliberately broken graphs
+    can still be built and handed to `validate_rip`.
     """
 
     clusters: tuple[Cluster, ...]
@@ -97,18 +98,6 @@ class ClusterGraph:
             if sepset.clusters in seen:
                 raise ValueError(f"duplicate sepset between clusters {i} and {j}")
             seen.add(sepset.clusters)
-
-    @cached_property
-    def _neighbor_map(self) -> tuple[tuple[int, ...], ...]:
-        adjacency: list[list[int]] = [[] for _ in self.clusters]
-        for sepset in self.sepsets:
-            i, j = sepset.clusters
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        return tuple(tuple(sorted(n)) for n in adjacency)
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._neighbor_map[i]
 
     def variables(self) -> tuple[Variable, ...]:
         return tuple(sorted({v for c in self.clusters for v in c.vars}))

@@ -96,6 +96,10 @@ class InferenceState:
     Construction performs the setup: cluster beliefs start as the given
     factors (max-normalized under the max semiring), sepset beliefs start
     vacuous, and every directed edge is queued at infinite residual.
+    Each cluster and each sepset is checked in the pass that records it.
+    A cluster's neighbours are the keys of its cell index, and its
+    outgoing edges are queued in ascending neighbour order, whatever
+    order the graph lists its sepsets in.
 
     Messages run over lists, not tables.  Each cluster keeps its factor's
     rows, fixed at setup, and one value per row.  Belief update only
@@ -121,6 +125,13 @@ class InferenceState:
                 f"factors, got {len(factors)}"
             )
         cards: dict[Variable, int] = {}
+        self.graph = graph
+        self.options = options
+        self.stats = RunStats()
+        self._cards = cards
+        self._shapes: list[tuple[tuple, tuple[int, ...]]] = []
+        self._rows: list[list[tuple[int, ...]]] = []
+        self._vals: list[list[float]] = []
         for cluster, factor in zip(graph.clusters, factors):
             if set(factor.scope) != set(cluster.vars):
                 raise ValueError(
@@ -138,26 +149,8 @@ class InferenceState:
                         f"variable {var} has cardinality {card} in cluster "
                         f"{cluster.id} but {cards[var]} elsewhere"
                     )
-        for sepset in graph.sepsets:
-            if not sepset.vars:
-                raise ValueError(f"sepset {sepset.clusters} carries no variable")
-            for end in sepset.clusters:
-                cluster = graph.clusters[end]
-                outside = sorted(sepset.vars - cluster.vars)
-                if outside:
-                    raise ValueError(
-                        f"sepset {sepset.clusters} carries {outside[0]}, but "
-                        f"cluster {end} covers only {{{cluster.label()}}}"
-                    )
-
-        self.graph = graph
-        self.options = options
-        self.stats = RunStats()
-        self._cards = cards
-        self._shapes = [(f.scope, f.cards) for f in factors]
-        self._rows = [list(f.entries) for f in factors]
-        self._vals: list[list[float]] = []
-        for factor in factors:
+            self._shapes.append((factor.scope, factor.cards))
+            self._rows.append(list(factor.entries))
             vals = list(factor.entries.values())
             if options.semiring == "max":
                 top = max(vals)
@@ -173,6 +166,16 @@ class InferenceState:
         # Sepsets with the same cardinalities share their cell numbering.
         grids: dict[tuple[int, ...], tuple[list, dict]] = {}
         for sepset in graph.sepsets:
+            if not sepset.vars:
+                raise ValueError(f"sepset {sepset.clusters} carries no variable")
+            for end in sepset.clusters:
+                cluster = graph.clusters[end]
+                outside = sorted(sepset.vars - cluster.vars)
+                if outside:
+                    raise ValueError(
+                        f"sepset {sepset.clusters} carries {outside[0]}, but "
+                        f"cluster {end} covers only {{{cluster.label()}}}"
+                    )
             key = sepset.clusters
             scope = tuple(sorted(sepset.vars))
             sizes = tuple(cards[v] for v in scope)
@@ -194,9 +197,11 @@ class InferenceState:
         self._ticket = itertools.count()
         edges = [e for i, j in sorted(self._sepset_scope) for e in ((i, j), (j, i))]
         self.residuals: dict[DirectedEdge, float] = dict.fromkeys(edges, math.inf)
-        # Each cluster's outgoing edges, re-queued when it takes a message.
+        # Each cluster's outgoing edges, re-queued when it takes a message:
+        # its neighbours are the keys of its cell index, taken in ascending
+        # order whatever order the graph lists its sepsets in.
         self._out = [
-            tuple((i, j) for j in graph.neighbors(i)) for i in range(len(factors))
+            tuple((i, j) for j in sorted(cells)) for i, cells in enumerate(self._cells)
         ]
         self._push(edges, math.inf)
 

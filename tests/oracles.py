@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 
 def _space(cards):
@@ -259,18 +260,24 @@ def grid_text(grid):
     return "".join(str(d) if d else "." for d in grid)
 
 
-def exhaustive_4x4_suite():
+def exhaustive_4x4_suite(seed=0):
     """One well-defined puzzle per complete 4x4 grid.
 
-    Every complete grid is thinned greedily in row-major order: a given
-    is blanked whenever the remaining ones still force a unique
-    completion.  288 grids exist, so the suite has 288 puzzles, each
-    returned with its completion.
+    Every complete grid is thinned greedily: a given is blanked whenever
+    the remaining ones still force a unique completion.  Seed 0 thins
+    each grid in row-major cell order; any other seed thins each grid,
+    in turn, in a fresh cell order drawn from `random.Random(seed)`.
+    288 grids exist, so the suite has 288 puzzles, each returned with
+    its completion.
     """
+    rng = random.Random(seed)
     suite = []
     for full in solve_sudoku([0] * 16, 4):
         puzzle = list(full)
-        for cell in range(16):
+        order = list(range(16))
+        if seed:
+            rng.shuffle(order)
+        for cell in order:
             held, puzzle[cell] = puzzle[cell], 0
             if count_sudoku_solutions(puzzle, 4, cap=2) != 1:
                 puzzle[cell] = held

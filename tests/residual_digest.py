@@ -1,0 +1,111 @@
+"""Digest every message a fixed corpus of pipeline runs sends.
+
+    PYTHONPATH=src python tests/residual_digest.py
+
+Wraps `InferenceState.pass_message` and solves the corpus below through
+`solve_problem` and `color_problem`.  It prints three lines:
+
+* the number of messages sent;
+* the sha256 of the `src,dst,residual.hex()` sequence, one line per
+  message (a refused message records its exception's name instead);
+* the sha256 of each solve's id, messages, valid flag, converged flag,
+  cluster count and assignment by variable id.
+
+Two checkouts that print the same lines send the same messages with the
+same residuals, bit for bit.  Compare them on one machine and one
+interpreter: residual bits depend on float `sum()` (compensated from
+Python 3.12 on) and on the platform's `math.log`, so no test pins the
+digest.  pytest does not collect this file.
+
+The corpus: the 10 bundled 9x9 puzzles under ltrip/5, ltrip/9 and
+bethe/9; the 288 puzzles of `oracles.exhaustive_4x4_suite` under ltrip
+and bethe at cluster size 4; the 250-region map at damping 0.3 with bias
+seeds 0 and 1; `random_planar_map(8, 8, seed=s)` at damping 0.3 for
+s = 0..9; and undamped `random_planar_map(6, 6, seed=s)` for s = 0..3.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import clusterbp
+from clusterbp.cli import color_problem, load_puzzle, solve_problem
+from clusterbp.coloring import random_planar_map, sudoku_problem
+from clusterbp.factors import ContradictionError
+from clusterbp.inference import InferenceOptions, InferenceState
+from oracles import exhaustive_4x4_suite, grid_text
+
+PUZZLES = sorted((Path(clusterbp.__file__).parent / "data" / "puzzles").glob("*.txt"))
+DAMPED = InferenceOptions(damping=0.3)
+
+
+def corpus():
+    """Yield (id, thunk) pairs; each thunk runs one solve."""
+    for path in PUZZLES:
+        problem = load_puzzle(path)
+        for topology, size in (("ltrip", 5), ("ltrip", 9), ("bethe", 9)):
+            yield (
+                f"{path.stem}/{topology}/{size}",
+                lambda p=problem, t=topology, s=size: solve_problem(p, t, s),
+            )
+    for index, (puzzle, _) in enumerate(exhaustive_4x4_suite()):
+        problem = sudoku_problem(grid_text(puzzle), 4)
+        for topology in ("ltrip", "bethe"):
+            yield (
+                f"grid{index:03d}/{topology}/4",
+                lambda p=problem, t=topology: solve_problem(p, t, 4),
+            )
+    map250 = random_planar_map(25, 10, seed=3)
+    for seed in (0, 1):
+        yield (
+            f"map250/0.3/{seed}",
+            lambda s=seed: color_problem(map250, options=DAMPED, seed=s),
+        )
+    for seed in range(10):
+        problem = random_planar_map(8, 8, seed=seed)
+        yield f"map8x8-{seed}/0.3", lambda p=problem: color_problem(p, options=DAMPED)
+    for seed in range(4):
+        problem = random_planar_map(6, 6, seed=seed)
+        yield f"map6x6-{seed}/0.0", lambda p=problem: color_problem(p)
+
+
+def main() -> None:
+    residuals = hashlib.sha256()
+    outcomes = hashlib.sha256()
+    count = 0
+    send = InferenceState.pass_message
+
+    def traced(self, src, dst):
+        nonlocal count
+        try:
+            residual = send(self, src, dst)
+        except Exception as exc:
+            residuals.update(f"{src},{dst},{type(exc).__name__}\n".encode())
+            raise
+        count += 1
+        residuals.update(f"{src},{dst},{residual.hex()}\n".encode())
+        return residual
+
+    InferenceState.pass_message = traced
+    try:
+        for job, solve in corpus():
+            try:
+                out = solve()
+            except ContradictionError:
+                outcomes.update(f"{job},contradiction\n".encode())
+                continue
+            answer = sorted((v.id, x) for v, x in out.assignment.items())
+            outcomes.update(
+                f"{job},{out.messages},{out.valid},{out.converged},"
+                f"{out.cluster_count},{answer}\n".encode()
+            )
+    finally:
+        InferenceState.pass_message = send
+    print(f"messages  {count}")
+    print(f"residuals {residuals.hexdigest()}")
+    print(f"outcomes  {outcomes.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

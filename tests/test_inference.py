@@ -7,10 +7,11 @@ Covers:
 * message budget exhaustion (not an error) and early-out on re-runs
 * contradiction propagation out of `run`, and re-runs after one
 * calibration reporting; every converged bundled 9x9 run and 4x4-suite
-  run is calibrated, its supports equal the order-free
-  pairwise-consistency closure, and no converged run leaves an edge's
-  last residual at or above THRESHOLD
-* determinism across repeated runs
+  run (thinned row-major, and at sudoku4 seeds 1 and 2) is calibrated,
+  its supports equal the order-free pairwise-consistency closure, and no
+  converged run leaves an edge's last residual at or above THRESHOLD
+* determinism across repeated runs, and runs that do not depend on the
+  order a graph lists its sepsets in
 """
 
 from __future__ import annotations
@@ -291,13 +292,23 @@ def converged_fixed_points(problems, topology, size):
     return converged
 
 
+def suite4(seed):
+    return [
+        (grid_text(p), sudoku_problem(grid_text(p), 4))
+        for p, _ in exhaustive_4x4_suite(seed)
+    ]
+
+
 @pytest.fixture(scope="module")
 def grids4():
     """Acceptance test 5's 288 grids, the benchmark's sudoku4 seed 0."""
-    return [
-        (grid_text(p), sudoku_problem(grid_text(p), 4))
-        for p, _ in exhaustive_4x4_suite()
-    ]
+    return suite4(0)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=lambda seed: f"seed{seed}")
+def reseeded_grids4(request):
+    """The same 288 grids thinned in shuffled orders: sudoku4 seeds 1 and 2."""
+    return suite4(request.param)
 
 
 class TestFixedPoint:
@@ -316,6 +327,14 @@ class TestFixedPoint:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_converged_4x4_runs_reach_the_closure(self, grids4, topology, size):
         assert converged_fixed_points(grids4, topology, size) == len(grids4) == 288
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_converged_reseeded_4x4_runs_reach_the_closure(
+        self, reseeded_grids4, topology
+    ):
+        # Size None: each clique whole, as the benchmark's size 4 leaves it.
+        got = converged_fixed_points(reseeded_grids4, topology, None)
+        assert got == len(reseeded_grids4) == 288
 
     @given(
         st.integers(2, 5),
@@ -385,6 +404,35 @@ class TestRunControl:
         state.run()
         touched = [e for e, r in state.residuals.items() if r != math.inf]
         assert touched == [(0, 1)]
+
+    @pytest.mark.parametrize("topology, size", [("ltrip", 5), ("bethe", 9)])
+    def test_sepset_order_does_not_change_a_run(self, topology, size):
+        # ltrip and bethe_graph list their sepsets sorted, so only a graph
+        # built in another order shows whether the order a cluster's
+        # outgoing edges are queued in follows the graph's listing.
+        problem = load_puzzle(BUNDLED[0])  # easy01
+        cliques = split_cliques(maximal_cliques(problem), size)
+        state, _ = _compile(problem, cliques, topology, None, 0.0, 0)
+        graph, tables = state.graph, state.beliefs
+        flipped = ClusterGraph(graph.clusters, tuple(reversed(graph.sepsets)))
+
+        def sent(state):
+            log = []
+            send = state.pass_message
+
+            def traced(src, dst):
+                residual = send(src, dst)
+                log.append((src, dst, residual))
+                return residual
+
+            state.pass_message = traced
+            state.run()
+            assert state.converged
+            return log
+
+        assert sent(InferenceState(flipped, tables)) == sent(
+            InferenceState(graph, tables)
+        )
 
     def test_edgeless_graph_converges_immediately(self):
         graph = ClusterGraph((Cluster(0, frozenset({A})),), ())
