@@ -47,31 +47,30 @@ class ColoringProblem:
         if len({v.name for v in self.variables}) != len(self.variables):
             raise ValueError("duplicate variable names")
         members = set(self.variables)
+        givens = self.givens
+        clashes = []
         for edge in self.edges:
             if len(edge) != 2:
                 raise ValueError(f"edge {set(edge)} must join exactly two variables")
             if not edge <= members:
                 raise ValueError(f"edge {set(edge)} mentions unknown variables")
-        for variable, label in self.givens.items():
+            a, b = edge
+            if a in givens and givens.get(b) == givens[a]:
+                clashes.append(edge)
+        for variable, label in givens.items():
             if variable not in members:
                 raise ValueError(f"given for unknown variable {variable}")
             if not 0 <= label < self.k:
                 raise ValueError(
                     f"given {variable.name}={label} outside 0..{self.k - 1}"
                 )
-        clashes = [
-            edge
-            for edge in self.edges
-            if edge <= self.givens.keys()
-            and len({self.givens[v] for v in edge}) == 1
-        ]
         if clashes:
             # The smallest clash, so the message does not depend on the
             # hash seed that orders the edge set.
             a, b = min(sorted(edge) for edge in clashes)
             raise ContradictionError(
                 f"givens assign {a.name} and {b.name} the same label "
-                f"{self.givens[a]} across an edge"
+                f"{givens[a]} across an edge"
             )
 
     def neighbors(self, variable: Variable) -> tuple[Variable, ...]:
@@ -106,7 +105,7 @@ def maximal_cliques(problem: ColoringProblem) -> list[Cluster]:
     Bron-Kerbosch with pivoting on bitmasks: bit p stands for
     `problem.variables[p]`, and the pivot is the candidate or seen
     vertex with the most candidate neighbours.  The result is sorted by
-    the cliques' sorted variable tuples and numbered 0..n-1.
+    the cliques' sorted variable tuples.
     """
     variables = problem.variables
     if not variables:
@@ -137,7 +136,7 @@ def maximal_cliques(problem: ColoringProblem) -> list[Cluster]:
     expand(0, (1 << len(variables)) - 1, 0)
     cliques = [[variables[p] for p in _bits(mask)] for mask in found]
     cliques.sort(key=sorted)
-    return [Cluster(i, frozenset(vars_)) for i, vars_ in enumerate(cliques)]
+    return [Cluster(frozenset(vars_)) for vars_ in cliques]
 
 
 def _bits(mask: int) -> list[int]:
@@ -156,9 +155,9 @@ def split_cliques(cliques: Sequence[Cluster], size: int) -> list[Cluster]:
     Each oversized clique is replaced by a greedy cover: walk its
     size-combinations in lexicographic variable order and keep one
     whenever it contains a variable pair no kept combination covers yet,
-    until all pairs are covered.  Smaller cliques pass through.  Repeats
-    are dropped and the result renumbered.  Of maximal cliques no scope
-    lies inside another; `purged_clusters` drops any that do.
+    until all pairs are covered.  Smaller cliques pass through, in input
+    order, and repeats are dropped.  Of maximal cliques no scope lies
+    inside another; `purged_clusters` drops any that do.
     """
     if size < 2:
         raise ValueError(f"cluster size must be >= 2, got {size}")
@@ -176,7 +175,7 @@ def split_cliques(cliques: Sequence[Cluster], size: int) -> list[Cluster]:
                 uncovered -= pairs
                 if not uncovered:
                     break
-    return [Cluster(i, vars_) for i, vars_ in enumerate(dict.fromkeys(chosen))]
+    return [Cluster(vars_) for vars_ in dict.fromkeys(chosen)]
 
 
 def sudoku_problem(text: str, n: int = 9) -> ColoringProblem:
@@ -309,7 +308,8 @@ def build_factors(
     enough to break ties after convergence, weak enough to never beat a
     hard zero.  A table over more than MAX_TABLE_ENTRIES keys, counted as
     P(labels its domains hold, scope size), is refused with a ValueError
-    before any is built.  An emptied domain or an empty table is a
+    before any is built, and so is a bias whose nudges multiply past the
+    largest float.  An emptied domain or an empty table is a
     ContradictionError naming the variable or the clique.
     """
     covered: set[frozenset[Variable]] = set()
@@ -354,7 +354,7 @@ def build_factors(
                     f"bias for {variable.name} lists {len(preference)} "
                     f"weights; expected {problem.k}"
                 )
-            weights = SparseTable(  # rejects negative and NaN nudges
+            weights = SparseTable(  # rejects negative, infinite and NaN nudges
                 (variable,),
                 (problem.k,),
                 {(x,): 1.0 + delta * preference[x] for x in range(problem.k)},
@@ -377,6 +377,11 @@ def build_factors(
             entries = {}
             for key in keys:
                 weight = math.prod(w[key[p]] for p, w in weights)
+                if weight == math.inf:
+                    raise ValueError(
+                        f"bias delta {delta} overflows a weight of clique "
+                        f"{{{cluster.label()}}}; use a smaller bias"
+                    )
                 if weight:  # a zero nudge, or underflow, makes no entry
                     entries[key] = weight
         else:
@@ -411,8 +416,8 @@ def purged_clusters(
     The givens are conditioned out of every clique and emptied scopes
     vanish.  Walking the rest largest first, then by clique index, a
     scope inside a kept scope that holds its smallest variable (as any
-    superset must) is dropped, and otherwise kept and renumbered 0..n-1
-    in clique order.  Nothing here checks the givens, so unsatisfiable
+    superset must) is dropped, and otherwise kept; kept clusters come
+    back in clique order.  Nothing here checks the givens, so unsatisfiable
     problems still get their cluster shape.
     """
     scopes = [clique.vars.difference(problem.givens) for clique in cliques]
@@ -427,7 +432,7 @@ def purged_clusters(
             kept.append(i)
             for variable in scopes[i]:
                 holders.setdefault(variable, []).append(i)
-    return [Cluster(new_id, scopes[i]) for new_id, i in enumerate(sorted(kept))]
+    return [Cluster(scopes[i]) for i in sorted(kept)]
 
 
 def label_preferences(

@@ -1,10 +1,10 @@
 """Sparse discrete factors and the algebra used by belief propagation.
 
 A factor maps joint assignments of a tuple of discrete variables to
-non-negative potentials.  Tables are sparse: assignments that are absent
-have potential zero, and zero is never stored.  For the hard-constraint
-potentials used in coloring problems almost all of the joint space is
-zero, so sparsity is what keeps the tables tractable.
+finite, non-negative potentials.  Tables are sparse: assignments that
+are absent have potential zero, and zero is never stored.  For the
+hard-constraint potentials used in coloring problems almost all of the
+joint space is zero, so sparsity is what keeps the tables tractable.
 
 All operations return new tables; existing tables are never mutated.
 """
@@ -124,8 +124,10 @@ class SparseTable:
                         f"assignment {key}: value {coord} out of range for {var}"
                     )
             value = float(raw)
-            if math.isnan(value) or value < 0.0:
-                raise ValueError(f"potential for {key} is {raw!r}; must be >= 0")
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"potential for {key} is {raw!r}; must be finite and >= 0"
+                )
             if value > 0.0:
                 clean[key] = value
         self.scope = scope

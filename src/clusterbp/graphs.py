@@ -18,17 +18,14 @@ from clusterbp.factors import Variable
 
 @dataclass(frozen=True)
 class Cluster:
-    """A node of a cluster graph: an id plus the variables it covers."""
+    """A node of a cluster graph: a non-empty variable set, numbered by position."""
 
-    id: int
     vars: frozenset[Variable]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vars", frozenset(self.vars))
-        if self.id < 0:
-            raise ValueError(f"cluster id must be >= 0, got {self.id}")
         if not self.vars:
-            raise ValueError(f"cluster {self.id} has no variables")
+            raise ValueError("a cluster has no variables")
 
     def sorted_vars(self) -> tuple[Variable, ...]:
         return tuple(sorted(self.vars))
@@ -37,12 +34,12 @@ class Cluster:
         return ",".join(v.name for v in self.sorted_vars())
 
     def __repr__(self) -> str:
-        return f"Cluster({self.id}, {{{self.label()}}})"
+        return f"Cluster({{{self.label()}}})"
 
 
 @dataclass(frozen=True)
 class Sepset:
-    """An edge of a cluster graph: two cluster ids plus the shared variables.
+    """An edge of a cluster graph: two cluster positions and shared variables.
 
     Endpoints are normalized to (low, high).  An empty variable set is
     representable — `validate_rip` reports it and `InferenceState`
@@ -70,12 +67,12 @@ class Sepset:
 class ClusterGraph:
     """An undirected graph of clusters joined by sepsets.
 
-    The two fields are the whole record: a cluster's neighbours are the
-    other ends of the sepsets that name it, and no neighbour list is
-    kept beside them.  It does not record which builder made it.
-    Construction enforces only structural sanity (sequential ids, valid
-    endpoints, no duplicate edges) so that deliberately broken graphs
-    can still be built and handed to `validate_rip`.
+    The two fields are the whole record: a cluster is numbered by its
+    position in `clusters`, its neighbours are the other ends of the
+    sepsets that name it, and no neighbour list is kept beside them.
+    It does not record which builder made it.  Construction enforces
+    only structural sanity (endpoints in range, no duplicate edges) so
+    that deliberately broken graphs can be handed to `validate_rip`.
     """
 
     clusters: tuple[Cluster, ...]
@@ -84,12 +81,6 @@ class ClusterGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "clusters", tuple(self.clusters))
         object.__setattr__(self, "sepsets", tuple(self.sepsets))
-        for i, cluster in enumerate(self.clusters):
-            if cluster.id != i:
-                raise ValueError(
-                    f"cluster ids must run 0..{len(self.clusters) - 1} in order; "
-                    f"position {i} holds id {cluster.id}"
-                )
         seen: set[tuple[int, int]] = set()
         for sepset in self.sepsets:
             i, j = sepset.clusters
@@ -184,34 +175,33 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
     running-intersection property hold by construction.  No other record
     of a tree is kept: a variable's tree is the sepsets that carry it.
 
-    Input clusters must already be subset-free, as `build_factors`
-    leaves them; a cluster contained in another is an error, checked
-    against the holders of its smallest variable, as any superset is one.
+    Clusters are numbered by their input positions.  Input clusters must
+    already be subset-free, as `build_factors` leaves them; a cluster
+    contained in another is an error, checked against the holders of
+    its smallest variable, as any superset is one.
     """
     clusters = tuple(clusters)
     if not clusters:
         raise ValueError("at least one cluster is required")
-    if len({c.id for c in clusters}) != len(clusters):
-        raise ValueError("cluster ids must be unique")
-    holders: dict[Variable, list[Cluster]] = {}
-    for cluster in clusters:
+    holders: dict[Variable, list[int]] = {}  # variable -> positions
+    for i, cluster in enumerate(clusters):
         for variable in cluster.vars:
-            holders.setdefault(variable, []).append(cluster)
-    for a in clusters:
-        for b in holders[min(a.vars)]:
-            if a.id != b.id and a.vars <= b.vars:
+            holders.setdefault(variable, []).append(i)
+    for i, a in enumerate(clusters):
+        for j in holders[min(a.vars)]:
+            if i != j and a.vars <= clusters[j].vars:
                 raise ValueError(
-                    f"cluster {a.id} ({{{a.label()}}}) is contained in cluster "
-                    f"{b.id} ({{{b.label()}}}); fold subsets into supersets first "
-                    f"(build_factors does)"
+                    f"cluster {i} ({{{a.label()}}}) is contained in cluster {j} "
+                    f"({{{clusters[j].label()}}}); fold subsets into supersets "
+                    f"first (build_factors does)"
                 )
     sepset_vars: dict[tuple[int, int], set[Variable]] = {}
     for variable in sorted(holders):
         members = holders[variable]
         if len(members) < 2:
             continue  # nothing to join; the variable stays local
-        weights = connection_weights(members)
-        for edge in max_spanning_tree([c.id for c in members], weights):
+        weights = connection_weights([clusters[i] for i in members])
+        for edge in max_spanning_tree(members, weights):
             sepset_vars.setdefault(edge, set()).add(variable)
     sepsets = tuple(
         Sepset(edge, frozenset(vars_)) for edge, vars_ in sorted(sepset_vars.items())
@@ -235,12 +225,11 @@ def bethe_graph(clusters: Sequence[Cluster]) -> ClusterGraph:
     nodes = list(clusters)
     hub_of: dict[Variable, int] = {}
     for variable in sorted({v for c in clusters for v in c.vars}):
-        hub = Cluster(len(nodes), frozenset({variable}))
-        hub_of[variable] = hub.id
-        nodes.append(hub)
+        hub_of[variable] = len(nodes)
+        nodes.append(Cluster(frozenset({variable})))
     sepsets = [
-        Sepset((cluster.id, hub_of[variable]), frozenset({variable}))
-        for cluster in clusters
+        Sepset((i, hub_of[variable]), frozenset({variable}))
+        for i, cluster in enumerate(clusters)
         for variable in cluster.sorted_vars()
     ]
     sepsets.sort(key=lambda s: s.clusters)
@@ -271,9 +260,9 @@ def validate_rip(graph: ClusterGraph) -> RipReport:
     check on any construction.
     """
     holders: dict[Variable, set[int]] = {}
-    for cluster in graph.clusters:
+    for i, cluster in enumerate(graph.clusters):
         for variable in cluster.vars:
-            holders.setdefault(variable, set()).add(cluster.id)
+            holders.setdefault(variable, set()).add(i)
     # Per variable, the sepset edges carrying it between two holders.
     carried: dict[Variable, list[tuple[int, int]]] = {v: [] for v in holders}
     violations: list[str] = []
@@ -326,8 +315,8 @@ def _connected(nodes: set[int], edges: Sequence[tuple[int, int]]) -> bool:
 def export_dot(graph: ClusterGraph) -> str:
     """Render the graph as DOT text with escaped labels, in a fixed order."""
     lines = ["graph cluster_graph {", "  node [shape=ellipse];"]
-    for cluster in graph.clusters:
-        lines.append(f"  c{cluster.id} [label={_quoted(cluster.label())}];")
+    for i, cluster in enumerate(graph.clusters):
+        lines.append(f"  c{i} [label={_quoted(cluster.label())}];")
     for sepset in sorted(graph.sepsets, key=lambda s: s.clusters):
         i, j = sepset.clusters
         lines.append(f"  c{i} -- c{j} [label={_quoted(sepset.label())}];")

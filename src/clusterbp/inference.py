@@ -132,22 +132,20 @@ class InferenceState:
         self._shapes: list[tuple[tuple, tuple[int, ...]]] = []
         self._rows: list[list[tuple[int, ...]]] = []
         self._vals: list[list[float]] = []
-        for cluster, factor in zip(graph.clusters, factors):
+        for i, (cluster, factor) in enumerate(zip(graph.clusters, factors)):
             if set(factor.scope) != set(cluster.vars):
                 raise ValueError(
-                    f"cluster {cluster.id} covers {{{cluster.label()}}} but its "
+                    f"cluster {i} covers {{{cluster.label()}}} but its "
                     f"factor has a different scope"
                 )
             if not factor.entries:
-                raise ContradictionError(
-                    f"cluster {cluster.id} starts with an empty factor"
-                )
+                raise ContradictionError(f"cluster {i} starts with an empty factor")
             for var in factor.scope:
                 card = factor.card_of(var)
                 if cards.setdefault(var, card) != card:
                     raise ValueError(
                         f"variable {var} has cardinality {card} in cluster "
-                        f"{cluster.id} but {cards[var]} elsewhere"
+                        f"{i} but {cards[var]} elsewhere"
                     )
             self._shapes.append((factor.scope, factor.cards))
             self._rows.append(list(factor.entries))

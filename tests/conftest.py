@@ -45,8 +45,8 @@ def seven_vars():
 def seven_cliques(seven_vars):
     by_name = {v.name: v for v in seven_vars}
     return [
-        Cluster(i, frozenset(by_name[n] for n in names))
-        for i, names in enumerate(SEVEN_REGION_CLIQUES)
+        Cluster(frozenset(by_name[n] for n in names))
+        for names in SEVEN_REGION_CLIQUES
     ]
 
 

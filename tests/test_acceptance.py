@@ -197,7 +197,7 @@ def random_cluster_set(rng):
     ]
     keep = [s for s in set(scopes) if not any(s < t for t in scopes)]
     keep.sort(key=lambda s: sorted(v.id for v in s))
-    return [Cluster(i, s) for i, s in enumerate(keep)]
+    return [Cluster(s) for s in keep]
 
 
 def test_02_constructed_graphs_always_satisfy_running_intersection():
@@ -217,11 +217,11 @@ def test_02_constructed_graphs_always_satisfy_running_intersection():
 def test_03_worked_layer_peaks_at_overlap_three_and_validates():
     A, B, C, D, E, F, G = make_variables("ABCDEFG")
     layer = [
-        Cluster(0, frozenset({B, C, D, E, F})),
-        Cluster(1, frozenset({A, B, C, D})),
-        Cluster(2, frozenset({B, E, F})),
-        Cluster(3, frozenset({B, C, G})),
-        Cluster(4, frozenset({A, B, G})),
+        Cluster(frozenset({B, C, D, E, F})),
+        Cluster(frozenset({A, B, C, D})),
+        Cluster(frozenset({B, E, F})),
+        Cluster(frozenset({B, C, G})),
+        Cluster(frozenset({A, B, G})),
     ]
     overlaps = [
         len(a.vars & b.vars) for a, b in itertools.combinations(layer, 2)
@@ -232,11 +232,11 @@ def test_03_worked_layer_peaks_at_overlap_three_and_validates():
     # contract, so assemble the same per-variable trees by hand.
     sepset_vars: dict[tuple[int, int], set] = {}
     for variable in sorted({v for c in layer for v in c.vars}):
-        members = [c for c in layer if variable in c.vars]
+        members = [i for i, c in enumerate(layer) if variable in c.vars]
         if len(members) < 2:
             continue
         tree = max_spanning_tree(
-            [c.id for c in members], connection_weights(members)
+            members, connection_weights([layer[i] for i in members])
         )
         for edge in tree:
             sepset_vars.setdefault(edge, set()).add(variable)

@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -570,6 +571,11 @@ BAD_FLAG_VALUES = [
     (["--cluster-size", "1"], ("solve", "graph"), "cluster size must be >= 2"),
     (["--bias=-1"], ("solve", "color-map"), "bias_delta must be finite and >= 0"),
     (
+        ["--bias", "1e300"],
+        ("solve", "color-map"),
+        "bias delta 1e+300 overflows a weight of clique",
+    ),
+    (
         ["--max-messages", "0"],
         ("solve", "color-map", "bench"),
         "max_messages must be >= 1",
@@ -667,6 +673,41 @@ def test_library_rejects_unusable_bias(run, delta):
     problem = parse_adjacency(SEVEN_REGION_TEXT)
     with pytest.raises(ValueError, match="bias_delta must be finite and >= 0"):
         run(problem, bias_delta=delta)
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        # Finite nudges whose product overflows to inf in one table.
+        (
+            1e100,
+            "bias delta 1e+100 overflows a weight of clique "
+            "{r1c2,r1c3,r1c5,r1c7,r1c8,r1c9}; use a smaller bias",
+        ),
+        # A nudge that is itself inf.
+        (1e308, "potential for (0,) is inf; must be finite and >= 0"),
+    ],
+    ids=["product", "nudge"],
+)
+def test_overflowing_bias_is_refused(delta, message):
+    # Refused while compiling, not left to turn into a NaN weight that
+    # leaves no value to decode.
+    grid = Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy01.txt"
+    problem = sudoku_problem(grid.read_text(), 9)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_problem(problem, "ltrip", 9, bias_delta=delta)
+
+
+def test_overflowing_bias_is_not_a_contradiction():
+    # A four-colorable map: an overflowed weight is a bad bias, not exit 3.
+    message = "bias delta 1e+200 overflows a weight of clique {m002,m003}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        color_problem(
+            random_planar_map(25, 10, seed=3),
+            options=InferenceOptions(damping=0.3),
+            bias_delta=1e200,
+        )
+
 
 
 class TestBench:

@@ -103,7 +103,7 @@ class TestMaximalCliques:
         cliques = maximal_cliques(problem)
         labels = [tuple(v.name for v in c.sorted_vars()) for c in cliques]
         assert labels == SEVEN_REGION_CLIQUES
-        assert [c.id for c in cliques] == [0, 1, 2, 3, 4]
+        assert len(cliques) == 5
 
     def test_four_by_four_units(self):
         problem = sudoku_problem("." * 16, n=4)
@@ -165,23 +165,23 @@ class TestMaximalCliques:
             key=lambda members: [v.id for v in members],
         )
         ours = maximal_cliques(problem)
-        assert [c.id for c in ours] == list(range(len(expected)))
+        assert len(ours) == len(expected)
         assert [c.sorted_vars() for c in ours] == expected
         assert [c.vars for c in ours] == [frozenset(m) for m in expected]
 
 
 class TestSplitCliques:
     def test_small_cliques_pass_through(self):
-        cliques = [Cluster(0, frozenset(make_variables("AB")))]
+        cliques = [Cluster(frozenset(make_variables("AB")))]
         assert split_cliques(cliques, 3) == cliques
 
     def test_triangle_at_two_becomes_pairs(self):
-        cliques = [Cluster(0, frozenset(make_variables("ABC")))]
+        cliques = [Cluster(frozenset(make_variables("ABC")))]
         split = split_cliques(cliques, 2)
         assert [c.label() for c in split] == ["A,B", "A,C", "B,C"]
 
     def test_nine_clique_at_three(self):
-        cliques = [Cluster(0, frozenset(make_variables("ABCDEFGHI")))]
+        cliques = [Cluster(frozenset(make_variables("ABCDEFGHI")))]
         split = split_cliques(cliques, 3)
         assert len(split) == 28
         assert all(len(c.vars) == 3 for c in split)
@@ -197,20 +197,15 @@ class TestSplitCliques:
         # it once, and purged_clusters, where contained scopes go, drops it.
         a, b, c, d = make_variables("ABCD")
         cliques = [
-            Cluster(0, frozenset({a, b, c, d})),
-            Cluster(1, frozenset({a, b})),
-            Cluster(2, frozenset({a, b})),
+            Cluster(frozenset({a, b, c, d})),
+            Cluster(frozenset({a, b})),
+            Cluster(frozenset({a, b})),
         ]
         split = split_cliques(cliques, 3)
         assert [c.label() for c in split] == ["A,B,C", "A,B,D", "A,C,D", "A,B"]
-        assert [c.id for c in split] == [0, 1, 2, 3]
         problem = ColoringProblem((a, b, c, d), frozenset(), k=4)
         purged = purged_clusters(problem, split)
-        assert [(c.id, c.label()) for c in purged] == [
-            (0, "A,B,C"),
-            (1, "A,B,D"),
-            (2, "A,C,D"),
-        ]
+        assert [c.label() for c in purged] == ["A,B,C", "A,B,D", "A,C,D"]
 
     @given(
         st.sampled_from(["map", "grid4", "grid9"]),
@@ -231,9 +226,13 @@ class TestSplitCliques:
             assert not any(mine < other for other in scopes if len(other) > len(mine))
 
     def test_renumbered_sequentially(self):
-        cliques = [Cluster(5, frozenset(make_variables("ABCDE")))]
+        # A cluster's number is its position: the cover comes back in the
+        # order its combinations were chosen.
+        cliques = [Cluster(frozenset(make_variables("ABCDE")))]
         split = split_cliques(cliques, 3)
-        assert [c.id for c in split] == list(range(len(split)))
+        assert [c.label() for c in split] == [
+            "A,B,C", "A,B,D", "A,B,E", "A,C,D", "A,C,E", "A,D,E"
+        ]
 
     def test_rejects_size_below_two(self):
         with pytest.raises(ValueError, match=">= 2"):
@@ -243,7 +242,7 @@ class TestSplitCliques:
     @settings(deadline=None, max_examples=40)
     def test_cover_property(self, n, size):
         members = make_variables("ABCDEFGH"[:n])
-        split = split_cliques([Cluster(0, frozenset(members))], size)
+        split = split_cliques([Cluster(frozenset(members))], size)
         want = {frozenset(p) for p in itertools.combinations(members, 2)}
         have = set()
         for c in split:
@@ -381,13 +380,13 @@ class TestBuildFactors:
         items = build_factors(problem, maximal_cliques(problem))
         assert len(items) == 1
         cluster, table = items[0]
-        assert cluster.id == 0 and cluster.vars == frozenset(problem.variables)
+        assert cluster.vars == frozenset(problem.variables)
         assert len(table) == 6  # the 3! proper colorings
 
     def test_cluster_ids_track_tables(self):
         problem = sudoku_problem("." * 16, n=4)
         items = build_factors(problem, maximal_cliques(problem))
-        assert [c.id for c, _ in items] == list(range(12))
+        assert len(items) == 12
         for cluster, table in items:
             assert cluster.vars == frozenset(table.scope)
 
@@ -423,7 +422,7 @@ class TestBuildFactors:
     def test_rejects_uncovered_edge(self):
         problem = triangle_problem()
         a, b, c = problem.variables
-        partial = [Cluster(0, frozenset({a, b})), Cluster(1, frozenset({b, c}))]
+        partial = [Cluster(frozenset({a, b})), Cluster(frozenset({b, c}))]
         with pytest.raises(ValueError, match="A-C.*not inside any clique"):
             build_factors(problem, partial)
 
@@ -484,7 +483,7 @@ class TestBuildFactors:
             frozenset(p) for p in itertools.combinations(members, 2)
         )
         problem = ColoringProblem(tuple(members), edges, k=k, givens=givens)
-        items = build_factors(problem, [Cluster(0, frozenset(members))])
+        items = build_factors(problem, [Cluster(frozenset(members))])
         reference = permutation_factor(members, k)
         for variable in members:
             if variable in givens:
@@ -500,10 +499,7 @@ def compile_cover(cover, k=4, givens=None, bias=None, delta=0.01):
     exactly the pairs inside them; `givens` and `bias` are keyed by name."""
     variables = make_variables(sorted(set("".join(cover))))
     by_name = {v.name: v for v in variables}
-    cliques = [
-        Cluster(i, frozenset(by_name[n] for n in names))
-        for i, names in enumerate(cover)
-    ]
+    cliques = [Cluster(frozenset(by_name[n] for n in names)) for names in cover]
     edges = frozenset(
         frozenset(pair)
         for clique in cliques
@@ -520,7 +516,7 @@ def compile_cover(cover, k=4, givens=None, bias=None, delta=0.01):
 
 
 def ids_and_scopes(items):
-    return [(c.id, c.label()) for c, _ in items]
+    return [(i, c.label()) for i, (c, _) in enumerate(items)]
 
 
 def purged_pairwise(problem, cliques):
@@ -539,7 +535,7 @@ def purged_pairwise(problem, cliques):
     for i in order:
         if not any(scopes[i] <= scopes[j] for j in kept):
             kept.append(i)
-    return [Cluster(new_id, scopes[i]) for new_id, i in enumerate(sorted(kept))]
+    return [Cluster(scopes[i]) for i in sorted(kept)]
 
 
 class TestPurgedClusters:
@@ -559,7 +555,7 @@ class TestPurgedClusters:
         problem = ColoringProblem(
             tuple(variables), frozenset(), k=4, givens=dict.fromkeys(shown, 0)
         )
-        cliques = [Cluster(i, scope) for i, scope in enumerate(scopes)]
+        cliques = [Cluster(scope) for scope in scopes]
         assert purged_clusters(problem, cliques) == purged_pairwise(problem, cliques)
 
 
@@ -835,7 +831,7 @@ class TestAnchor:
 
     def test_size_ties_break_lexically(self):
         a, b, c, d = make_variables("ABCD")
-        cliques = [Cluster(0, frozenset({c, d})), Cluster(1, frozenset({a, b}))]
+        cliques = [Cluster(frozenset({c, d})), Cluster(frozenset({a, b}))]
         problem = ColoringProblem(
             (a, b, c, d),
             frozenset({frozenset({a, b}), frozenset({c, d})}),

@@ -115,7 +115,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             SparseTable((A,), (2,), {(2,): 1.0})
 
-    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), math.inf])
     def test_negative_and_nan_rejected(self, bad):
         with pytest.raises(ValueError):
             SparseTable((A,), (2,), {(0,): bad})

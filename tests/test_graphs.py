@@ -40,8 +40,8 @@ A, B, C, D, E, F, G = VARS
 BY_NAME = {v.name: v for v in VARS}
 
 
-def cl(i, names):
-    return Cluster(i, frozenset(BY_NAME[n] for n in names))
+def cl(names):
+    return Cluster(frozenset(BY_NAME[n] for n in names))
 
 
 def names_of(vars_):
@@ -57,11 +57,11 @@ def layered_by_hand(clusters):
     """
     sepset_vars = {}
     for variable in sorted({v for c in clusters for v in c.vars}):
-        members = [c for c in clusters if variable in c.vars]
+        members = [i for i, c in enumerate(clusters) if variable in c.vars]
         if len(members) < 2:
             continue
         tree = max_spanning_tree(
-            [c.id for c in members], connection_weights(members)
+            members, connection_weights([clusters[i] for i in members])
         )
         for edge in tree:
             sepset_vars.setdefault(edge, set()).add(variable)
@@ -75,11 +75,11 @@ def layered_by_hand(clusters):
 # overlaps peak at 3, clusters 0 and 1 attain that twice resp. once,
 # and the top edge lands at 3 + 2 + 1 = 6.
 WORKED_LAYER = [
-    cl(0, "BCDEF"),
-    cl(1, "ABCD"),
-    cl(2, "BEF"),
-    cl(3, "BCG"),
-    cl(4, "ABG"),
+    cl("BCDEF"),
+    cl("ABCD"),
+    cl("BEF"),
+    cl("BCG"),
+    cl("ABG"),
 ]
 WORKED_WEIGHTS = np.array(
     [
@@ -96,11 +96,11 @@ WORKED_WEIGHTS = np.array(
 class TestStructures:
     def test_cluster_requires_variables(self):
         with pytest.raises(ValueError, match="no variables"):
-            Cluster(0, frozenset())
+            Cluster(frozenset())
 
-    def test_cluster_rejects_negative_id(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            Cluster(-1, frozenset({A}))
+    def test_cluster_repr_is_its_variables(self):
+        # A cluster carries no number; its graph numbers it by position.
+        assert repr(cl("BA")) == "Cluster({A,B})"
 
     def test_sepset_normalizes_endpoint_order(self):
         assert Sepset((3, 1), frozenset({A})).clusters == (1, 3)
@@ -109,18 +109,14 @@ class TestStructures:
         with pytest.raises(ValueError, match="differ"):
             Sepset((2, 2), frozenset({A}))
 
-    def test_graph_requires_sequential_ids(self):
-        with pytest.raises(ValueError, match="0..1 in order"):
-            ClusterGraph((cl(0, "A"), cl(2, "B")), ())
-
     def test_graph_rejects_dangling_sepset(self):
         with pytest.raises(ValueError, match="past the clusters"):
-            ClusterGraph((cl(0, "A"),), (Sepset((0, 1), frozenset({A})),))
+            ClusterGraph((cl("A"),), (Sepset((0, 1), frozenset({A})),))
 
     def test_graph_rejects_duplicate_edges(self):
         sep = Sepset((0, 1), frozenset({A}))
         with pytest.raises(ValueError, match="duplicate"):
-            ClusterGraph((cl(0, "AB"), cl(1, "AC")), (sep, sep))
+            ClusterGraph((cl("AB"), cl("AC")), (sep, sep))
 
     def test_neighbors_and_lookup(self, seven_graph):
         # A cluster's neighbours are the other ends of the sepsets naming it.
@@ -136,11 +132,11 @@ class TestStructures:
 
 class TestConnectionWeights:
     def test_single_cluster_layer(self):
-        assert connection_weights([cl(0, "AB")]) == ((0,),)
+        assert connection_weights([cl("AB")]) == ((0,),)
 
     def test_identical_pair_gets_double_bonus(self):
         # Overlap 3 is also the maximum, so each endpoint adds 1.
-        got = connection_weights([cl(0, "ABC"), cl(1, "ABC")])
+        got = connection_weights([cl("ABC"), cl("ABC")])
         assert got == ((0, 5), (5, 0))
 
     def test_worked_five_cluster_layer(self):
@@ -152,8 +148,8 @@ class TestConnectionWeights:
         pool = list("ABCDEFG")
         for _ in range(25):
             layer = [
-                Cluster(i, frozenset(BY_NAME[n] for n in rng.sample(pool, rng.randint(1, 5))))
-                for i in range(rng.randint(2, 6))
+                Cluster(frozenset(BY_NAME[n] for n in rng.sample(pool, rng.randint(1, 5))))
+                for _ in range(rng.randint(2, 6))
             ]
             w = connection_weights(layer)
             assert w == tuple(zip(*w))
@@ -208,29 +204,25 @@ class TestLayeredConstruction:
         with pytest.raises(ValueError, match="at least one"):
             ltrip([])
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            ltrip([cl(0, "AB"), cl(0, "BC")])
-
     def test_subset_clusters_rejected(self):
         with pytest.raises(ValueError, match="fold subsets"):
-            ltrip([cl(0, "ABC"), cl(1, "AB")])
+            ltrip([cl("ABC"), cl("AB")])
 
     def test_containment_error_names_the_first_pair(self):
         with pytest.raises(
-            ValueError, match=re.escape("cluster 5 ({A,B}) is contained in cluster 7")
+            ValueError, match=re.escape("cluster 0 ({A,B}) is contained in cluster 1")
         ):
-            ltrip([cl(5, "AB"), cl(7, "AB")])
+            ltrip([cl("AB"), cl("AB")])
         # The first contained cluster in input order, then its first holder.
         with pytest.raises(
-            ValueError, match=re.escape("cluster 3 ({C,D}) is contained in cluster 1")
+            ValueError, match=re.escape("cluster 0 ({C,D}) is contained in cluster 1")
         ):
-            ltrip([cl(3, "CD"), cl(1, "ABCD"), cl(0, "BCD")])
+            ltrip([cl("CD"), cl("ABCD"), cl("BCD")])
 
     def test_triangle_of_pairwise_cliques(self):
         # Every variable lives in exactly two clusters, so each layer is
         # forced to a single edge and all three edges appear.
-        graph = ltrip([cl(0, "AB"), cl(1, "BC"), cl(2, "AC")])
+        graph = ltrip([cl("AB"), cl("BC"), cl("AC")])
         got = {s.clusters: names_of(s.vars) for s in graph.sepsets}
         assert got == {(0, 1): "B", (0, 2): "A", (1, 2): "C"}
         assert validate_rip(graph).valid
@@ -259,15 +251,18 @@ class TestLayeredConstruction:
             v.name: [s.clusters for s in graph.sepsets if v in s.vars]
             for v in graph.variables()
         }
-        d_layer = [c for c in seven_cliques if "D" in names_of(c.vars)]
-        assert [c.id for c in d_layer] == [1, 3, 4]
+        d_holders = [
+            i for i, c in enumerate(seven_cliques) if "D" in names_of(c.vars)
+        ]
+        assert d_holders == [1, 3, 4]
+        d_layer = [seven_cliques[i] for i in d_holders]
         assert connection_weights(d_layer) == ((0, 5, 3), (5, 0, 5), (3, 5, 0))
         assert trees["D"] == [(1, 3), (3, 4)]
         assert trees["A"] == [(0, 1)]
         assert set(trees) == set("ABCDEFG") and all(trees.values())
 
     def test_lone_variable_contributes_nothing(self):
-        graph = ltrip([cl(0, "AB"), cl(1, "BC"), cl(2, "D")])
+        graph = ltrip([cl("AB"), cl("BC"), cl("D")])
         assert all("D" not in names_of(s.vars) for s in graph.sepsets)
         assert validate_rip(graph).valid
 
@@ -290,13 +285,13 @@ class TestLayeredConstruction:
     def test_sepsets_are_never_widened(self, seven_cliques):
         # Sepsets must equal the union of layer contributions exactly, each
         # variable's tree recomputed here from its layer alone.
-        for clusters in (seven_cliques, [cl(0, "AB"), cl(1, "BC"), cl(2, "AC")]):
+        for clusters in (seven_cliques, [cl("AB"), cl("BC"), cl("AC")]):
             graph = ltrip(clusters)
             contributions = {}
             for variable in graph.variables():
-                members = [c for c in clusters if variable in c.vars]
-                weights = connection_weights(members)
-                for edge in max_spanning_tree([c.id for c in members], weights):
+                members = [i for i, c in enumerate(clusters) if variable in c.vars]
+                weights = connection_weights([clusters[i] for i in members])
+                for edge in max_spanning_tree(members, weights):
                     contributions.setdefault(edge, set()).add(variable)
             assert {s.clusters: set(s.vars) for s in graph.sepsets} == contributions
 
@@ -333,7 +328,7 @@ class TestRipValidation:
         assert report.violations == ()
 
     def test_single_cluster_no_edges_is_valid(self):
-        assert validate_rip(ClusterGraph((cl(0, "AB"),), ())).valid
+        assert validate_rip(ClusterGraph((cl("AB"),), ())).valid
 
     def test_widened_sepset_creates_two_paths(self, seven_graph):
         # Adding E to the (2,4) sepset gives E's clusters {2,3,4} three
@@ -347,21 +342,21 @@ class TestRipValidation:
         assert any("E" in v and "tree" in v for v in report.violations)
 
     def test_missing_connection_is_reported(self):
-        graph = ClusterGraph((cl(0, "AB"), cl(1, "AC")), ())
+        graph = ClusterGraph((cl("AB"), cl("AC")), ())
         report = validate_rip(graph)
         assert not report.valid
         assert any("A" in v for v in report.violations)
 
     def test_empty_sepset_is_reported(self):
         graph = ClusterGraph(
-            (cl(0, "AB"), cl(1, "AC")),
+            (cl("AB"), cl("AC")),
             (Sepset((0, 1), frozenset()), ),
         )
         assert any("empty" in v for v in validate_rip(graph).violations)
 
     def test_stray_sepset_variable_is_reported(self):
         graph = ClusterGraph(
-            (cl(0, "AB"), cl(1, "AC")),
+            (cl("AB"), cl("AC")),
             (Sepset((0, 1), frozenset({A, B})),),
         )
         report = validate_rip(graph)
@@ -381,7 +376,7 @@ class TestRipValidation:
             for s in maximal:
                 if s not in seen:
                     seen.add(s)
-                    clusters.append(Cluster(len(clusters), s))
+                    clusters.append(Cluster(s))
             assert validate_rip(ltrip(clusters)).valid
             assert validate_rip(bethe_graph(clusters)).valid
 
@@ -409,7 +404,7 @@ def per_variable_scan(graph):
                 f"sepset ({i},{j}) carries {{{names}}} not shared by both endpoints"
             )
     for variable in graph.variables():
-        holders = {c.id for c in graph.clusters if variable in c.vars}
+        holders = {i for i, c in enumerate(graph.clusters) if variable in c.vars}
         edges = [
             s.clusters
             for s in graph.sepsets
@@ -457,7 +452,7 @@ def rip_graphs(draw):
     """
     names = st.frozensets(st.sampled_from(VARS), min_size=1, max_size=5)
     scopes = draw(st.lists(names, min_size=1, max_size=7, unique=True))
-    clusters = [Cluster(i, scope) for i, scope in enumerate(scopes)]
+    clusters = [Cluster(scope) for scope in scopes]
     if draw(st.booleans()) and not any(a < b for a in scopes for b in scopes):
         built = draw(st.sampled_from([ltrip, bethe_graph]))(clusters)
         clusters = list(built.clusters)
@@ -505,8 +500,8 @@ class TestDotExport:
         quoted, slashed, x, y = make_variables(['a"b', "d\\", "x", "y"])
         graph = ltrip(
             [
-                Cluster(0, frozenset({quoted, slashed, x})),
-                Cluster(1, frozenset({quoted, slashed, y})),
+                Cluster(frozenset({quoted, slashed, x})),
+                Cluster(frozenset({quoted, slashed, y})),
             ]
         )
         lines = export_dot(graph).splitlines()

@@ -64,9 +64,9 @@ def chain_setup(seed=12345, density=1.0):
     """Three clusters in a row: {A,B} - {B,C} - {C,D}, random potentials."""
     rng = random.Random(seed)
     clusters = [
-        Cluster(0, frozenset({A, B})),
-        Cluster(1, frozenset({B, C})),
-        Cluster(2, frozenset({C, D})),
+        Cluster(frozenset({A, B})),
+        Cluster(frozenset({B, C})),
+        Cluster(frozenset({C, D})),
     ]
     factors = []
     for cluster in clusters:
@@ -157,7 +157,7 @@ class TestSetup:
 
     def test_uncovered_sepset_variable(self):
         graph = ClusterGraph(
-            (Cluster(0, frozenset({A})), Cluster(1, frozenset({B}))),
+            (Cluster(frozenset({A})), Cluster(frozenset({B}))),
             (Sepset((0, 1), frozenset({C})),),
         )
         factors = [uniform_factor((A,), (2,)), uniform_factor((B,), (3,))]
@@ -168,7 +168,7 @@ class TestSetup:
         # Representable, and `validate_rip` reports it; no message can
         # travel over it.
         graph = ClusterGraph(
-            (Cluster(0, frozenset({A})), Cluster(1, frozenset({B}))),
+            (Cluster(frozenset({A})), Cluster(frozenset({B}))),
             (Sepset((0, 1), frozenset()),),
         )
         factors = [uniform_factor((A,), (2,)), uniform_factor((B,), (3,))]
@@ -180,7 +180,7 @@ class TestSingleMessage:
     def setup_method(self):
         x, y, z = make_variables("XYZ")
         self.x, self.y, self.z = x, y, z
-        clusters = (Cluster(0, frozenset({x, y})), Cluster(1, frozenset({y, z})))
+        clusters = (Cluster(frozenset({x, y})), Cluster(frozenset({y, z})))
         graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({y})),))
         f0 = SparseTable((x, y), (2, 2), {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 1.0})
         f1 = uniform_factor((y, z), (2, 2))
@@ -435,7 +435,7 @@ class TestRunControl:
         )
 
     def test_edgeless_graph_converges_immediately(self):
-        graph = ClusterGraph((Cluster(0, frozenset({A})),), ())
+        graph = ClusterGraph((Cluster(frozenset({A})),), ())
         state = InferenceState(
             graph,
             [SparseTable((A,), (2,), {(0,): 0.5, (1,): 1.5})],
@@ -447,7 +447,7 @@ class TestRunControl:
         assert state.assignment == {A: 1}
 
     def test_contradiction_escapes_run(self):
-        clusters = (Cluster(0, frozenset({A, B})), Cluster(1, frozenset({A, C})))
+        clusters = (Cluster(frozenset({A, B})), Cluster(frozenset({A, C})))
         graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({A})),))
         f0 = SparseTable((A, B), (2, 3), {(0, 0): 1.0, (0, 2): 1.0})  # pins A=0
         f1 = SparseTable((A, C), (2, 2), {(1, 0): 1.0, (1, 1): 1.0})  # pins A=1
@@ -461,7 +461,7 @@ class TestRunControl:
         assert state.stats.messages == 0
 
     def test_contradiction_still_records_its_time(self):
-        clusters = (Cluster(0, frozenset({A, B})), Cluster(1, frozenset({A, C})))
+        clusters = (Cluster(frozenset({A, B})), Cluster(frozenset({A, C})))
         graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({A})),))
         f0 = SparseTable((A, B), (2, 3), {(0, 0): 1.0})  # pins A=0
         f1 = SparseTable((A, C), (2, 2), {(1, 0): 1.0})  # pins A=1
@@ -497,7 +497,7 @@ class TestDamping:
         assert damped.stats.messages > plain.stats.messages
 
     def test_contradiction_still_escapes_when_damped(self):
-        clusters = (Cluster(0, frozenset({A, B})), Cluster(1, frozenset({A, C})))
+        clusters = (Cluster(frozenset({A, B})), Cluster(frozenset({A, C})))
         graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({A})),))
         f0 = SparseTable((A, B), (2, 3), {(0, 0): 1.0, (0, 2): 1.0})
         f1 = SparseTable((A, C), (2, 2), {(1, 0): 1.0, (1, 1): 1.0})

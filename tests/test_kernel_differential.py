@@ -104,9 +104,9 @@ class DictPath:
     def marginals(self, graph):
         """Each variable's marginal from the first cluster holding it."""
         holders = {}
-        for cluster in graph.clusters:
+        for i, cluster in enumerate(graph.clusters):
             for variable in cluster.vars:
-                holders.setdefault(variable, cluster.id)
+                holders.setdefault(variable, i)
         semiring = self.options.semiring
         return {
             variable: self.beliefs[holders[variable]]
@@ -229,10 +229,7 @@ def unsorted_loop(seed):
     names = make_variables("ABCDEFG")
     by_name = {v.name: v for v in names}
     groups = ["ABF", "ACDF", "BEG", "CDE", "DEG"]
-    clusters = [
-        Cluster(i, frozenset(by_name[n] for n in group))
-        for i, group in enumerate(groups)
-    ]
+    clusters = [Cluster(frozenset(by_name[n] for n in group)) for group in groups]
     factors = []
     for group in groups:
         scope = [by_name[n] for n in reversed(group)]
@@ -283,7 +280,8 @@ def test_marginals_of_compacted_clusters(runs, monkeypatch):
         options = InferenceOptions(semiring=semiring, max_messages=2000)
         InferenceState(graph, [table for _, table in items], options).run()
     first_holders = {
-        min(c.id for c in graph.clusters if v in c.vars) for v in graph.variables()
+        min(i for i, c in enumerate(graph.clusters) if v in c.vars)
+        for v in graph.variables()
     }
     assert compacted & first_holders
     assert assert_replays(runs) > 100
@@ -292,7 +290,7 @@ def test_marginals_of_compacted_clusters(runs, monkeypatch):
 def test_sepset_variable_outside_an_endpoint():
     a, b, c = make_variables("ABC")
     graph = ClusterGraph(
-        (Cluster(0, frozenset({a, b})), Cluster(1, frozenset({b, c}))),
+        (Cluster(frozenset({a, b})), Cluster(frozenset({b, c}))),
         (Sepset((0, 1), frozenset({a, b})),),
     )
     factors = [uniform_factor((a, b), (2, 2)), uniform_factor((b, c), (2, 2))]
@@ -344,9 +342,9 @@ def test_contradiction_changes_nothing(damping):
     a, b, c = make_variables("ABC")
     graph = ClusterGraph(
         (
-            Cluster(0, frozenset({a, b})),
-            Cluster(1, frozenset({a, c})),
-            Cluster(2, frozenset({c})),
+            Cluster(frozenset({a, b})),
+            Cluster(frozenset({a, c})),
+            Cluster(frozenset({c})),
         ),
         (Sepset((0, 1), frozenset({a})), Sepset((1, 2), frozenset({c}))),
     )
@@ -369,7 +367,7 @@ def test_overflowing_quotient_changes_nothing_and_stops_the_run():
     # divides 1.0 by that cell, which overflows.
     (a,) = make_variables("A")
     graph = ClusterGraph(
-        tuple(Cluster(i, frozenset({a})) for i in range(3)),
+        tuple(Cluster(frozenset({a})) for _ in range(3)),
         (Sepset((0, 1), frozenset({a})), Sepset((1, 2), frozenset({a}))),
     )
     factors = [
