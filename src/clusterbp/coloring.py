@@ -11,6 +11,7 @@ and verifies decoded assignments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -185,7 +186,9 @@ def sudoku_problem(text: str, n: int = 9) -> ColoringProblem:
     '0' or '.' for blanks — with all whitespace ignored.  Cells become
     variables (named A..P for the 4×4 board, r{i}c{j} for 9×9), labels
     are digits minus one, and every row, column, and box is a clique of
-    disagreement edges.
+    disagreement edges.  Each side's board is built once, so problems of
+    one side share its `Variable` objects and edge frozensets: those are
+    identical, not only equal.
     """
     if n not in (4, 9):
         raise ValueError(f"grid side must be 4 or 9, got {n}")
@@ -193,11 +196,7 @@ def sudoku_problem(text: str, n: int = 9) -> ColoringProblem:
     if len(cells) != n * n:
         raise ValueError(f"expected {n * n} cells, got {len(cells)}")
     digits = "".join(str(d) for d in range(1, n + 1))
-    if n == 4:
-        names = [chr(ord("A") + i) for i in range(16)]
-    else:
-        names = [f"r{i // n + 1}c{i % n + 1}" for i in range(n * n)]
-    variables = tuple(Variable(i, names[i]) for i in range(n * n))
+    variables, edges = _board(n)
     givens: dict[Variable, int] = {}
     for i, char in enumerate(cells):
         if char in ("0", "."):
@@ -205,6 +204,17 @@ def sudoku_problem(text: str, n: int = 9) -> ColoringProblem:
         if char not in digits:
             raise ValueError(f"cell {i}: {char!r} is not a digit 1..{n} or blank")
         givens[variables[i]] = int(char) - 1
+    return ColoringProblem(variables, edges, k=n, givens=givens)
+
+
+@functools.cache
+def _board(n: int) -> tuple[tuple[Variable, ...], frozenset[frozenset[Variable]]]:
+    """The n×n board's cell variables and its disagreement edges."""
+    if n == 4:
+        names = [chr(ord("A") + i) for i in range(16)]
+    else:
+        names = [f"r{i // n + 1}c{i % n + 1}" for i in range(n * n)]
+    variables = tuple(Variable(i, names[i]) for i in range(n * n))
     # Every pair inside each row, column and box; a pair sharing two
     # units is one edge.
     box = math.isqrt(n)
@@ -219,7 +229,7 @@ def sudoku_problem(text: str, n: int = 9) -> ColoringProblem:
         for unit in rows + cols + boxes
         for pair in itertools.combinations([variables[i] for i in unit], 2)
     )
-    return ColoringProblem(variables, edges, k=n, givens=givens)
+    return variables, edges
 
 
 def format_sudoku(problem: ColoringProblem, assignment: Mapping[Variable, int]) -> str:
@@ -308,9 +318,9 @@ def build_factors(
     enough to break ties after convergence, weak enough to never beat a
     hard zero.  A table over more than MAX_TABLE_ENTRIES keys, counted as
     P(labels its domains hold, scope size), is refused with a ValueError
-    before any is built, and so is a bias whose nudges multiply past the
-    largest float.  An emptied domain or an empty table is a
-    ContradictionError naming the variable or the clique.
+    before any is built, and so is a bias whose nudge, or whose nudges
+    multiplied, pass the largest float.  An emptied domain or an empty
+    table is a ContradictionError naming the variable or the clique.
     """
     covered: set[frozenset[Variable]] = set()
     for clique in cliques:
@@ -354,11 +364,14 @@ def build_factors(
                     f"bias for {variable.name} lists {len(preference)} "
                     f"weights; expected {problem.k}"
                 )
-            weights = SparseTable(  # rejects negative, infinite and NaN nudges
-                (variable,),
-                (problem.k,),
-                {(x,): 1.0 + delta * preference[x] for x in range(problem.k)},
-            )
+            nudge = {(x,): 1.0 + delta * preference[x] for x in range(problem.k)}
+            if math.inf in nudge.values():
+                raise ValueError(
+                    f"bias delta {delta} overflows the nudge of "
+                    f"{variable.name}; use a smaller bias"
+                )
+            # SparseTable refuses negative and NaN nudges.
+            weights = SparseTable((variable,), (problem.k,), nudge)
             nudges[variable] = tuple(weights[(x,)] for x in range(problem.k))
     out: list[tuple[Cluster, SparseTable]] = []
     for cluster in purged_clusters(problem, cliques):

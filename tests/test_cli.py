@@ -576,6 +576,11 @@ BAD_FLAG_VALUES = [
         "bias delta 1e+300 overflows a weight of clique",
     ),
     (
+        ["--bias", "1e308"],
+        ("solve", "color-map"),
+        "bias delta 1e+308 overflows the nudge of",
+    ),
+    (
         ["--max-messages", "0"],
         ("solve", "color-map", "bench"),
         "max_messages must be >= 1",
@@ -684,8 +689,8 @@ def test_library_rejects_unusable_bias(run, delta):
             "bias delta 1e+100 overflows a weight of clique "
             "{r1c2,r1c3,r1c5,r1c7,r1c8,r1c9}; use a smaller bias",
         ),
-        # A nudge that is itself inf.
-        (1e308, "potential for (0,) is inf; must be finite and >= 0"),
+        # A nudge that is itself inf: named by the bias and its variable.
+        (1e308, "bias delta 1e+308 overflows the nudge of r1c2; use a smaller bias"),
     ],
     ids=["product", "nudge"],
 )
@@ -953,6 +958,25 @@ class TestDeterminismAcrossProcesses:
         assert first[0] == EXIT_UNSATISFIABLE
         assert first[2].startswith("unsatisfiable: givens assign")
         assert self.run_cli(["graph", str(path)], 1) == first
+
+    def test_clashing_grid(self, tmp_path):
+        # Givens that clash on four edges of the shared 9x9 board: the
+        # message names the smallest clash under any hash seed.
+        rows = ["." * 9] * 9
+        rows[0] = "11.2....."
+        rows[1] = "...2....."
+        rows[4] = "....33..."
+        rows[7] = "........7"
+        rows[8] = "........7"
+        path = tmp_path / "clash9.txt"
+        path.write_text("\n".join(rows) + "\n")
+        first = self.run_cli(["solve", str(path)], 0)
+        assert first[0] == EXIT_UNSATISFIABLE
+        assert first[2] == (
+            "unsatisfiable: givens assign r1c1 and r1c2 the same label 0 "
+            "across an edge\n"
+        )
+        assert self.run_cli(["solve", str(path)], 1) == first
 
 
 def test_import_leaves_numpy_out():

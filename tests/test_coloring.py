@@ -1,6 +1,8 @@
 """Coloring problems: builders, clique machinery, potentials, verification."""
 
 import itertools
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -259,6 +261,21 @@ PUZZLE_4 = """
     """
 
 
+def board_edges(variables, n):
+    """Pairs of cells in one row, one column or one box of the n×n board."""
+    box = math.isqrt(n)
+
+    def units(i):
+        r, c = divmod(i, n)
+        return {("row", r), ("col", c), ("box", r // box, c // box)}
+
+    return frozenset(
+        frozenset((variables[i], variables[j]))
+        for i, j in itertools.combinations(range(n * n), 2)
+        if units(i) & units(j)
+    )
+
+
 class TestSudoku:
     def test_structure_counts(self):
         problem = sudoku_problem("." * 81)
@@ -300,6 +317,43 @@ class TestSudoku:
     def test_rejects_contradictory_grid(self):
         with pytest.raises(ContradictionError):
             sudoku_problem("11.." + "." * 12, n=4)
+
+    def test_grids_of_one_side_share_the_board(self):
+        for n, first, second in [
+            (4, PUZZLE_4, "." * 16),
+            (9, EASY01, "." * 81),
+        ]:
+            one, two = sudoku_problem(first, n), sudoku_problem(second, n)
+            assert one.givens != two.givens
+            assert one.variables is two.variables
+            shared = {id(edge) for edge in one.edges}
+            assert all(id(edge) in shared for edge in two.edges)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_edges_join_cells_sharing_a_unit(self, n):
+        problem = sudoku_problem("." * (n * n), n)
+        assert problem.edges == board_edges(problem.variables, n)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [("5" + "." * 15, ValueError), ("11.." + "." * 12, ContradictionError)],
+        ids=["bad character", "clashing givens"],
+    )
+    def test_a_failed_parse_leaves_the_board_intact(self, bad, error):
+        before = sudoku_problem(PUZZLE_4, n=4)
+        with pytest.raises(error):
+            sudoku_problem(bad, n=4)
+        after = sudoku_problem(PUZZLE_4, n=4)
+        names = "ABCDEFGHIJKLMNOP"
+        variables = tuple(Variable(i, name) for i, name in enumerate(names))
+        named = dict(zip(names, variables))
+        fresh = ColoringProblem(
+            variables,
+            board_edges(variables, 4),
+            k=4,
+            givens={named[c]: x for c, x in zip("ADMP", (0, 3, 3, 0))},
+        )
+        assert after == before == fresh
 
     def test_format_round_trip(self):
         problem = sudoku_problem(PUZZLE_4, n=4)
@@ -443,6 +497,20 @@ class TestBuildFactors:
         prefs = {problem.variables[0]: (1, 0)}
         with pytest.raises(ValueError, match="expected 3"):
             build_factors(problem, maximal_cliques(problem), bias=prefs)
+
+    def test_overflowing_nudge_names_the_bias_and_the_variable(self):
+        problem = triangle_problem()
+        prefs = {problem.variables[1]: (0, 2, 1)}
+        message = "bias delta 1e+308 overflows the nudge of B; use a smaller bias"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_factors(problem, maximal_cliques(problem), bias=prefs, delta=1e308)
+
+    def test_negative_and_nan_nudges_are_still_refused(self):
+        problem = triangle_problem()
+        for weight in (-3.0, math.nan):
+            prefs = {problem.variables[0]: (0, weight, 1)}
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                build_factors(problem, maximal_cliques(problem), bias=prefs, delta=1.0)
 
     def test_oversized_clique_is_a_contradiction(self):
         problem = triangle_problem(k=2)
