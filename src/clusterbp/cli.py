@@ -130,10 +130,11 @@ def _pipeline(
     bias_delta: float,
     seed: int,
 ) -> SolveOutcome:
-    """Cliques, split, then rounds of compile, run, decode and verify.
+    """Cliques, then rounds of split, compile, run, decode and verify.
 
     A bad `topology` or `bias_delta` (which must be finite and >= 0) is a
-    ValueError before any other work.  The cliques are split once.
+    ValueError before any other work.  Each round splits what its givens
+    leave of the cliques, so `cluster_size` bounds every table's scope.
     Decimation starts from `anchor_largest_clique`: the givens, or one
     largest clique pinned when there are none.  Each round propagates,
     then decodes the most decided variables first, each avoiding labels
@@ -158,8 +159,6 @@ def _pipeline(
     anchor = anchor_largest_clique(problem, cliques)
     # Givens come back unchanged; only an anchor needs a new problem.
     base = problem if problem.givens else dataclasses.replace(problem, givens=anchor)
-    if cluster_size is not None:
-        cliques = split_cliques(cliques, cluster_size)
     build_ms = (time.perf_counter() - started) * 1000.0
     attempts = ATTEMPTS if bias_delta > 0 else 1
     messages, infer_ms, cluster_count = 0, 0.0, 0
@@ -169,8 +168,9 @@ def _pipeline(
         try:
             while True:
                 started = time.perf_counter()
+                parts = _split_free(work, cliques, cluster_size)
                 state, clusters = _compile(
-                    work, cliques, topology, options, bias_delta, seed + attempt
+                    work, parts, topology, options, bias_delta, seed + attempt
                 )
                 build_ms += (time.perf_counter() - started) * 1000.0
                 cluster_count = cluster_count or clusters
@@ -216,6 +216,29 @@ def _graph(topology: str, clusters: list[Cluster]) -> ClusterGraph:
     Names are looked up per call, so a wrapped `ltrip` or `bethe_graph` runs.
     """
     return ltrip(clusters) if topology == "ltrip" else bethe_graph(clusters)
+
+
+def _split_free(
+    problem: ColoringProblem, cliques: list[Cluster], size: int | None
+) -> list[Cluster]:
+    """Cover what the givens leave of each clique with more than `size`.
+
+    Each part of the `split_cliques` cover takes the clique's givens back,
+    so `build_factors` still sees every edge; other cliques pass whole.
+    """
+    if size is None:
+        return cliques
+    if size < 2:
+        raise ValueError(f"cluster size must be >= 2, got {size}")
+    parts = []
+    for clique in cliques:
+        free = clique.vars.difference(problem.givens)
+        if len(free) <= size:
+            parts.append(clique)
+            continue
+        given = clique.vars - free
+        parts += [Cluster(p.vars | given) for p in split_cliques([Cluster(free)], size)]
+    return parts
 
 
 def _compile(
@@ -487,9 +510,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     problem = load_problem(args.input)
-    cliques = maximal_cliques(problem)
-    if args.cluster_size is not None:
-        cliques = split_cliques(cliques, args.cluster_size)
+    cliques = _split_free(problem, maximal_cliques(problem), args.cluster_size)
     clusters = purged_clusters(problem, cliques)
     if not clusters:
         print("every variable is given; the graph is empty")
@@ -565,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cluster-size",
         type=int,
         default=None,
-        help="split cliques larger than this before building the graph",
+        help="most free cells a cluster may hold; each round splits larger cliques",
     )
     solve.add_argument(
         "--bias",

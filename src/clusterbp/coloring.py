@@ -153,29 +153,34 @@ def _bits(mask: int) -> list[int]:
 def split_cliques(cliques: Sequence[Cluster], size: int) -> list[Cluster]:
     """Break cliques larger than `size` into covering sub-cliques.
 
-    Each oversized clique is replaced by a greedy cover: walk its
-    size-combinations in lexicographic variable order and keep one
-    whenever it contains a variable pair no kept combination covers yet,
-    until all pairs are covered.  Smaller cliques pass through, in input
-    order, and repeats are dropped.  Of maximal cliques no scope lies
-    inside another; `purged_clusters` drops any that do.
+    Each oversized clique is replaced by a greedy max-coverage cover:
+    each pick is the size-combination of its sorted variables that
+    covers the most pairs no earlier pick covers, ties to the
+    lexicographically first; parts come in pick order.  Pairs are
+    bitmasks, and a pick scans all C(n, size) combinations of n members.
+    Smaller cliques pass through, in input order, and repeats are
+    dropped.  Of maximal cliques no scope lies inside another;
+    `purged_clusters` drops any that do.
     """
     if size < 2:
         raise ValueError(f"cluster size must be >= 2, got {size}")
     chosen: list[frozenset[Variable]] = []
     for clique in cliques:
         members = clique.sorted_vars()
-        if len(members) <= size:
+        n = len(members)
+        if n <= size:
             chosen.append(clique.vars)
             continue
-        uncovered = {frozenset(p) for p in itertools.combinations(members, 2)}
-        for combo in itertools.combinations(members, size):
-            pairs = {frozenset(p) for p in itertools.combinations(combo, 2)}
-            if pairs & uncovered:
-                chosen.append(frozenset(combo))
-                uncovered -= pairs
-                if not uncovered:
-                    break
+        masks = [
+            (combo, sum(1 << i * n + j for i, j in itertools.combinations(combo, 2)))
+            for combo in itertools.combinations(range(n), size)
+        ]
+        uncovered = sum(1 << i * n + j for i, j in itertools.combinations(range(n), 2))
+        while uncovered:
+            # max keeps the first, so the lexicographically first, of ties.
+            combo, mask = max(masks, key=lambda m: (m[1] & uncovered).bit_count())
+            chosen.append(frozenset(members[i] for i in combo))
+            uncovered &= ~mask
     return [Cluster(vars_) for vars_ in dict.fromkeys(chosen)]
 
 

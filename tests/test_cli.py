@@ -44,7 +44,13 @@ from clusterbp.coloring import (
 from clusterbp.factors import ContradictionError, SparseTable, make_variables
 from clusterbp.inference import InferenceOptions, InferenceState
 from conftest import SEVEN_REGION_TEXT
-from oracles import color_by_backtracking, is_proper_coloring, solve_sudoku
+from oracles import (
+    color_by_backtracking,
+    exhaustive_4x4_suite,
+    grid_text,
+    is_proper_coloring,
+    solve_sudoku,
+)
 
 # Five givens force the unique completion 1234/3412/2143/4321.
 WELL_DEFINED_4 = "....\n3.12\n2..3\n....\n"
@@ -197,12 +203,13 @@ class TestSolve:
 class TestOnePipeline:
     """Grids and maps run the same clique-to-verify sequence."""
 
-    def test_grid_round_that_fails_decimates(self):
-        # ltrip/5 converges on easy07 to a decode with 9 violated edges;
-        # frozen labels repair it in later rounds.
+    def test_grid_round_that_fails_decimates(self, rounds):
+        # ltrip/4's first round on easy07 decodes with violated edges;
+        # frozen labels repair it in a later round.
         grid = Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy07.txt"
-        outcome = solve_problem(load_puzzle(grid), "ltrip", 5)
+        outcome = solve_problem(load_puzzle(grid), "ltrip", 4)
         assert outcome.valid
+        assert len(rounds) > 1
 
     def test_map_under_the_factor_graph(self):
         # The pinned count is that of the anchored pipeline color_problem
@@ -229,6 +236,73 @@ class TestOnePipeline:
             map_way.messages,
             map_way.cluster_count,
         )
+
+
+BUNDLED = sorted((Path(clusterbp.__file__).parent / "data" / "puzzles").glob("*.txt"))
+
+
+@pytest.fixture(scope="module")
+def split_grids():
+    """The 4x4 suite and the bundled 9x9 puzzles, each with its solution."""
+    grids = [(grid_text(p), 4, full) for p, full in exhaustive_4x4_suite(0)]
+    for path in BUNDLED:
+        text = path.read_text()
+        cells = [0 if c == "." else int(c) for c in "".join(text.split())]
+        grids.append((text, 9, solve_sudoku(cells, 9, limit=1)[0]))
+    return grids
+
+
+class TestFreeSplit:
+    """Each round splits what its givens leave of the cliques."""
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["givens", "frozen"])
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_tables_hold_at_most_size_variables(
+        self, monkeypatch, split_grids, size, frozen
+    ):
+        compiled = []
+        compile_round = clusterbp.cli.build_factors
+
+        def recording(problem, cliques, **kwargs):
+            items = compile_round(problem, cliques, **kwargs)
+            compiled.append((problem, cliques, items))
+            return items
+
+        monkeypatch.setattr("clusterbp.cli.build_factors", recording)
+        for text, n, full in split_grids:
+            problem = sudoku_problem(text, n)
+            if frozen:
+                # Every third open cell, frozen to its solution's label.
+                open_cells = [v for v in problem.variables if v not in problem.givens]
+                extra = {v: full[v.id] - 1 for v in open_cells[::3]}
+                problem = dataclasses.replace(
+                    problem, givens={**problem.givens, **extra}
+                )
+            solve_problem(problem, "ltrip", size)
+        assert len(compiled) >= len(split_grids)
+        for problem, cliques, items in compiled:
+            assert all(len(table.scope) <= size for _, table in items)
+            parts = [set(c.vars) for c in cliques]
+            for edge in problem.edges:
+                a, b = edge
+                assert any(a in part and b in part for part in parts), edge
+
+    @pytest.mark.parametrize("size", ["3", "5"])
+    def test_graph_shows_the_first_round(self, capsys, size):
+        easy01 = str(BUNDLED[0])
+        assert main(["graph", easy01, "--cluster-size", size]) == EXIT_OK
+        graph_count = re.search(r"^clusters: (\d+) ", capsys.readouterr().out, re.M)
+        assert main(["solve", easy01, "--cluster-size", size]) == EXIT_OK
+        solve_count = re.search(r"clusters: (\d+)$", capsys.readouterr().out, re.M)
+        assert graph_count[1] == solve_count[1]
+
+    @pytest.mark.parametrize("command", ["solve", "graph"])
+    def test_size_one_is_refused_when_nothing_splits(self, tmp_path, capsys, command):
+        # With one open cell no clique has more free cells than 1.
+        path = tmp_path / "grid.txt"
+        path.write_text("." + WELL_DEFINED_4_SOLUTION[1:])
+        assert main([command, str(path), "--cluster-size", "1"]) == EXIT_BAD_INPUT
+        assert "cluster size must be >= 2, got 1" in capsys.readouterr().err
 
 
 class TestColorMap:

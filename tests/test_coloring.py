@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,16 +186,54 @@ class TestSplitCliques:
         assert [c.label() for c in split] == ["A,B", "A,C", "B,C"]
 
     def test_nine_clique_at_three(self):
+        # Each pick covers the most uncovered pairs, ties to the
+        # lexicographically first triple.
         cliques = [Cluster(frozenset(make_variables("ABCDEFGHI")))]
         split = split_cliques(cliques, 3)
-        assert len(split) == 28
-        assert all(len(c.vars) == 3 for c in split)
+        assert [c.label() for c in split] == [
+            "A,B,C", "A,D,E", "A,F,G", "A,H,I", "B,D,F", "B,E,G", "C,D,G",
+            "C,E,F", "B,C,H", "B,C,I", "D,E,H", "D,E,I", "F,G,H", "F,G,I",
+        ]
         covered = set()
         for c in split:
             covered |= {
                 frozenset(p) for p in itertools.combinations(c.vars, 2)
             }
         assert len(covered) == 36  # every pair of the nine
+
+    @pytest.mark.parametrize("size,parts", [(3, 14), (4, 8), (5, 5), (6, 3), (7, 3)])
+    def test_nine_clique_part_counts(self, size, parts):
+        members = make_variables("ABCDEFGHI")
+        split = split_cliques([Cluster(frozenset(members))], size)
+        assert len(split) == parts
+        assert all(len(c.vars) == size for c in split)
+        have = {frozenset(p) for c in split for p in itertools.combinations(c.vars, 2)}
+        assert have == {frozenset(p) for p in itertools.combinations(members, 2)}
+
+    def test_cover_is_the_same_under_any_hash_seed(self):
+        script = (
+            "from clusterbp import make_variables\n"
+            "from clusterbp.coloring import split_cliques\n"
+            "from clusterbp.graphs import Cluster\n"
+            "nine = Cluster(frozenset(make_variables('ABCDEFGHI')))\n"
+            "for size in range(3, 8):\n"
+            "    print([c.label() for c in split_cliques([nine], size)])\n"
+        )
+        source = str(Path(clusterbp.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in (0, 1):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=source)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            )
+            outputs.append(done.stdout)
+        assert len(outputs[0].splitlines()) == 5
+        assert outputs[0] == outputs[1]
 
     def test_duplicates_and_subsets_pruned(self):
         # Splitting drops the repeated {A,B}; the contained one survives
@@ -232,9 +273,7 @@ class TestSplitCliques:
         # order its combinations were chosen.
         cliques = [Cluster(frozenset(make_variables("ABCDE")))]
         split = split_cliques(cliques, 3)
-        assert [c.label() for c in split] == [
-            "A,B,C", "A,B,D", "A,B,E", "A,C,D", "A,C,E", "A,D,E"
-        ]
+        assert [c.label() for c in split] == ["A,B,C", "A,D,E", "B,C,D", "B,C,E"]
 
     def test_rejects_size_below_two(self):
         with pytest.raises(ValueError, match=">= 2"):

@@ -33,6 +33,18 @@ Both entry points now run one pipeline, with the decimation fallback and
 the largest-clique anchor for `solve_problem` too.  Every pinned run
 verifies in its first round, and every grid here has givens, so no other
 pin moved.
+
+When each round came to split what its givens leave of a clique, under a
+max-coverage cover, the nine pins of split runs moved; each valid flag
+held.  A row with four givens at size 5 now compiles one table over its
+five free cells, not several overlapping ones: easy01 ltrip/5 went from
+2,581 messages over 138 clusters to 884 over 59.  In the eight 4×4 pins
+at size 3, a unit with one given keeps its three free cells in one
+table, where its split used to leave three pairs.  Their cluster counts
+held; the messages went: well-defined ltrip 88 -> 88 (a new sequence),
+bethe 174 -> 178, corners ltrip 117 -> 120 and 318 -> 287 (bias 0.01),
+bethe 211 -> 214 and 510 -> 516.  The pins with no size, easy01 at size
+9 and the maps split nothing and did not move.
 """
 
 import hashlib
@@ -62,8 +74,8 @@ EASY01_COUNTS = {
         "c31c52d9823a7bc0f2d5f00f2436939956ec71ca8ca4de6eb1df6633c19a90dd",
     ),
     ("ltrip", 5): (
-        2581, True, 138,
-        "5bb26f4eb992dc3a87317660ecee812f8047a8c9703f2a5a526a2903203b2094",
+        884, True, 59,
+        "459ca2f0036c570982e1d020a848d26b2df4fd2311722c1457172fde8c4b920e",
     ),
 }
 
@@ -79,11 +91,11 @@ GRID4_COUNTS = {
     ),
     (WELL_DEFINED_4, "ltrip", 3, 0.0): (
         88, True, 16,
-        "9c827eba99b03c6edbf5fe44bc4d43bd309fe36ec4970963c9562eb9e9db7dc8",
+        "cf2e117510e8cdf7c9b930e036ad04c930a5c33265b2e837fbc7f36f16653804",
     ),
     (WELL_DEFINED_4, "ltrip", 3, 0.01): (
         88, True, 16,
-        "251b5bd6f95a45d51be426368392492e856c94644f577d6b2aa87e8dfddf4835",
+        "31e1354cbbe7fcf2258956c2dc5f5ba2a71779798408f6954d692627681f7632",
     ),
     (WELL_DEFINED_4, "bethe", None, 0.0): (
         112, True, 10,
@@ -94,12 +106,12 @@ GRID4_COUNTS = {
         "6b91f4739626dd905b3162089a11d0255d35ec63ddc9cfb38d89f0c342c30039",
     ),
     (WELL_DEFINED_4, "bethe", 3, 0.0): (
-        174, True, 16,
-        "40c7161c0c3e77e72a049d85c8c7b87cc8deda0d9ccda3049730188c051e1d32",
+        178, True, 16,
+        "7c7e8981a1fb8274f90c8dd680a8993aab33b9ffce9cf68a285fd052d2cf5880",
     ),
     (WELL_DEFINED_4, "bethe", 3, 0.01): (
-        174, True, 16,
-        "c29e802d1f215952bbd69fffcb42933321fcb679c2f362553aaf19ac6a9a5a71",
+        178, True, 16,
+        "075510dc4a197b68700d66e72ccb36bacc4259b14430a7adfbfff24ce0f2f2ea",
     ),
     (CORNERS_4, "ltrip", None, 0.0): (
         53, True, 12,
@@ -110,12 +122,12 @@ GRID4_COUNTS = {
         "7d86fbf273a2c9422b51ec6576aae60d38c1c8bfe94dab7648993fcbed84154a",
     ),
     (CORNERS_4, "ltrip", 3, 0.0): (
-        117, True, 20,
-        "8315e92473fb1851153bf57e3108d99e3077487153a5690a73f08e1b57d1ed0b",
+        120, True, 20,
+        "53c1e9df2d0ce2efaaad422700936a928df7955a56055cb539a3f44d8c69bf5a",
     ),
     (CORNERS_4, "ltrip", 3, 0.01): (
-        318, True, 20,
-        "abf39734a52a9deae372010f436538f6123ab11eeabab95609b37235eb5a6d80",
+        287, True, 20,
+        "eae08e508d189a46738ce3c0aabe7719fdef99e5486c7590c1e6b0863b322bda",
     ),
     (CORNERS_4, "bethe", None, 0.0): (
         132, True, 12,
@@ -126,12 +138,12 @@ GRID4_COUNTS = {
         "fa303388ede3db2473340ec3ac38aeab118e98177be77037185b03db9ee37275",
     ),
     (CORNERS_4, "bethe", 3, 0.0): (
-        211, True, 20,
-        "bc96f1ef6d9a28e57b3f544e0141393d9927daf76f43655cf65203166deb735f",
+        214, True, 20,
+        "ed3c2c93956b15ac071acfbabf3f7a909fc37b8e3413d33df36cf672c410108d",
     ),
     (CORNERS_4, "bethe", 3, 0.01): (
-        510, True, 20,
-        "3080732e0bcff70c3078ce74d43c5130aa70308e03e6468434af8cb441962d7a",
+        516, True, 20,
+        "ad5a4ed210965a72f01241064157ecf802eeae1099155765becdf73d4267596e",
     ),
 }
 
