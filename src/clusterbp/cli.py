@@ -380,7 +380,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if outcome.valid:
         return EXIT_OK
     if not outcome.converged:
-        print("did not converge within the message budget", file=sys.stderr)
+        print("did not converge", file=sys.stderr)
     else:
         print(
             f"decoded grid violates {len(outcome.report.violated_edges)} "

@@ -296,7 +296,7 @@ class SparseTable:
                 f"cannot normalize an empty table over {self._scope_names()}"
             )
         total = (
-            sum(self.entries.values())
+            math.fsum(self.entries.values())
             if mode == "sum"
             else max(self.entries.values())
         )
@@ -418,8 +418,8 @@ def kl_divergence(new: SparseTable, old: SparseTable) -> float:
         raise ValueError(f"cardinality mismatch: {new.cards} vs {aligned.cards}")
     if not new.entries or not aligned.entries:
         raise ValueError("divergence requires two normalizable tables")
-    new_total = sum(new.entries.values())
-    old_total = sum(aligned.entries.values())
+    new_total = math.fsum(new.entries.values())
+    old_total = math.fsum(aligned.entries.values())
     oget = aligned.entries.get
     total = 0.0
     for key, value in new.entries.items():

@@ -1,6 +1,6 @@
-"""Loopy belief propagation over cluster graphs, with division-based updates.
+"""Loopy max-product BP over cluster graphs, with division-based updates.
 
-A message over an edge is the source belief marginalized onto the sepset;
+A message over an edge is the source belief max-marginalized onto the sepset;
 the target belief is multiplied by the ratio of that marginal to the
 belief the sepset last carried.  Each delivery is scored by how much the
 sepset belief moved (KL divergence), and those scores both schedule the
@@ -8,6 +8,9 @@ next messages — biggest mover first — and decide convergence: the run is
 done when no queued score reaches `THRESHOLD`.  Sending (s, d) queues
 (d, s) at or above its score, and sending (d, s) re-queues (s, d) at or
 above its own, so every directed edge's last score then sits below it.
+Max-product is the one semiring: each belief is divided by its largest
+value, and sums of floats go through `math.fsum`, so a run sends the same
+messages on every supported Python version.
 
 `InferenceState.run` returns the state itself.  Its `marginals` and
 `assignment` are read off the current beliefs on each access, so a run
@@ -24,14 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from clusterbp.factors import (
-    SEMIRINGS,
-    ContradictionError,
-    Semiring,
-    SparseTable,
-    Variable,
-    kl_divergence,
-)
+from clusterbp.factors import ContradictionError, SparseTable, Variable, kl_divergence
 from clusterbp.graphs import ClusterGraph
 
 DirectedEdge = tuple[int, int]
@@ -42,24 +38,20 @@ THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class InferenceOptions:
-    """Knobs for a propagation run.
+    """Knobs for a max-product propagation run.
 
-    `semiring` picks sum-product (marginal mass) or max-product (best
-    completion scores); `max_messages` caps the run.  The residual a
-    directed edge must fall below to count as settled is the module
-    constant `THRESHOLD`, not an option.
+    `max_messages` caps the run.  The residual a directed edge must fall
+    below to count as settled is the module constant `THRESHOLD`, not an
+    option.
     `damping` geometrically mixes each new sepset belief with the stored
     one — it leaves fixed points untouched but tames the oscillation
     loopy graphs with soft potentials are prone to.
     """
 
-    semiring: Semiring = "max"
     max_messages: int = 1_000_000
     damping: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.semiring not in SEMIRINGS:
-            raise ValueError(f"unknown semiring {self.semiring!r}")
         if self.max_messages < 1:
             raise ValueError(f"max_messages must be >= 1, got {self.max_messages}")
         if not 0.0 <= self.damping < 1.0:
@@ -91,10 +83,10 @@ class CalibrationReport:
 
 
 class InferenceState:
-    """Mutable state of one propagation run over a cluster graph.
+    """Mutable state of one max-product propagation run over a cluster graph.
 
     Construction performs the setup: cluster beliefs start as the given
-    factors (max-normalized under the max semiring), sepset beliefs start
+    factors divided by their largest value, sepset beliefs start
     vacuous, and every directed edge is queued at infinite residual.
     Each cluster and each sepset is checked in the pass that records it.
     A cluster's neighbours are the keys of its cell index, and its
@@ -150,16 +142,15 @@ class InferenceState:
             self._shapes.append((factor.scope, factor.cards))
             self._rows.append(list(factor.entries))
             vals = list(factor.entries.values())
-            if options.semiring == "max":
-                top = max(vals)
-                vals = [v / top for v in vals]
-            self._vals.append(vals)
+            top = max(vals)
+            self._vals.append([v / top for v in vals])
         # _cells[i][j]: the cell of the (i, j) sepset each row of i projects to.
         self._cells: list[dict[int, list[int]]] = [{} for _ in factors]
         self._sepset_scope: dict[tuple[int, int], tuple[Variable, ...]] = {}
         self._sepsets: dict[tuple[int, int], list[float]] = {}
         # Each sepset's total, summed in the order its last message listed
-        # its cells: the one record of that order.
+        # its cells: the one record of that order.  A vacuous sepset's
+        # total is its cell count.
         self._totals: dict[tuple[int, int], float] = {}
         # Sepsets with the same cardinalities share their cell numbering.
         grids: dict[tuple[int, ...], tuple[list, dict]] = {}
@@ -183,7 +174,7 @@ class InferenceState:
             assignments, cell_of = grids[sizes]
             self._sepset_scope[key] = scope
             self._sepsets[key] = [1.0] * len(assignments)
-            self._totals[key] = sum(self._sepsets[key])
+            self._totals[key] = float(len(assignments))
             for end, peer in (key, key[::-1]):
                 pick = [factors[end]._pos[v] for v in scope]
                 self._cells[end][peer] = _row_cells(self._rows[end], pick, cell_of)
@@ -263,18 +254,13 @@ class InferenceState:
         stored = self._sepsets.get(key)
         if stored is None:
             raise ValueError(f"no sepset between clusters {src} and {dst}")
-        semiring = self.options.semiring
         damping = self.options.damping
         values = self._vals[src]
         cells = self._cells[src][dst]
         message = [0.0] * len(stored)
-        if semiring == "max":
-            for value, cell in zip(values, cells):
-                if value > message[cell]:
-                    message[cell] = value
-        else:
-            for value, cell in zip(values, cells):
-                message[cell] += value
+        for value, cell in zip(values, cells):
+            if value > message[cell]:
+                message[cell] = value
         if damping > 0.0:
             # Geometric mixing: message support never exceeds the stored
             # support, so every mixed cell meets a positive stored value.
@@ -290,7 +276,7 @@ class InferenceState:
 
         # The residual D(message || stored), as kl_divergence computes it,
         # and the ratio message / stored that updates the target.
-        new_total = sum(map(message.__getitem__, order))
+        new_total = math.fsum(map(message.__getitem__, order))
         old_total = self._totals[key]
         residual = 0.0
         ratio = [0.0] * len(stored)
@@ -313,14 +299,14 @@ class InferenceState:
 
         targets = self._cells[dst][src]
         updated = [value * ratio[cell] for value, cell in zip(self._vals[dst], targets)]
-        total = max(updated) if semiring == "max" else sum(updated)
+        total = max(updated)
         if not total:
             scope = ",".join(v.name for v in self._sepset_scope[key])
             raise ContradictionError(
                 f"message {src}->{dst} over {{{scope}}} annihilated the "
                 f"target belief"
             )
-        # Max-product totals are often exactly 1.0, and x / 1.0 is x.
+        # The largest value is often exactly 1.0, and x / 1.0 is x.
         if total != 1.0:
             updated = [value / total for value in updated]
         self._vals[dst] = updated
@@ -403,16 +389,15 @@ class InferenceState:
 
     @property
     def marginals(self) -> dict[Variable, SparseTable]:
-        """Each variable's normalized marginal, in variable order.
+        """Each variable's max-marginal, divided by its largest entry.
 
         A variable's marginal comes from the first cluster holding it, in
-        one walk per holder cluster: each live row adds to, or under max
-        raises, the entry of every variable first held there, in row
-        order.  Sums, maxima and divisions are those of `marginalize`
-        followed by `normalize`, entry order included.  A belief always
-        keeps a positive row, so no marginal comes out empty.
+        one walk per holder cluster: each live row raises the entry of
+        every variable first held there, in row order.  Maxima and
+        divisions are those of `marginalize("max")` followed by
+        `normalize("max")`, entry order included.  A belief always keeps
+        a positive row, so no marginal comes out empty.
         """
-        semiring = self.options.semiring
         totals: dict[Variable, dict[int, float]] = {}
         for i, (scope, _) in enumerate(self._shapes):
             accs = [
@@ -427,14 +412,12 @@ class InferenceState:
                     continue
                 for acc, p in accs:
                     x = row[p]
-                    if semiring == "sum":
-                        acc[x] = acc.get(x, 0.0) + value
-                    elif value > acc.get(x, 0.0):
+                    if value > acc.get(x, 0.0):
                         acc[x] = value
         out = {}
         for variable in sorted(totals):
             acc = totals[variable]
-            total = sum(acc.values()) if semiring == "sum" else max(acc.values())
+            total = max(acc.values())
             entries = {(x,): value / total for x, value in acc.items() if value / total}
             out[variable] = SparseTable._trusted(
                 (variable,), (self._cards[variable],), entries
@@ -456,12 +439,11 @@ class InferenceState:
         graphs they measure the remaining inconsistency.
         """
         per_edge: dict[tuple[int, int], float] = {}
-        semiring = self.options.semiring
         beliefs = self.beliefs
         for key, scope in self._sepset_scope.items():
             i, j = key
-            from_i = beliefs[i].marginalize(scope, semiring).normalize("sum")
-            from_j = beliefs[j].marginalize(scope, semiring).normalize("sum")
+            from_i = beliefs[i].marginalize(scope, "max").normalize("sum")
+            from_j = beliefs[j].marginalize(scope, "max").normalize("sum")
             if set(from_i.entries) != set(from_j.reorder(from_i.scope).entries):
                 per_edge[key] = float("inf")
             else:

@@ -12,10 +12,11 @@ Wraps `InferenceState.pass_message` and solves the corpus below through
   cluster count and assignment by variable id.
 
 Two checkouts that print the same lines send the same messages with the
-same residuals, bit for bit.  Compare them on one machine and one
-interpreter: residual bits depend on float `sum()` (compensated from
-Python 3.12 on) and on the platform's `math.log`, so no test pins the
-digest.  pytest does not collect this file.
+same residuals, bit for bit.  The kernel and the table algebra sum floats
+with `math.fsum`, so every supported Python prints the same lines, but
+residual bits depend on the platform's `math.log`: CI pins the digest for
+its Linux runners only, and no test pins it.  pytest does not collect
+this file.
 
 The corpus: the 10 bundled 9x9 puzzles under ltrip/5, ltrip/9 and
 bethe/9; the 288 puzzles of `oracles.exhaustive_4x4_suite` under ltrip

@@ -162,6 +162,20 @@ class TestSolve:
         assert "valid: no" in captured.out
         assert "did not converge" in captured.err
 
+    def test_refused_message_is_not_blamed_on_the_budget(self, monkeypatch, capsys):
+        # A quotient that leaves the float range stops a run unconverged
+        # long before its budget; the message must not name the budget.
+        def refused(self, src, dst):
+            raise ZeroDivisionError(f"message {src}->{dst} leaves the float range")
+
+        monkeypatch.setattr(InferenceState, "pass_message", refused)
+        grid = Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy01.txt"
+        assert main(["solve", str(grid)]) == EXIT_NO_SOLUTION
+        captured = capsys.readouterr()
+        assert "converged: no  messages: 0" in captured.out
+        assert "did not converge" in captured.err
+        assert "budget" not in captured.err
+
     def test_converged_decode_that_violates_exits_without_solution(
         self, puzzle_file, monkeypatch, capsys
     ):

@@ -3,7 +3,7 @@
 Covers:
 * option validation and initial-state bookkeeping (beliefs, sepsets, queue)
 * one hand-computed message: sepset update, residual, belief product
-* exact sum- and max-marginals on tree graphs vs. the dense oracle
+* exact max-marginals on tree graphs vs. the dense oracle
 * message budget exhaustion (not an error) and early-out on re-runs
 * contradiction propagation out of `run`, and re-runs after one
 * calibration reporting; every converged bundled 9x9 run and 4x4-suite
@@ -87,22 +87,26 @@ def seven_coloring_factors(seven_cliques, k=4):
 class TestOptions:
     def test_defaults(self):
         options = InferenceOptions()
-        assert options.semiring == "max"
         assert options.max_messages == 1_000_000
         assert options.damping == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"semiring": "min"},
             {"max_messages": 0},
             {"damping": -0.1},
             {"damping": 1.0},
+            {"damping": math.nan},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             InferenceOptions(**kwargs)
+
+    def test_semiring_is_no_longer_an_option(self):
+        # Max-product is the kernel's one semiring.
+        with pytest.raises(TypeError):
+            InferenceOptions(semiring="max")
 
 
 class TestSetup:
@@ -129,7 +133,7 @@ class TestSetup:
 
     def test_max_semiring_normalizes_initial_beliefs(self):
         graph, factors = chain_setup()
-        state = InferenceState(graph, factors, InferenceOptions(semiring="max"))
+        state = InferenceState(graph, factors)
         for belief in state.beliefs:
             assert max(value for _, value in belief.items()) == 1.0
 
@@ -184,22 +188,21 @@ class TestSingleMessage:
         graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({y})),))
         f0 = SparseTable((x, y), (2, 2), {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 1.0})
         f1 = uniform_factor((y, z), (2, 2))
-        self.state = InferenceState(
-            graph, [f0, f1], InferenceOptions(semiring="sum")
-        )
+        self.state = InferenceState(graph, [f0, f1])
 
     def test_hand_computed_update(self):
         residual = self.state.pass_message(0, 1)
-        # marginal over Y is (1, 3); against the vacuous (1, 1) that is
-        # KL([1/4, 3/4] || [1/2, 1/2])
-        expected = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
+        # The source starts as f0 / 2, so its max-marginal over Y is
+        # (1/2, 1); against the vacuous (1, 1) that is
+        # KL([1/3, 2/3] || [1/2, 1/2])
+        expected = math.log(2 / 3) / 3 + 2 * math.log(4 / 3) / 3
         assert math.isclose(residual, expected, rel_tol=1e-12)
-        assert self.state.sepset_beliefs[(0, 1)].entries == {(0,): 1.0, (1,): 3.0}
+        assert self.state.sepset_beliefs[(0, 1)].entries == {(0,): 0.5, (1,): 1.0}
         assert self.state.beliefs[1].entries == {
-            (0, 0): 0.125,
-            (0, 1): 0.125,
-            (1, 0): 0.375,
-            (1, 1): 0.375,
+            (0, 0): 0.5,
+            (0, 1): 0.5,
+            (1, 0): 1.0,
+            (1, 1): 1.0,
         }
         assert self.state.residuals[(0, 1)] == residual
         assert self.state.residuals[(1, 0)] == math.inf
@@ -220,25 +223,14 @@ class TestSingleMessage:
 
 
 class TestTreeExactness:
-    def test_sum_marginals_match_dense_joint(self):
-        graph, factors = chain_setup(seed=99)
-        state = InferenceState(graph, factors, InferenceOptions(semiring="sum"))
+    def test_max_marginals_and_decoding_match_dense_joint(self):
+        graph, factors = chain_setup(seed=7)
+        state = InferenceState(graph, factors)
         state.run()
         assert state.converged
         # Convergence on a tree needs O(edges): the initial sweep plus a
         # few deliver-and-certify passes per directed edge.
         assert state.stats.messages <= 4 * len(state.residuals)
-        joint = dense_joint([DenseFactor.from_sparse(f) for f in factors])
-        for variable, marginal in state.marginals.items():
-            want = joint.marginalize([variable], "sum").normalize("sum")
-            for key, value in want.values.items():
-                assert math.isclose(marginal[key], value, rel_tol=1e-9)
-
-    def test_max_marginals_and_decoding_match_dense_joint(self):
-        graph, factors = chain_setup(seed=7)
-        state = InferenceState(graph, factors, InferenceOptions(semiring="max"))
-        state.run()
-        assert state.converged
         joint = dense_joint([DenseFactor.from_sparse(f) for f in factors])
         best = dict(zip(joint.scope, joint.argmax()))
         assert state.assignment == best
@@ -249,7 +241,7 @@ class TestTreeExactness:
 
     def test_calibrated_after_convergence(self):
         graph, factors = chain_setup(seed=3)
-        state = InferenceState(graph, factors, InferenceOptions(semiring="sum"))
+        state = InferenceState(graph, factors)
         before = state.check_calibration(tol=1e-9)
         assert not before.calibrated  # clusters have not talked yet
         state.run()
@@ -362,16 +354,14 @@ class TestFixedPoint:
 class TestRunControl:
     def test_budget_exhaustion_is_not_an_error(self):
         graph, factors = chain_setup()
-        state = InferenceState(
-            graph, factors, InferenceOptions(semiring="sum", max_messages=3)
-        )
+        state = InferenceState(graph, factors, InferenceOptions(max_messages=3))
         state.run()
         assert not state.converged
         assert state.stats.messages == 3
 
     def test_rerun_after_convergence_sends_nothing(self):
         graph, factors = chain_setup()
-        state = InferenceState(graph, factors, InferenceOptions(semiring="sum"))
+        state = InferenceState(graph, factors)
         state.run()
         # run() hands back the state itself, so capture before re-running.
         messages, assignment = state.stats.messages, state.assignment
@@ -381,7 +371,7 @@ class TestRunControl:
 
     def test_run_builds_no_cluster_table(self, monkeypatch):
         graph, factors = chain_setup()
-        state = InferenceState(graph, factors, InferenceOptions(semiring="sum"))
+        state = InferenceState(graph, factors)
         built = []
         trusted = SparseTable._trusted.__func__
 
@@ -398,9 +388,7 @@ class TestRunControl:
 
     def test_first_message_goes_out_on_the_lowest_edge(self):
         graph, factors = chain_setup()
-        state = InferenceState(
-            graph, factors, InferenceOptions(semiring="sum", max_messages=1)
-        )
+        state = InferenceState(graph, factors, InferenceOptions(max_messages=1))
         state.run()
         touched = [e for e, r in state.residuals.items() if r != math.inf]
         assert touched == [(0, 1)]
@@ -439,7 +427,6 @@ class TestRunControl:
         state = InferenceState(
             graph,
             [SparseTable((A,), (2,), {(0,): 0.5, (1,): 1.5})],
-            InferenceOptions(semiring="sum"),
         )
         state.run()
         assert state.converged
@@ -451,7 +438,7 @@ class TestRunControl:
         graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({A})),))
         f0 = SparseTable((A, B), (2, 3), {(0, 0): 1.0, (0, 2): 1.0})  # pins A=0
         f1 = SparseTable((A, C), (2, 2), {(1, 0): 1.0, (1, 1): 1.0})  # pins A=1
-        state = InferenceState(graph, [f0, f1], InferenceOptions(semiring="max"))
+        state = InferenceState(graph, [f0, f1])
         # Re-runs raise again: a refused message goes back on the queue at
         # the priority it was popped at, behind the edges already queued
         # there, so the next run tries the other direction first.

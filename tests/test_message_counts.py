@@ -45,6 +45,15 @@ held; the messages went: well-defined ltrip 88 -> 88 (a new sequence),
 bethe 174 -> 178, corners ltrip 117 -> 120 and 318 -> 287 (bias 0.01),
 bethe 211 -> 214 and 510 -> 516.  The pins with no size, easy01 at size
 9 and the maps split nothing and did not move.
+
+When the kernel and the table algebra came to sum floats with
+`math.fsum`, which rounds once, three sequences moved: the maps 5-5-3 and
+6-6-7 and the damped map 8-8-5.  The built-in `sum()` is compensated from
+Python 3.12 on and plain before, so their residual bits, and then the
+order of near-tied queue entries, used to differ between interpreters;
+the new pins are what 3.12 and 3.13 read before, and every interpreter
+reads them now.  Their counts (402, 815 and 5,851), valid flags and
+cluster counts held.
 """
 
 import hashlib
@@ -153,11 +162,11 @@ GRID4_COUNTS = {
 MAP_COUNTS = {
     (5, 5, 3): (
         402, True, 25,
-        "f401369d5e7dc5aa85ab0a60cca9594d0a251e3d368e4f34bef2656542a3b37c",
+        "c6d30baed72036fed41b23600af05ed5d8fcb27cea4b1bd9712896ed7a3bf50c",
     ),
     (6, 6, 7): (
         815, True, 39,
-        "8acb93b560a4bec29284c1254a1f2391927f1f110c44ab4b3fc4b2d7d3c3dfe4",
+        "7ef3e8c9c495aff46ca47b57a4491d857307bdf25a5e57990b99502abd7b89af",
     ),
 }
 
@@ -172,7 +181,7 @@ DAMPED_MAP_COUNTS = {
     ),
     (8, 8, 5): (
         5851, True, 83,
-        "4801b97072487ab57eed1d0551b67be25100a3624b4b135bb457670dbb99390f",
+        "1e051df8cd64b4576c17d4a656a007d1dccf4a5d0235648fb573d3ac69cda7e4",
     ),
     (25, 10, 3): (
         31247, True, 343,
