@@ -97,11 +97,15 @@ class InferenceState:
     rows, fixed at setup, and one value per row.  Belief update only
     shrinks supports, so a row that leaves the support holds 0.0 (and
     once most rows have left, the dead rows are dropped).  A sepset
-    belief is a dense list with one cell per assignment of its sorted
-    scope, in product order, and each cluster keeps, per neighbor, the
-    cell each of its rows projects to.  `beliefs` and `sepset_beliefs`
-    show the state as tables; a sepset's table lists the cells holding
-    mass in cell order.
+    belief is a list with one cell per assignment of its sorted scope
+    that a row of either endpoint projects to, in product order (over
+    one variable, one cell per value), and each cluster keeps, per
+    neighbor, the cell each of its rows projects to.  No other cell can
+    ever hold mass, but the vacuous belief's total still counts all k^|S|
+    assignments, so every residual is that of the dense table.  `beliefs`
+    and `sepset_beliefs` show the state as tables; a sepset's table lists
+    the cells holding mass in cell order, or every assignment while no
+    message has crossed it.
     """
 
     def __init__(
@@ -147,13 +151,13 @@ class InferenceState:
         # _cells[i][j]: the cell of the (i, j) sepset each row of i projects to.
         self._cells: list[dict[int, list[int]]] = [{} for _ in factors]
         self._sepset_scope: dict[tuple[int, int], tuple[Variable, ...]] = {}
+        # Each sepset's cells, as assignments of its scope, in product order.
+        self._reached: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._sepsets: dict[tuple[int, int], list[float]] = {}
         # Each sepset's total, summed in the order its last message listed
         # its cells: the one record of that order.  A vacuous sepset's
-        # total is its cell count.
+        # total is k^|S|, the count of its dense cells, reached or not.
         self._totals: dict[tuple[int, int], float] = {}
-        # Sepsets with the same cardinalities share their cell numbering.
-        grids: dict[tuple[int, ...], tuple[list, dict]] = {}
         for sepset in graph.sepsets:
             if not sepset.vars:
                 raise ValueError(f"sepset {sepset.clusters} carries no variable")
@@ -167,17 +171,22 @@ class InferenceState:
                     )
             key = sepset.clusters
             scope = tuple(sorted(sepset.vars))
-            sizes = tuple(cards[v] for v in scope)
-            if sizes not in grids:
-                assignments = list(itertools.product(*map(range, sizes)))
-                grids[sizes] = assignments, {a: c for c, a in enumerate(assignments)}
-            assignments, cell_of = grids[sizes]
+            ends = []
+            for end in key:
+                pick = itemgetter(*map(factors[end]._pos.get, scope))
+                ends.append(list(map(pick, self._rows[end])))
+            if len(scope) == 1:
+                # Over one variable, the value is the cell.
+                reached = [(x,) for x in range(cards[scope[0]])]
+            else:
+                reached = sorted(set(ends[0]).union(ends[1]))
+                cell_of = {a: c for c, a in enumerate(reached)}
+                ends = [list(map(cell_of.__getitem__, rows)) for rows in ends]
             self._sepset_scope[key] = scope
-            self._sepsets[key] = [1.0] * len(assignments)
-            self._totals[key] = float(len(assignments))
-            for end, peer in (key, key[::-1]):
-                pick = [factors[end]._pos[v] for v in scope]
-                self._cells[end][peer] = _row_cells(self._rows[end], pick, cell_of)
+            self._reached[key] = reached
+            self._sepsets[key] = [1.0] * len(reached)
+            self._totals[key] = float(math.prod(cards[v] for v in scope))
+            self._cells[key[0]][key[1]], self._cells[key[1]][key[0]] = ends
         # Heap entries are (-priority, ticket, edge); the ticket breaks ties
         # first-queued first.  `_queued` maps each queued edge to its live
         # entry, and entries it no longer points at are stale.
@@ -248,7 +257,10 @@ class InferenceState:
         Each float operation is that of the table algebra.  A message's
         total sums its cells in order of first appearance over the source
         rows, or in cell order when damped, and is kept as the sepset's
-        total for the next residual.  Zeros add nothing.
+        total for the next residual.  Zeros add nothing.  An undamped
+        message equal to the stored one, total included, returns 0.0 at
+        once: every quotient would be 1.0, and the target, whose largest
+        value is 1.0, would neither change nor rescale.
         """
         key = (src, dst) if src < dst else (dst, src)
         stored = self._sepsets.get(key)
@@ -261,6 +273,15 @@ class InferenceState:
         for value, cell in zip(values, cells):
             if value > message[cell]:
                 message[cell] = value
+        # An equal message has the stored total too (math.fsum is exact in
+        # any order), unless the sepset is vacuous with unreached cells, its
+        # total k^|S| above its length.  Undamped, no live target row meets
+        # a zero cell; a damped mix that underflows to 0.0 could leave one.
+        if not damping and message == stored and self._totals[key] <= len(stored):
+            self.residuals[src, dst] = 0.0
+            self._push(self._out[dst], 0.0)
+            self.stats.messages += 1
+            return 0.0
         if damping > 0.0:
             # Geometric mixing: message support never exceeds the stored
             # support, so every mixed cell meets a positive stored value.
@@ -350,9 +371,12 @@ class InferenceState:
         out = {}
         for key, scope in self._sepset_scope.items():
             cards = tuple(self._cards[v] for v in scope)
-            assignments = list(itertools.product(*map(range, cards)))
-            values = self._sepsets[key]
-            entries = {a: v for a, v in zip(assignments, values) if v}
+            if self._totals[key] == math.prod(cards):
+                # No message has crossed it: every dense cell holds 1.0.
+                entries = dict.fromkeys(itertools.product(*map(range, cards)), 1.0)
+            else:
+                values = self._sepsets[key]
+                entries = {a: v for a, v in zip(self._reached[key], values) if v}
             out[key] = SparseTable._trusted(scope, cards, entries)
         return out
 
@@ -389,14 +413,15 @@ class InferenceState:
 
     @property
     def marginals(self) -> dict[Variable, SparseTable]:
-        """Each variable's max-marginal, divided by its largest entry.
+        """Each variable's max-marginal, its largest entry 1.0.
 
         A variable's marginal comes from the first cluster holding it, in
         one walk per holder cluster: each live row raises the entry of
-        every variable first held there, in row order.  Maxima and
-        divisions are those of `marginalize("max")` followed by
-        `normalize("max")`, entry order included.  A belief always keeps
-        a positive row, so no marginal comes out empty.
+        every variable first held there, in row order.  Maxima are those
+        of `marginalize("max")`, entry order included.  Every belief's
+        largest value is exactly 1.0 (set-up and each update divide by
+        it), so `normalize("max")` would change no bit.  A belief always
+        keeps a positive row, so no marginal comes out empty.
         """
         totals: dict[Variable, dict[int, float]] = {}
         for i, (scope, _) in enumerate(self._shapes):
@@ -416,9 +441,7 @@ class InferenceState:
                         acc[x] = value
         out = {}
         for variable in sorted(totals):
-            acc = totals[variable]
-            total = max(acc.values())
-            entries = {(x,): value / total for x, value in acc.items() if value / total}
+            entries = {(x,): value for x, value in totals[variable].items()}
             out[variable] = SparseTable._trusted(
                 (variable,), (self._cards[variable],), entries
             )
@@ -451,15 +474,3 @@ class InferenceState:
                     kl_divergence(from_i, from_j), kl_divergence(from_j, from_i)
                 )
         return CalibrationReport(tol=tol, per_edge=per_edge)
-
-
-def _row_cells(
-    rows: Sequence[tuple[int, ...]],
-    pick: Sequence[int],
-    cell_of: dict[tuple[int, ...], int],
-) -> list[int]:
-    """The cell each row projects to, reading the positions `pick`."""
-    if len(pick) == 1:
-        # Over one variable, the value is the cell.
-        return list(map(itemgetter(pick[0]), rows))
-    return list(map(cell_of.__getitem__, map(itemgetter(*pick), rows)))

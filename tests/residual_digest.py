@@ -2,14 +2,17 @@
 
     PYTHONPATH=src python tests/residual_digest.py
 
-Wraps `InferenceState.pass_message` and solves the corpus below through
-`solve_problem` and `color_problem`.  It prints three lines:
+Wraps `InferenceState.__init__` and `pass_message` and solves the corpus
+below through `solve_problem` and `color_problem`.  It prints four lines:
 
 * the number of messages sent;
 * the sha256 of the `src,dst,residual.hex()` sequence, one line per
   message (a refused message records its exception's name instead);
 * the sha256 of each solve's id, messages, valid flag, converged flag,
-  cluster count and assignment by variable id.
+  cluster count and assignment by variable id;
+* the number of sepset cells, summed over every state set up: a sepset
+  holds the cells its endpoints' rows reach, so a return to dense
+  sepsets moves this line and no other.
 
 Two checkouts that print the same lines send the same messages with the
 same residuals, bit for bit.  The kernel and the table algebra sum floats
@@ -74,8 +77,14 @@ def corpus():
 def main() -> None:
     residuals = hashlib.sha256()
     outcomes = hashlib.sha256()
-    count = 0
+    count = cells = 0
+    init = InferenceState.__init__
     send = InferenceState.pass_message
+
+    def counted(self, *args, **kwargs):
+        nonlocal cells
+        init(self, *args, **kwargs)
+        cells += sum(map(len, self._sepsets.values()))
 
     def traced(self, src, dst):
         nonlocal count
@@ -88,6 +97,7 @@ def main() -> None:
         residuals.update(f"{src},{dst},{residual.hex()}\n".encode())
         return residual
 
+    InferenceState.__init__ = counted
     InferenceState.pass_message = traced
     try:
         for job, solve in corpus():
@@ -102,10 +112,12 @@ def main() -> None:
                 f"{out.cluster_count},{answer}\n".encode()
             )
     finally:
+        InferenceState.__init__ = init
         InferenceState.pass_message = send
     print(f"messages  {count}")
     print(f"residuals {residuals.hexdigest()}")
     print(f"outcomes  {outcomes.hexdigest()}")
+    print(f"cells     {cells}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,9 @@ Covers:
   converged run leaves an edge's last residual at or above THRESHOLD
 * determinism across repeated runs, and runs that do not depend on the
   order a graph lists its sepsets in
+* the kernel's lists: a sepset holds only the cells its endpoints' rows
+  reach, a resent message returns at once, and every cluster's largest
+  value stays exactly 1.0
 """
 
 from __future__ import annotations
@@ -33,7 +36,14 @@ from clusterbp import (
     permutation_factor,
     uniform_factor,
 )
-from clusterbp.cli import TOPOLOGIES, _compile, load_puzzle
+from clusterbp.cli import (
+    TOPOLOGIES,
+    _compile,
+    _split_free,
+    color_problem,
+    load_puzzle,
+    solve_problem,
+)
 from clusterbp.coloring import (
     maximal_cliques,
     random_planar_map,
@@ -557,3 +567,73 @@ class TestLoopyColoring:
         assert runs[0].stats.messages == runs[1].stats.messages
         for variable in runs[0].marginals:
             assert runs[0].marginals[variable] == runs[1].marginals[variable]
+
+
+def easy01_ltrip5():
+    """The first round of easy01 at ltrip/5, compiled and not yet run."""
+    problem = load_puzzle(BUNDLED[0])
+    cliques = _split_free(problem, maximal_cliques(problem), 5)
+    state, _ = _compile(problem, cliques, "ltrip", None, 0.0, 0)
+    return state
+
+
+class TestKernelLists:
+    def test_sepsets_hold_the_cells_their_endpoints_reach(self):
+        state = easy01_ltrip5()
+        beliefs = state.beliefs
+        widest = {}
+        for sepset in state.graph.sepsets:
+            key, scope = sepset.clusters, tuple(sorted(sepset.vars))
+            if len(scope) == 1:
+                assert len(state._sepsets[key]) == 9
+                continue
+            reached = {
+                tuple(row[beliefs[end].scope.index(v)] for v in scope)
+                for end in key
+                for row in beliefs[end].entries
+            }
+            assert len(state._sepsets[key]) == len(reached)
+            widest[len(reached)] = len(scope)
+        # 68 reached cells, in place of the 9^4 = 6,561 of a dense list.
+        assert max(widest) == 68
+        assert widest[68] == 4
+
+    def test_resent_message_returns_at_once(self):
+        state = easy01_ltrip5()
+        key = max(state._sepsets, key=lambda k: len(state._sepsets[k]))
+        src, dst = key
+        assert state.pass_message(src, dst) > 0.0
+        stored, values = state._sepsets[key], list(state._vals[dst])
+        assert state.pass_message(src, dst) == 0.0
+        assert state._sepsets[key] is stored
+        assert state._vals[dst] == values
+        assert state.residuals[src, dst] == 0.0
+        assert state.stats.messages == 2
+
+    def test_every_cluster_peaks_at_exactly_one(self, monkeypatch):
+        # Set-up and every update divide by the largest value, so the
+        # no-op return and `marginals` can both leave the scale alone.
+        checked = []
+        init, send = InferenceState.__init__, InferenceState.pass_message
+
+        def check(state):
+            assert all(max(values) == 1.0 for values in state._vals)
+            checked.append(state.stats.messages)
+
+        def checking_init(self, *args):
+            init(self, *args)
+            check(self)
+
+        def checking_send(self, src, dst):
+            residual = send(self, src, dst)
+            check(self)
+            return residual
+
+        monkeypatch.setattr(InferenceState, "__init__", checking_init)
+        monkeypatch.setattr(InferenceState, "pass_message", checking_send)
+        problem = load_puzzle(BUNDLED[0])
+        assert solve_problem(problem, "ltrip", 5).valid
+        damped = InferenceOptions(damping=0.3)
+        assert color_problem(random_planar_map(8, 8, seed=0), options=damped).valid
+        # Each set-up and each of the 4,000-odd messages is checked.
+        assert len(checked) > 4000
