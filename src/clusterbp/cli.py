@@ -79,6 +79,8 @@ CSV_COLUMNS = (
 FIX_FRACTION = 0.2
 # Decimation attempts, the first included, when a bias seeds them.
 ATTEMPTS = 4
+# The bias `color_problem` and `color-map` nudge labels with by default.
+MAP_BIAS = 0.01
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,10 @@ def color_problem(
     problem: ColoringProblem,
     *,
     options: InferenceOptions | None = None,
-    bias_delta: float = 0.01,
+    bias_delta: float = MAP_BIAS,
     seed: int = 0,
 ) -> SolveOutcome:
-    """Color a map through `_pipeline`: ltrip, no split, a 0.01 bias."""
+    """Color a map through `_pipeline`: ltrip, no split, a bias of MAP_BIAS."""
     return _pipeline(problem, "ltrip", None, options, bias_delta, seed)
 
 
@@ -545,7 +547,7 @@ def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-messages",
         type=int,
-        default=1_000_000,
+        default=InferenceOptions.max_messages,
         help="hard budget on passed messages",
     )
 
@@ -555,7 +557,7 @@ def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--damping",
         type=float,
-        default=0.0,
+        default=InferenceOptions.damping,
         help="mix each message with its predecessor to tame oscillation",
     )
 
@@ -593,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="tie-breaking nudge strength; 0 disables it and makes one "
-        "attempt instead of four",
+        f"attempt instead of {ATTEMPTS}",
     )
     solve.add_argument("--seed", type=int, default=0, help="seed for label preferences")
     _add_inference_flags(solve)
@@ -607,9 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmap.add_argument(
         "--bias",
         type=float,
-        default=0.01,
+        default=MAP_BIAS,
         help="tie-breaking nudge strength; 0 disables it and makes one "
-        "attempt instead of four",
+        f"attempt instead of {ATTEMPTS}",
     )
     cmap.add_argument("--out", help="write 'name label' lines here, not stdout")
     cmap.add_argument("--seed", type=int, default=0, help="seed for label preferences")

@@ -421,15 +421,15 @@ def kl_divergence(new: SparseTable, old: SparseTable) -> float:
     new_total = math.fsum(new.entries.values())
     old_total = math.fsum(aligned.entries.values())
     oget = aligned.entries.get
-    total = 0.0
+    terms = []
     for key, value in new.entries.items():
         q = oget(key, 0.0)
         if q == 0.0:
             return math.inf
         p = value / new_total
-        total += p * math.log(p / (q / old_total))
+        terms.append(p * math.log(p / (q / old_total)))
     # Rounding can push an exact-match sum a hair below zero.
-    return max(total, 0.0)
+    return max(math.fsum(terms), 0.0)
 
 
 def _check_semiring(semiring: str) -> None:

@@ -9,8 +9,8 @@ done when no queued score reaches `THRESHOLD`.  Sending (s, d) queues
 (d, s) at or above its score, and sending (d, s) re-queues (s, d) at or
 above its own, so every directed edge's last score then sits below it.
 Max-product is the one semiring: each belief is divided by its largest
-value, and sums of floats go through `math.fsum`, so a run sends the same
-messages on every supported Python version.
+value, and every float sum is a `math.fsum`: a run sends the same messages
+on every supported Python, in whatever order a factor lists its rows.
 
 `InferenceState.run` returns the state itself.  Its `marginals` and
 `assignment` are read off the current beliefs on each access, so a run
@@ -98,14 +98,14 @@ class InferenceState:
     shrinks supports, so a row that leaves the support holds 0.0 (and
     once most rows have left, the dead rows are dropped).  A sepset
     belief is a list with one cell per assignment of its sorted scope
-    that a row of either endpoint projects to, in product order (over
-    one variable, one cell per value), and each cluster keeps, per
-    neighbor, the cell each of its rows projects to.  No other cell can
-    ever hold mass, but the vacuous belief's total still counts all k^|S|
-    assignments, so every residual is that of the dense table.  `beliefs`
-    and `sepset_beliefs` show the state as tables; a sepset's table lists
-    the cells holding mass in cell order, or every assignment while no
-    message has crossed it.
+    that a row of either endpoint projects to, numbered as those rows
+    first reach it (over one variable, one cell per value), and each
+    cluster keeps, per neighbor, the cell each of its rows projects to.
+    No other cell can ever hold mass, but the vacuous belief's total
+    still counts all k^|S| assignments, so every residual is that of the
+    dense table.  `beliefs` and `sepset_beliefs` show the state as
+    tables; a sepset's table lists the cells holding mass in cell order,
+    or every assignment while no message has crossed it.
     """
 
     def __init__(
@@ -151,12 +151,12 @@ class InferenceState:
         # _cells[i][j]: the cell of the (i, j) sepset each row of i projects to.
         self._cells: list[dict[int, list[int]]] = [{} for _ in factors]
         self._sepset_scope: dict[tuple[int, int], tuple[Variable, ...]] = {}
-        # Each sepset's cells, as assignments of its scope, in product order.
+        # Each sepset's cells, as assignments of its scope, in cell order.
         self._reached: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._sepsets: dict[tuple[int, int], list[float]] = {}
-        # Each sepset's total, summed in the order its last message listed
-        # its cells: the one record of that order.  A vacuous sepset's
-        # total is k^|S|, the count of its dense cells, reached or not.
+        # Each sepset's total, the math.fsum of its last message, which the
+        # next residual divides by.  A vacuous sepset's total is k^|S|, the
+        # count of its dense cells, reached or not.
         self._totals: dict[tuple[int, int], float] = {}
         for sepset in graph.sepsets:
             if not sepset.vars:
@@ -179,9 +179,9 @@ class InferenceState:
                 # Over one variable, the value is the cell.
                 reached = [(x,) for x in range(cards[scope[0]])]
             else:
-                reached = sorted(set(ends[0]).union(ends[1]))
-                cell_of = {a: c for c, a in enumerate(reached)}
-                ends = [list(map(cell_of.__getitem__, rows)) for rows in ends]
+                cell_of: dict[tuple[int, ...], int] = {}
+                ends = [[cell_of.setdefault(a, len(cell_of)) for a in r] for r in ends]
+                reached = list(cell_of)
             self._sepset_scope[key] = scope
             self._reached[key] = reached
             self._sepsets[key] = [1.0] * len(reached)
@@ -254,23 +254,20 @@ class InferenceState:
         the queue drain.  A message that fails raises before it changes
         anything.
 
-        Each float operation is that of the table algebra.  A message's
-        total sums its cells in order of first appearance over the source
-        rows, or in cell order when damped, and is kept as the sepset's
-        total for the next residual.  Zeros add nothing.  An undamped
-        message equal to the stored one, total included, returns 0.0 at
-        once: every quotient would be 1.0, and the target, whose largest
-        value is 1.0, would neither change nor rescale.
+        Each float operation is that of the table algebra, and every sum
+        (the message's total, kept for the next residual, and the
+        residual's terms) is a `math.fsum`, so visiting order moves no bit.
+        An undamped message equal to the stored one, total included,
+        returns 0.0 at once: every quotient would be 1.0, and the target,
+        whose largest value is 1.0, would neither change nor rescale.
         """
         key = (src, dst) if src < dst else (dst, src)
         stored = self._sepsets.get(key)
         if stored is None:
             raise ValueError(f"no sepset between clusters {src} and {dst}")
         damping = self.options.damping
-        values = self._vals[src]
-        cells = self._cells[src][dst]
         message = [0.0] * len(stored)
-        for value, cell in zip(values, cells):
+        for value, cell in zip(self._vals[src], self._cells[src][dst]):
             if value > message[cell]:
                 message[cell] = value
         # An equal message has the stored total too (math.fsum is exact in
@@ -286,23 +283,20 @@ class InferenceState:
             # Geometric mixing: message support never exceeds the stored
             # support, so every mixed cell meets a positive stored value.
             keep = 1.0 - damping
-            order = []
-            for cell, value in enumerate(message):
-                if value:
-                    value = message[cell] = value**keep * stored[cell] ** damping
-                    if value:
-                        order.append(cell)
-        else:
-            order = list(dict.fromkeys(itertools.compress(cells, values)))
+            message = [
+                value**keep * held**damping if value else 0.0
+                for value, held in zip(message, stored)
+            ]
 
         # The residual D(message || stored), as kl_divergence computes it,
         # and the ratio message / stored that updates the target.
-        new_total = math.fsum(map(message.__getitem__, order))
+        new_total = math.fsum(message)
         old_total = self._totals[key]
-        residual = 0.0
+        terms = []
         ratio = [0.0] * len(stored)
-        for cell in order:
-            value = message[cell]
+        for cell, value in enumerate(message):
+            if not value:
+                continue
             held = stored[cell]
             # A zero or underflowed stored cell would make the target
             # belief infinite, then NaN.
@@ -314,9 +308,9 @@ class InferenceState:
                     f"leaves the float range"
                 )
             p = value / new_total
-            residual += p * math.log(p / (held / old_total))
+            terms.append(p * math.log(p / (held / old_total)))
             ratio[cell] = quotient
-        residual = max(residual, 0.0)
+        residual = max(math.fsum(terms), 0.0)
 
         targets = self._cells[dst][src]
         updated = [value * ratio[cell] for value, cell in zip(self._vals[dst], targets)]
@@ -343,8 +337,8 @@ class InferenceState:
     def _compact(self, i: int) -> None:
         """Drop cluster `i`'s zero rows from its row, value and cell lists.
 
-        The rows left keep their order, so no sum, max or entry order
-        changes; messages just stop walking the dead rows.
+        The rows left keep their order, so each belief table lists its
+        entries as before; messages just stop walking the dead rows.
         """
         live = self._vals[i]
         self._vals[i] = list(itertools.compress(live, live))

@@ -15,8 +15,9 @@ below through `solve_problem` and `color_problem`.  It prints four lines:
   sepsets moves this line and no other.
 
 Two checkouts that print the same lines send the same messages with the
-same residuals, bit for bit.  The kernel and the table algebra sum floats
-with `math.fsum`, so every supported Python prints the same lines, but
+same residuals, bit for bit.  Every sum in the kernel, a residual's KL
+terms included, is a `math.fsum`, so every supported Python prints the
+same lines whatever order the factors list their entries in, but
 residual bits depend on the platform's `math.log`: CI pins the digest for
 its Linux runners only, and no test pins it.  pytest does not collect
 this file.

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import itertools
 import math
 import os
@@ -733,6 +734,36 @@ def test_option_strings():
     }
     assert found == OPTION_STRINGS
     assert sum(map(len, found.values())) == 20
+
+
+def test_parser_defaults_are_the_library_defaults():
+    # Each default is read from the library, so the two cannot drift.
+    parse = build_parser().parse_args
+    solve = parse(["solve", "grid.txt"])
+    cmap = parse(["color-map", "map.txt"])
+    bench = parse(["bench", "puzzles"])
+    library = InferenceOptions()
+    assert solve.max_messages == cmap.max_messages == bench.max_messages
+    assert solve.max_messages == library.max_messages
+    assert solve.damping == library.damping
+    bias = {
+        run: inspect.signature(run).parameters["bias_delta"].default
+        for run in (solve_problem, color_problem)
+    }
+    assert solve.bias == bias[solve_problem]
+    assert cmap.bias == bias[color_problem]
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for name in ("solve", "color-map"):
+        (flag,) = [
+            action
+            for action in commands.choices[name]._actions
+            if "--bias" in action.option_strings
+        ]
+        assert flag.help.endswith(f"attempt instead of {ATTEMPTS}")
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ Covers:
   its supports equal the order-free pairwise-consistency closure, and no
   converged run leaves an edge's last residual at or above THRESHOLD
 * determinism across repeated runs, and runs that do not depend on the
-  order a graph lists its sepsets in
+  order a graph lists its sepsets in, or a factor its entries
 * the kernel's lists: a sepset holds only the cells its endpoints' rows
   reach, a resent message returns at once, and every cluster's largest
   value stays exactly 1.0
@@ -19,6 +19,7 @@ Covers:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -45,6 +46,7 @@ from clusterbp.cli import (
     solve_problem,
 )
 from clusterbp.coloring import (
+    anchor_largest_clique,
     maximal_cliques,
     random_planar_map,
     split_cliques,
@@ -361,6 +363,21 @@ class TestFixedPoint:
             assert max(state.residuals.values()) < THRESHOLD
 
 
+def sent(state):
+    """Run `state`; returns each message's edge and residual bits, in order."""
+    log = []
+    send = state.pass_message
+
+    def traced(src, dst):
+        residual = send(src, dst)
+        log.append(((src, dst), residual.hex()))
+        return residual
+
+    state.pass_message = traced
+    state.run()
+    return log
+
+
 class TestRunControl:
     def test_budget_exhaustion_is_not_an_error(self):
         graph, factors = chain_setup()
@@ -413,24 +430,9 @@ class TestRunControl:
         state, _ = _compile(problem, cliques, topology, None, 0.0, 0)
         graph, tables = state.graph, state.beliefs
         flipped = ClusterGraph(graph.clusters, tuple(reversed(graph.sepsets)))
-
-        def sent(state):
-            log = []
-            send = state.pass_message
-
-            def traced(src, dst):
-                residual = send(src, dst)
-                log.append((src, dst, residual))
-                return residual
-
-            state.pass_message = traced
-            state.run()
-            assert state.converged
-            return log
-
-        assert sent(InferenceState(flipped, tables)) == sent(
-            InferenceState(graph, tables)
-        )
+        runs = [InferenceState(g, tables) for g in (flipped, graph)]
+        assert sent(runs[0]) == sent(runs[1])
+        assert all(run.converged for run in runs)
 
     def test_edgeless_graph_converges_immediately(self):
         graph = ClusterGraph((Cluster(frozenset({A})),), ())
@@ -637,3 +639,32 @@ class TestKernelLists:
         assert color_problem(random_planar_map(8, 8, seed=0), options=damped).valid
         # Each set-up and each of the 4,000-odd messages is checked.
         assert len(checked) > 4000
+
+    @pytest.mark.parametrize("case", ["easy01-ltrip5-biased", "map8x8-damped"])
+    def test_entry_order_does_not_change_a_run(self, case):
+        # Each residual is a math.fsum of its KL terms, so neither the
+        # order a factor lists its entries in, nor the cell numbering its
+        # rows give a sepset, moves a bit.
+        if case == "easy01-ltrip5-biased":
+            problem, options = load_puzzle(BUNDLED[0]), None
+            cliques = _split_free(problem, maximal_cliques(problem), 5)
+        else:
+            problem = random_planar_map(8, 8, seed=0)
+            options = InferenceOptions(damping=0.3)
+            cliques = maximal_cliques(problem)
+            anchor = anchor_largest_clique(problem, cliques)
+            problem = dataclasses.replace(problem, givens=anchor)
+        state, _ = _compile(problem, cliques, "ltrip", options, 0.01, 0)
+        graph, tables = state.graph, state.beliefs
+        rng = random.Random(0)
+        shuffled = []
+        for table in tables:
+            entries = list(table.entries.items())
+            rng.shuffle(entries)
+            shuffled.append(SparseTable(table.scope, table.cards, dict(entries)))
+        runs = [InferenceState(graph, t, options) for t in (tables, shuffled)]
+        logs = [sent(run) for run in runs]
+        assert len(logs[0]) > 500
+        assert logs[0] == logs[1]
+        assert runs[0].stats.messages == runs[1].stats.messages
+        assert runs[0].marginals == runs[1].marginals

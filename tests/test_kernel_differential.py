@@ -10,14 +10,12 @@ values).  The state's one-walk `marginals` must then equal `DictPath`'s
 per-variable marginalize and normalize of each variable's first holder,
 to the last bit and in the same order.
 
-The kernel mixes a damped message's cells in cell order, the sorted key
-order of the sepset's sorted scope, so `DictPath` reorders a damped
-message onto that scope before mixing.  Every table the pipeline builds
-has a sorted scope, where this leaves the entry order as it was; only the
-unsorted scopes below see the difference.  A sepset's entry order decides
-nothing but the sum its next residual divides by, and every residual is
-checked bit for bit, so sepset tables are compared by value, with entry
-order ignored.
+Both sides sum a residual's KL terms and a message's total with
+`math.fsum`, so the order either visits cells in moves no bit.  `DictPath`
+reorders a damped message onto the sepset's sorted scope only so that its
+keys index the stored sepset table.  The kernel numbers a sepset's cells
+as its endpoints' rows first reach them, so sepset tables are compared by
+value, with entry order ignored.
 
 Covers:
 * bundled 9x9 puzzle, ltrip and bethe at size 9
