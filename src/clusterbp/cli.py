@@ -81,6 +81,8 @@ FIX_FRACTION = 0.2
 ATTEMPTS = 4
 # The bias `color_problem` and `color-map` nudge labels with by default.
 MAP_BIAS = 0.01
+# Their default damping: loopy maps oscillate under undamped max-product.
+MAP_DAMPING = 0.3
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,11 @@ def color_problem(
     bias_delta: float = MAP_BIAS,
     seed: int = 0,
 ) -> SolveOutcome:
-    """Color a map through `_pipeline`: ltrip, no split, a bias of MAP_BIAS."""
+    """Color a map through `_pipeline`: ltrip, no split, a bias of MAP_BIAS.
+
+    Without `options` messages are damped by MAP_DAMPING, as in `color-map`.
+    """
+    options = options or InferenceOptions(damping=MAP_DAMPING)
     return _pipeline(problem, "ltrip", None, options, bias_delta, seed)
 
 
@@ -176,17 +182,14 @@ def _pipeline(
                 )
                 build_ms += (time.perf_counter() - started) * 1000.0
                 cluster_count = cluster_count or clusters
-                converged, marginals = True, {}
-                if state is not None:
-                    try:
-                        state.run()
-                    finally:
-                        messages += state.stats.messages
-                        infer_ms += state.stats.wall_ms
-                    converged, marginals = state.converged, state.marginals
-                assignment, free = _ranked_decode(work, marginals)
+                try:
+                    state.run()
+                finally:
+                    messages += state.stats.messages
+                    infer_ms += state.stats.wall_ms
+                assignment, free = _ranked_decode(work, state.marginals)
                 report = verify_coloring(work, assignment)
-                decoded = assignment, report, converged
+                decoded = assignment, report, state.converged
                 if report.valid or not free:
                     break
                 open_count = len(problem.variables) - len(work.givens)
@@ -223,24 +226,14 @@ def _graph(topology: str, clusters: list[Cluster]) -> ClusterGraph:
 def _split_free(
     problem: ColoringProblem, cliques: list[Cluster], size: int | None
 ) -> list[Cluster]:
-    """Cover what the givens leave of each clique with more than `size`.
+    """What the givens leave of each clique, split to `size` when one is set.
 
-    Each part of the `split_cliques` cover takes the clique's givens back,
-    so `build_factors` still sees every edge; other cliques pass whole.
+    Emptied scopes are dropped, and `split_cliques` covers each scope of
+    more than `size` free variables; no part holds a given.
     """
-    if size is None:
-        return cliques
-    if size < 2:
-        raise ValueError(f"cluster size must be >= 2, got {size}")
-    parts = []
-    for clique in cliques:
-        free = clique.vars.difference(problem.givens)
-        if len(free) <= size:
-            parts.append(clique)
-            continue
-        given = clique.vars - free
-        parts += [Cluster(p.vars | given) for p in split_cliques([Cluster(free)], size)]
-    return parts
+    scopes = [clique.vars.difference(problem.givens) for clique in cliques]
+    parts = [Cluster(scope) for scope in scopes if scope]
+    return parts if size is None else split_cliques(parts, size)
 
 
 def _compile(
@@ -250,18 +243,16 @@ def _compile(
     options: InferenceOptions | None,
     bias_delta: float,
     seed: int,
-) -> tuple[InferenceState | None, int]:
+) -> tuple[InferenceState, int]:
     """Compile one round's cliques, already split, into an unrun state.
 
-    Returns the state, or None when every variable is given, and the
-    number of factor clusters (Bethe hubs not counted).  `_pipeline` has
-    checked `topology` and `bias_delta`.
+    Returns the state and the number of factor clusters (Bethe hubs not
+    counted); with every variable given the graph is empty, and the state
+    converges with no message.  `_pipeline` has checked `topology` and
+    `bias_delta`.
     """
     bias = label_preferences(problem, seed) if bias_delta > 0 else None
     items = build_factors(problem, cliques, bias=bias, delta=bias_delta)
-    if not items:
-        # Every variable is given; construction already proved consistency.
-        return None, 0
     clusters = [cluster for cluster, _ in items]
     tables = [table for _, table in items]
     graph = _graph(topology, clusters)
@@ -513,12 +504,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     problem = load_problem(args.input)
     cliques = _split_free(problem, maximal_cliques(problem), args.cluster_size)
-    clusters = purged_clusters(problem, cliques)
-    if not clusters:
+    graph = _graph(args.topology, purged_clusters(problem, cliques))
+    if not graph.clusters:
         print("every variable is given; the graph is empty")
-        graph = ClusterGraph((), ())
     else:
-        graph = _graph(args.topology, clusters)
         sizes = sorted(len(c.vars) for c in graph.clusters)
         print(f"kind: {args.topology}")
         print(f"clusters: {len(graph.clusters)} (sizes {sizes[0]}..{sizes[-1]})")
@@ -616,8 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmap.add_argument("--out", help="write 'name label' lines here, not stdout")
     cmap.add_argument("--seed", type=int, default=0, help="seed for label preferences")
     _add_inference_flags(cmap)
-    # Loopy maps oscillate under undamped max-product; default to damping.
-    cmap.set_defaults(func=cmd_color_map, damping=0.3)
+    cmap.set_defaults(func=cmd_color_map, damping=MAP_DAMPING)
 
     bench = sub.add_parser(
         "bench", help="sweep a puzzle directory over topologies and sizes"

@@ -309,80 +309,82 @@ def build_factors(
 ) -> list[tuple[Cluster, SparseTable]]:
     """Compile cliques into subset-free all-different tables over domains.
 
-    Every disagreement edge must lie inside some clique, otherwise the
-    compiled problem would silently drop a constraint.  Observed
-    variables are conditioned out of their cliques, and each free
-    variable's domain loses the labels of the givens it shares a clique
-    with (node consistency; every such restriction is implied by some
-    clique, so the joint is unchanged).  One table is built per
-    `purged_clusters` cluster, so a fully-given problem compiles to an
-    empty list.  A table's keys are its scope's sorted domains with no
-    label used twice, in lexicographic order.  `bias` optionally assigns
-    each variable a per-label preference, applied once per table that
-    holds it as a multiplicative nudge of 1 + delta * preference — strong
-    enough to break ties after convergence, weak enough to never beat a
-    hard zero.  A table over more than MAX_TABLE_ENTRIES keys, counted as
-    P(labels its domains hold, scope size), is refused with a ValueError
-    before any is built, and so is a bias whose nudge, or whose nudges
-    multiplied, pass the largest float.  An emptied domain or an empty
-    table is a ContradictionError naming the variable or the clique.
+    One table is built per `purged_clusters` cluster, so a fully-given
+    problem compiles to an empty list.  One pass over the edges reads the
+    givens: each removes its label from the domain of every free
+    neighbour (node consistency, which leaves the joint unchanged), and
+    an edge whose free ends no one scope holds is refused, since the
+    compiled problem would silently drop its constraint.  A table's keys
+    are its scope's sorted domains with no label used twice, in
+    lexicographic order.  `bias` optionally assigns each variable a
+    per-label preference, applied once per table that holds it as a
+    multiplicative nudge of 1 + delta * preference — strong enough to
+    break ties after convergence, weak enough to never beat a hard zero.
+    Before a table's keys are built, their count P(labels its domains
+    hold, scope size) is checked: 0 is a ContradictionError, over
+    MAX_TABLE_ENTRIES a ValueError.  A nudge that is negative, NaN or
+    inf, or nudges whose product is inf, are a ValueError too.  An
+    emptied domain or an empty table is a ContradictionError naming the
+    variable or the clique.
     """
-    covered: set[frozenset[Variable]] = set()
-    for clique in cliques:
-        covered.update(map(frozenset, itertools.combinations(clique.vars, 2)))
-    missing = problem.edges - covered
+    clusters = purged_clusters(problem, cliques)
+    scopes = [cluster.sorted_vars() for cluster in clusters]
+    holders: dict[Variable, int] = {}  # variable -> bitmask of its scopes
+    for i, scope in enumerate(scopes):
+        for variable in scope:
+            holders[variable] = holders.get(variable, 0) | 1 << i
+    domains = {variable: set(range(problem.k)) for variable in holders}
+    missing = []
+    for a, b in problem.edges:
+        if a in problem.givens:
+            a, b = b, a  # b is the given end, if either is
+        if b not in problem.givens:
+            if not holders.get(a, 0) & holders.get(b, 0):
+                missing.append((a, b))
+        elif a in domains:
+            domains[a].discard(problem.givens[b])
+        elif a not in problem.givens:
+            missing.append((a, b))
     if missing:
         a, b = min(sorted(edge) for edge in missing)
         raise ValueError(
             f"edge {a.name}-{b.name} is not inside any clique; "
             f"the cover is incomplete"
         )
-    domains: dict[Variable, set[int]] = {}
     nudges: dict[Variable, tuple[float, ...]] = {}
-    for clique in cliques:
-        members = clique.sorted_vars()
-        observed = [v for v in members if v in problem.givens]
-        taken = {problem.givens[v] for v in observed}
-        if len(taken) < len(observed):
+    for variable, domain in domains.items():
+        if not domain:
             raise ContradictionError(
-                f"givens repeat a label inside clique {{{clique.label()}}}"
+                f"the givens around {variable.name} take all {problem.k} labels"
             )
-        free = [v for v in members if v not in problem.givens]
-        if len(free) > problem.k - len(taken):
-            raise ContradictionError(
-                f"clique {{{clique.label()}}} needs {len(free)} distinct "
-                f"labels but only {problem.k - len(taken)} remain"
+        preference = None if bias is None else bias.get(variable)
+        if preference is None:
+            continue
+        if len(preference) != problem.k:
+            raise ValueError(
+                f"bias for {variable.name} lists {len(preference)} "
+                f"weights; expected {problem.k}"
             )
-        for variable in free:
-            domain = domains.setdefault(variable, set(range(problem.k)))
-            domain -= taken
-            if not domain:
-                raise ContradictionError(
-                    f"the givens around {variable.name} take all "
-                    f"{problem.k} labels"
-                )
-            preference = None if bias is None else bias.get(variable)
-            if preference is None or variable in nudges:
-                continue
-            if len(preference) != problem.k:
-                raise ValueError(
-                    f"bias for {variable.name} lists {len(preference)} "
-                    f"weights; expected {problem.k}"
-                )
-            nudge = {(x,): 1.0 + delta * preference[x] for x in range(problem.k)}
-            if math.inf in nudge.values():
-                raise ValueError(
-                    f"bias delta {delta} overflows the nudge of "
-                    f"{variable.name}; use a smaller bias"
-                )
-            # SparseTable refuses negative and NaN nudges.
-            weights = SparseTable((variable,), (problem.k,), nudge)
-            nudges[variable] = tuple(weights[(x,)] for x in range(problem.k))
+        nudge = tuple(1.0 + delta * w for w in preference)
+        if math.inf in nudge:
+            raise ValueError(
+                f"bias delta {delta} overflows the nudge of "
+                f"{variable.name}; use a smaller bias"
+            )
+        if not all(w >= 0.0 for w in nudge):  # refuses NaN too
+            raise ValueError(
+                f"the nudges of {variable.name}, {nudge}, must be finite and >= 0"
+            )
+        nudges[variable] = nudge
     out: list[tuple[Cluster, SparseTable]] = []
-    for cluster in purged_clusters(problem, cliques):
-        scope = cluster.sorted_vars()
+    for cluster, scope in zip(clusters, scopes):
         pooled = set().union(*(domains[v] for v in scope))
         count = math.perm(len(pooled), len(scope))
+        if not count:
+            raise ContradictionError(
+                f"clique {{{cluster.label()}}} needs {len(scope)} distinct "
+                f"labels but its domains hold only {len(pooled)}"
+            )
         if count > MAX_TABLE_ENTRIES:
             raise ValueError(
                 f"clique {{{cluster.label()}}} would compile {count:,} "

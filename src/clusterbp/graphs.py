@@ -178,11 +178,10 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
     Clusters are numbered by their input positions.  Input clusters must
     already be subset-free, as `build_factors` leaves them; a cluster
     contained in another is an error, checked against the holders of
-    its smallest variable, as any superset is one.
+    its smallest variable, as any superset is one.  No cluster gives the
+    empty graph.
     """
     clusters = tuple(clusters)
-    if not clusters:
-        raise ValueError("at least one cluster is required")
     holders: dict[Variable, list[int]] = {}  # variable -> positions
     for i, cluster in enumerate(clusters):
         for variable in cluster.vars:
@@ -217,11 +216,9 @@ def bethe_graph(clusters: Sequence[Cluster]) -> ClusterGraph:
     variable it contains.  All traffic between original clusters funnels
     through single-variable sepsets, which trivially satisfies the
     running-intersection property — and is exactly what limits how much
-    context this topology can carry.
+    context this topology can carry.  No cluster gives the empty graph.
     """
     clusters = tuple(clusters)
-    if not clusters:
-        raise ValueError("at least one cluster is required")
     nodes = list(clusters)
     hub_of: dict[Variable, int] = {}
     for variable in sorted({v for c in clusters for v in c.vars}):

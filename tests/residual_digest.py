@@ -72,7 +72,9 @@ def corpus():
         yield f"map8x8-{seed}/0.3", lambda p=problem: color_problem(p, options=DAMPED)
     for seed in range(4):
         problem = random_planar_map(6, 6, seed=seed)
-        yield f"map6x6-{seed}/0.0", lambda p=problem: color_problem(p)
+        yield f"map6x6-{seed}/0.0", lambda p=problem: color_problem(
+            p, options=InferenceOptions()
+        )
 
 
 def main() -> None:

@@ -298,9 +298,12 @@ class TestFreeSplit:
         for problem, cliques, items in compiled:
             assert all(len(table.scope) <= size for _, table in items)
             parts = [set(c.vars) for c in cliques]
+            free = set(problem.variables).difference(problem.givens)
+            assert free == set().union(*parts)
             for edge in problem.edges:
                 a, b = edge
-                assert any(a in part and b in part for part in parts), edge
+                if edge <= free:
+                    assert any(a in part and b in part for part in parts), edge
 
     @pytest.mark.parametrize("size", ["3", "5"])
     def test_graph_shows_the_first_round(self, capsys, size):
@@ -746,6 +749,7 @@ def test_parser_defaults_are_the_library_defaults():
     assert solve.max_messages == cmap.max_messages == bench.max_messages
     assert solve.max_messages == library.max_messages
     assert solve.damping == library.damping
+    assert cmap.damping == clusterbp.cli.MAP_DAMPING
     bias = {
         run: inspect.signature(run).parameters["bias_delta"].default
         for run in (solve_problem, color_problem)
@@ -797,6 +801,20 @@ def test_library_rejects_unusable_bias(run, delta):
     problem = parse_adjacency(SEVEN_REGION_TEXT)
     with pytest.raises(ValueError, match="bias_delta must be finite and >= 0"):
         run(problem, bias_delta=delta)
+
+
+def test_color_problem_damps_by_default(monkeypatch):
+    # `color-map` and the library call run at one damping.
+    dampings = []
+    setup = InferenceState.__init__
+
+    def recording(self, graph, factors, options=None):
+        dampings.append((options or InferenceOptions()).damping)
+        setup(self, graph, factors, options)
+
+    monkeypatch.setattr(InferenceState, "__init__", recording)
+    assert color_problem(random_planar_map(4, 4, seed=1)).valid
+    assert dampings and set(dampings) == {clusterbp.cli.MAP_DAMPING} == {0.3}
 
 
 @pytest.mark.parametrize(

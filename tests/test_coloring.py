@@ -28,8 +28,10 @@ from clusterbp.coloring import (
     sudoku_problem,
     verify_coloring,
 )
+from clusterbp.cli import _split_free
 from clusterbp.factors import (
     ContradictionError,
+    SparseTable,
     Variable,
     make_variables,
     permutation_factor,
@@ -468,6 +470,23 @@ class TestBuildFactors:
         with pytest.raises(ValueError, match="24 entries"):
             build_factors(problem, maximal_cliques(problem))
 
+    def test_too_few_labels_are_refused_before_any_key(self, monkeypatch):
+        # Each member of a 10-clique has its own neighbour given label 0,
+        # so the clique's domains hold 9 of its 10 labels.  No clique
+        # holds a given and one of the members, and P(9, 10) = 0 entries.
+        def enumerating(domains):
+            raise AssertionError("keys enumerated for a table with none")
+
+        monkeypatch.setattr("clusterbp.coloring._distinct_keys", enumerating)
+        members = [Variable(i, f"v{i}") for i in range(10)]
+        givens = {Variable(10 + i, f"g{i}"): 0 for i in range(10)}
+        edges = {frozenset(p) for p in itertools.combinations(members, 2)}
+        edges |= {frozenset(p) for p in zip(members, givens)}
+        problem = ColoringProblem((*members, *givens), edges, k=10, givens=givens)
+        message = r"clique \{v0,.*,v9\} needs 10 distinct labels but its domains hold only 9"
+        with pytest.raises(ContradictionError, match=message):
+            build_factors(problem, maximal_cliques(problem))
+
     def test_plain_triangle(self):
         problem = triangle_problem()
         items = build_factors(problem, maximal_cliques(problem))
@@ -903,10 +922,128 @@ class TestDomains:
 
     def test_empty_table_names_its_clique(self):
         # G=1 and H=2 leave A and B only label 0, which they cannot share.
-        with pytest.raises(ContradictionError, match=r"clique \{A,B\} has no"):
+        with pytest.raises(ContradictionError, match=r"clique \{A,B\} needs 2"):
             compile_cover(
                 ["AB", "AG", "AH", "BG", "BH"], k=3, givens={"G": 1, "H": 2}
             )
+
+
+def split_with_givens(problem, cliques, size):
+    """`cli._split_free` as it gave each part its clique's givens back:
+    a clique with at most `size` free variables passed whole."""
+    if size is None:
+        return cliques
+    parts = []
+    for clique in cliques:
+        free = clique.vars.difference(problem.givens)
+        if len(free) <= size:
+            parts.append(clique)
+            continue
+        given = clique.vars - free
+        parts += [Cluster(p.vars | given) for p in split_cliques([Cluster(free)], size)]
+    return parts
+
+
+def per_clique_factors(problem, cliques, bias, delta):
+    """`build_factors` as it read the givens clique by clique: each free
+    member's domain lost the labels of the givens in its cliques, and a
+    one-variable table checked each nudge.  Returns (cluster, scope,
+    entries) per table."""
+    covered = {frozenset(p) for c in cliques for p in itertools.combinations(c.vars, 2)}
+    assert problem.edges <= covered
+    k = problem.k
+    domains, nudges = {}, {}
+    for clique in cliques:
+        members = clique.sorted_vars()
+        taken = {problem.givens[v] for v in members if v in problem.givens}
+        free = [v for v in members if v not in problem.givens]
+        if len(free) > k - len(taken):
+            raise ContradictionError("too few labels remain")
+        for variable in free:
+            domain = domains.setdefault(variable, set(range(k)))
+            domain -= taken
+            if not domain:
+                raise ContradictionError("an emptied domain")
+            if bias is not None and variable not in nudges:
+                nudge = {(x,): 1.0 + delta * bias[variable][x] for x in range(k)}
+                weights = SparseTable((variable,), (k,), nudge)
+                nudges[variable] = tuple(weights[(x,)] for x in range(k))
+    out = []
+    for cluster in purged_pairwise(problem, cliques):
+        scope = cluster.sorted_vars()
+        keys = [
+            key
+            for key in itertools.product(*(sorted(domains[v]) for v in scope))
+            if len(set(key)) == len(key)
+        ]
+        weights = [(p, nudges[v]) for p, v in enumerate(scope) if v in nudges]
+        entries = {}
+        for key in keys:
+            weight = math.prod(w[key[p]] for p, w in weights) if weights else 1.0
+            if weight:
+                entries[key] = weight
+        if not entries:
+            raise ContradictionError("an empty table")
+        out.append((cluster, scope, entries))
+    return out
+
+
+class TestCompileMatchesPerCliqueGivens:
+    """Parts without givens, and domains read off the edges, compile the
+    tables the per-clique rule compiled, bit for bit and in order."""
+
+    @given(
+        st.sampled_from(["map", "grid"]),
+        st.integers(0, 10_000),
+        st.sampled_from([None, 2, 3, 4, 5]),
+        st.sampled_from([0.0, 0.01, 0.3]),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_same_tables(self, source, seed, size, delta, data):
+        if source == "map":
+            rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+            problem = random_planar_map(rows, cols, seed=seed)
+            found = color_by_backtracking(
+                [v.name for v in problem.variables],
+                [tuple(sorted(v.name for v in e)) for e in problem.edges],
+                4,
+            )
+            solution = {v: found[v.name] for v in problem.variables}
+        else:
+            full = solve_sudoku([0] * 16, 4)[seed % 288]
+            problem = sudoku_problem("." * 16, n=4)
+            solution = {v: full[v.id] - 1 for v in problem.variables}
+        pick = st.sampled_from(problem.variables)
+        givens = {v: solution[v] for v in data.draw(st.sets(pick))}
+        # Frozen cells, as decimation freezes them: any label that no
+        # given neighbour holds, right or wrong.
+        for variable in data.draw(st.sets(pick)):
+            if variable not in givens:
+                held = {givens.get(u) for u in problem.neighbors(variable)}
+                labels = [x for x in range(4) if x not in held]
+                if labels:
+                    givens[variable] = data.draw(st.sampled_from(labels))
+        problem = ColoringProblem(problem.variables, problem.edges, 4, givens)
+        cliques = maximal_cliques(problem)
+        bias = label_preferences(problem, seed) if delta else None
+        try:
+            expected = per_clique_factors(
+                problem, split_with_givens(problem, cliques, size), bias, delta
+            )
+        except ContradictionError:
+            with pytest.raises(ContradictionError):
+                build_factors(
+                    problem, _split_free(problem, cliques, size), bias, delta
+                )
+            return
+        got = build_factors(problem, _split_free(problem, cliques, size), bias, delta)
+        assert [c for c, _ in got] == [c for c, _, _ in expected]
+        for (_, table), (_, scope, entries) in zip(got, expected):
+            assert table.scope == scope
+            assert [(key, value.hex()) for key, value in table.entries.items()] == [
+                (key, value.hex()) for key, value in entries.items()
+            ]
 
 
 class TestPreferences:

@@ -33,6 +33,7 @@ from clusterbp.graphs import (
     max_spanning_tree,
     validate_rip,
 )
+from clusterbp.inference import InferenceState
 from oracles import all_spanning_trees
 
 VARS = make_variables("ABCDEFG")
@@ -199,10 +200,17 @@ class TestMaxSpanningTree:
             assert self._total(got, m) == best
 
 
+def assert_the_empty_graph(graph):
+    # Nothing to infer: a state over it converges with no message.
+    assert graph == ClusterGraph((), ())
+    state = InferenceState(graph, []).run()
+    assert state.converged and state.stats.messages == 0
+    assert state.marginals == {}
+
+
 class TestLayeredConstruction:
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ltrip([])
+    def test_empty_input_is_the_empty_graph(self):
+        assert_the_empty_graph(ltrip([]))
 
     def test_subset_clusters_rejected(self):
         with pytest.raises(ValueError, match="fold subsets"):
@@ -297,9 +305,8 @@ class TestLayeredConstruction:
 
 
 class TestBetheConstruction:
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            bethe_graph([])
+    def test_empty_input_is_the_empty_graph(self):
+        assert_the_empty_graph(bethe_graph([]))
 
     def test_seven_region_hubs(self, seven_cliques):
         graph = bethe_graph(seven_cliques)

@@ -245,7 +245,9 @@ def test_grid4_message_counts(sent, grid, topology, size, bias):
 
 @pytest.mark.parametrize("rows,cols,seed", sorted(MAP_COUNTS))
 def test_map_message_counts(sent, rows, cols, seed):
-    outcome = color_problem(random_planar_map(rows, cols, seed=seed))
+    outcome = color_problem(
+        random_planar_map(rows, cols, seed=seed), options=InferenceOptions()
+    )
     assert pinned(outcome, sent) == MAP_COUNTS[rows, cols, seed]
 
 
