@@ -12,15 +12,26 @@ Covers:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clusterbp
 from clusterbp import make_variables
+from clusterbp.cli import _split_free
+from clusterbp.coloring import (
+    anchor_largest_clique,
+    maximal_cliques,
+    purged_clusters,
+    random_planar_map,
+    sudoku_problem,
+)
 from clusterbp.graphs import (
     Cluster,
     ClusterGraph,
@@ -519,3 +530,131 @@ class TestDotExport:
         text = export_dot(seven_graph)
         edge_lines = [l for l in text.splitlines() if "--" in l]
         assert edge_lines == sorted(edge_lines)
+
+
+# -- ltrip against the dense-matrix build it replaced -------------------------
+
+
+def matrix_connection_weights(clusters):
+    """`connection_weights` as it was: one layer's dense weight matrix."""
+    n = len(clusters)
+    overlap = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            overlap[i][j] = overlap[j][i] = len(clusters[i].vars & clusters[j].vars)
+    m = max(map(max, overlap), default=0)
+    bonus = [
+        sum(1 for j in range(n) if j != i and overlap[i][j] == m) for i in range(n)
+    ]
+    return tuple(
+        tuple(0 if i == j else overlap[i][j] + bonus[i] + bonus[j] for j in range(n))
+        for i in range(n)
+    )
+
+
+def matrix_max_spanning_tree(ids, weights):
+    """`max_spanning_tree` as it was: Kruskal on a dense matrix."""
+    ids = list(ids)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate node ids: {ids}")
+    widths = [len(row) for row in weights]
+    if widths != [len(ids)] * len(ids):
+        raise ValueError(
+            f"weight matrix shape does not fit {len(ids)} nodes: rows of "
+            f"lengths {widths}"
+        )
+    candidates = []
+    for a in range(len(ids)):
+        for b in range(a + 1, len(ids)):
+            low, high = sorted((ids[a], ids[b]))
+            candidates.append((-float(weights[a][b]), low, high))
+    candidates.sort()
+    parent = {i: i for i in ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = []
+    for _, low, high in candidates:
+        root_low, root_high = find(low), find(high)
+        if root_low != root_high:
+            parent[root_low] = root_high
+            tree.append((low, high))
+    return tree
+
+
+def matrix_ltrip(clusters):
+    """`ltrip` as it was: each layer's matrix, then its tree."""
+    clusters = tuple(clusters)
+    holders = {}
+    for i, cluster in enumerate(clusters):
+        for variable in cluster.vars:
+            holders.setdefault(variable, []).append(i)
+    for i, a in enumerate(clusters):
+        for j in holders[min(a.vars)]:
+            if i != j and a.vars <= clusters[j].vars:
+                raise ValueError(
+                    f"cluster {i} ({{{a.label()}}}) is contained in cluster {j} "
+                    f"({{{clusters[j].label()}}}); fold subsets into supersets "
+                    f"first (build_factors does)"
+                )
+    sepset_vars = {}
+    for variable in sorted(holders):
+        members = holders[variable]
+        if len(members) < 2:
+            continue
+        weights = matrix_connection_weights([clusters[i] for i in members])
+        for edge in matrix_max_spanning_tree(members, weights):
+            sepset_vars.setdefault(edge, set()).add(variable)
+    sepsets = tuple(
+        Sepset(edge, frozenset(vars_)) for edge, vars_ in sorted(sepset_vars.items())
+    )
+    return ClusterGraph(clusters, sepsets)
+
+
+def first_round_clusters(problem, size):
+    """The clusters a pipeline's first round builds its graph over."""
+    cliques = maximal_cliques(problem)
+    if not problem.givens:
+        anchor = anchor_largest_clique(problem, cliques)
+        problem = dataclasses.replace(problem, givens=anchor)
+    return purged_clusters(problem, _split_free(problem, cliques, size))
+
+
+class TestLtripMatchesTheMatrixBuild:
+    """Weights read off the variable index give the graphs the dense
+    per-layer matrix gave, and the same refusals."""
+
+    def test_random_cluster_sets(self):
+        rng = random.Random(31)
+        pool = make_variables([f"v{i}" for i in range(12)])
+        for trial in range(1000):
+            raw = [
+                frozenset(rng.sample(pool, rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 16))
+            ]
+            if trial % 4:  # most sets subset-free, the rest as drawn
+                raw = [s for s in raw if not any(s < t for t in raw)]
+            clusters = [Cluster(s) for s in dict.fromkeys(raw)]
+            try:
+                expected = matrix_ltrip(clusters)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    ltrip(clusters)
+                continue
+            assert ltrip(clusters) == expected
+
+    @pytest.mark.parametrize("size", [3, 5, 9])
+    def test_split_sudoku_rounds(self, size):
+        puzzles = Path(clusterbp.__file__).parent / "data" / "puzzles"
+        texts = [p.read_text() for p in sorted(puzzles.glob("*.txt"))]
+        for text in texts + ["." * 81]:
+            clusters = first_round_clusters(sudoku_problem(text, 9), size)
+            assert ltrip(clusters) == matrix_ltrip(clusters)
+
+    def test_map250(self):
+        clusters = first_round_clusters(random_planar_map(25, 10, seed=3), None)
+        assert ltrip(clusters) == matrix_ltrip(clusters)
