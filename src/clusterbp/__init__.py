@@ -27,10 +27,8 @@ from clusterbp.graphs import (
     ClusterGraph,
     Sepset,
     bethe_graph,
-    connection_weights,
     export_dot,
     ltrip,
-    max_spanning_tree,
     validate_rip,
 )
 from clusterbp.inference import InferenceOptions, InferenceState
@@ -50,13 +48,11 @@ __all__ = [
     "anchor_largest_clique",
     "bethe_graph",
     "build_factors",
-    "connection_weights",
     "export_dot",
     "kl_divergence",
     "label_preferences",
     "ltrip",
     "make_variables",
-    "max_spanning_tree",
     "maximal_cliques",
     "parse_adjacency",
     "permutation_factor",

@@ -7,12 +7,12 @@ a CSV, and `graph` builds, validates, and exports the cluster graph.
 
 Exit codes partition what went wrong: 0 a verified solution (or a clean
 report), 2 unreadable or malformed input or a bad flag value, 3 a
-provably unsatisfiable problem, 4 inference that finished without a
-valid answer.  The parser only converts flag values; the library checks
-them, once, and its ValueError is exit 2.  Runs use max-product and
-`inference.THRESHOLD`; `--max-messages` and `--damping` are the only
-inference flags, and `bench`, whose unbiased grids hold only 0 and 1,
-takes no `--damping`.  Set the CLUSTERBP_LOG environment variable
+provably unsatisfiable problem (an unbiased run also contradicts), 4
+inference that finished without a valid answer.  The parser only
+converts flag values; the library checks them, once, and its ValueError
+is exit 2.  Runs use max-product and `inference.THRESHOLD`;
+`--max-messages` and `--damping` are the only inference flags, and
+`bench`, whose unbiased grids hold only 0 and 1, takes no `--damping`.  Set the CLUSTERBP_LOG environment variable
 (debug/info/warning) for progress logging on stderr.
 """
 
@@ -154,9 +154,11 @@ def _pipeline(
     so there are ATTEMPTS of them, the first included, when
     `bias_delta > 0` and one otherwise.
     Returns the last decoded round if every attempt fails, so callers
-    check `.valid`; if no attempt got past its first round, the last
-    attempt's ContradictionError propagates.  Messages and times add up
-    every round, dead-ended ones included.
+    check `.valid`.  If no attempt got past its first round, a biased
+    run returns the same solve run unbiased (biased messages can
+    underflow into a false contradiction), and an unbiased one lets its
+    ContradictionError propagate.  Messages and times add up every
+    round, dead-ended ones included.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
@@ -205,7 +207,15 @@ def _pipeline(
         except ContradictionError as exc:
             log.info("attempt %d dead-ended: %s", attempt, exc)
             if decoded is None and attempt == attempts - 1:
-                raise
+                if not bias_delta:
+                    raise
+                rerun = _pipeline(problem, topology, cluster_size, options, 0.0, seed)
+                return dataclasses.replace(
+                    rerun,
+                    messages=rerun.messages + messages,
+                    build_ms=rerun.build_ms + build_ms,
+                    infer_ms=rerun.infer_ms + infer_ms,
+                )
             continue
         if report.valid:
             break

@@ -10,8 +10,10 @@ property from first principles, independent of how a graph was built.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from clusterbp.factors import Variable
 
@@ -84,7 +86,7 @@ class ClusterGraph:
         seen: set[tuple[int, int]] = set()
         for sepset in self.sepsets:
             i, j = sepset.clusters
-            if j >= len(self.clusters):
+            if i < 0 or j >= len(self.clusters):
                 raise ValueError(f"sepset {sepset.clusters} points past the clusters")
             if sepset.clusters in seen:
                 raise ValueError(f"duplicate sepset between clusters {i} and {j}")
@@ -94,86 +96,19 @@ class ClusterGraph:
         return tuple(sorted({v for c in self.clusters for v in c.vars}))
 
 
-def connection_weights(
-    clusters: Sequence[Cluster],
-) -> tuple[tuple[int, ...], ...]:
-    """Edge weights for one layer, as a symmetric integer matrix of row tuples.
-
-    Starts from pairwise overlap sizes.  Let m be the largest overlap in
-    the layer; every cluster earns a bonus equal to how many of its
-    edges attain m, and each edge's final weight is its overlap plus
-    both endpoint bonuses.  The bonus steers spanning trees through the
-    clusters that are the best connected, which empirically produces
-    more informative sepsets than raw overlap alone.
-    """
-    n = len(clusters)
-    overlap = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            overlap[i][j] = overlap[j][i] = len(clusters[i].vars & clusters[j].vars)
-    m = max(map(max, overlap), default=0)
-    bonus = [
-        sum(1 for j in range(n) if j != i and overlap[i][j] == m) for i in range(n)
-    ]
-    return tuple(
-        tuple(0 if i == j else overlap[i][j] + bonus[i] + bonus[j] for j in range(n))
-        for i in range(n)
-    )
-
-
-def max_spanning_tree(
-    ids: Sequence[int], weights: Sequence[Sequence[float]]
-) -> list[tuple[int, int]]:
-    """Kruskal's algorithm on a dense weight matrix, maximizing weight.
-
-    `ids` name the nodes globally while `weights`, a square sequence of
-    rows (lists, tuples or a 2-D array), is indexed by local position.
-    Equal-weight edges are taken in ascending (low id, high id) order,
-    so the tree is deterministic.  Edges come back as global (low, high)
-    pairs.
-    """
-    ids = list(ids)
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate node ids: {ids}")
-    widths = [len(row) for row in weights]
-    if widths != [len(ids)] * len(ids):
-        raise ValueError(
-            f"weight matrix shape does not fit {len(ids)} nodes: rows of "
-            f"lengths {widths}"
-        )
-    candidates = []
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            low, high = sorted((ids[a], ids[b]))
-            candidates.append((-float(weights[a][b]), low, high))
-    candidates.sort()
-    parent = {i: i for i in ids}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for _, low, high in candidates:
-        root_low, root_high = find(low), find(high)
-        if root_low != root_high:
-            parent[root_low] = root_high
-            tree.append((low, high))
-    return tree
-
-
 def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
     """Build a cluster graph one variable layer at a time.
 
-    For each variable, the clusters containing it form a layer; a
-    maximum spanning tree under `connection_weights` joins the layer,
-    and every chosen edge carries that variable in its sepset.
-    Superimposing all layers yields sepsets that are exact unions of
-    layer contributions, and the per-variable trees make the
-    running-intersection property hold by construction.  No other record
-    of a tree is kept: a variable's tree is the sepsets that carry it.
+    For each variable, the clusters holding it form a layer, joined by a
+    maximum spanning tree whose every edge carries that variable in its
+    sepset.  An edge weighs its overlap (the variables its endpoints
+    share) plus, for each endpoint, how many of its layer edges reach the
+    layer's largest overlap: the bonus steers trees through the
+    best-connected clusters.  Kruskal takes the heaviest edge first, ties
+    in ascending (low, high) order.  Overlaps are counted once, off the
+    variable index.  Sepsets are exact unions of layer contributions, the
+    per-variable trees make the running-intersection property hold by
+    construction, and a variable's tree is the sepsets that carry it.
 
     Clusters are numbered by their input positions.  Input clusters must
     already be subset-free, as `build_factors` leaves them; a cluster
@@ -182,7 +117,7 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
     empty graph.
     """
     clusters = tuple(clusters)
-    holders: dict[Variable, list[int]] = {}  # variable -> positions
+    holders: dict[Variable, list[int]] = {}  # variable -> ascending positions
     for i, cluster in enumerate(clusters):
         for variable in cluster.vars:
             holders.setdefault(variable, []).append(i)
@@ -194,18 +129,47 @@ def ltrip(clusters: Sequence[Cluster]) -> ClusterGraph:
                     f"({{{clusters[j].label()}}}); fold subsets into supersets "
                     f"first (build_factors does)"
                 )
+    overlap: Counter[tuple[int, int]] = Counter()  # (low, high) -> shared count
+    for members in holders.values():
+        overlap.update(itertools.combinations(members, 2))
     sepset_vars: dict[tuple[int, int], set[Variable]] = {}
     for variable in sorted(holders):
-        members = holders[variable]
-        if len(members) < 2:
-            continue  # nothing to join; the variable stays local
-        weights = connection_weights([clusters[i] for i in members])
-        for edge in max_spanning_tree(members, weights):
+        for edge in _layer_tree(holders[variable], overlap):
             sepset_vars.setdefault(edge, set()).add(variable)
     sepsets = tuple(
         Sepset(edge, frozenset(vars_)) for edge, vars_ in sorted(sepset_vars.items())
     )
     return ClusterGraph(clusters, sepsets)
+
+
+def _layer_tree(
+    members: Sequence[int], overlap: Mapping[tuple[int, int], int]
+) -> list[tuple[int, int]]:
+    """One layer's maximum spanning tree under `ltrip`'s weight rule.
+
+    `members` are the layer's positions, ascending, and `overlap` maps
+    each (low, high) pair to its shared-variable count.  Edges come back
+    as (low, high) pairs in the order taken.
+    """
+    edges = list(itertools.combinations(members, 2))
+    top = max((overlap[edge] for edge in edges), default=0)
+    bonus = Counter(end for edge in edges if overlap[edge] == top for end in edge)
+    edges.sort(key=lambda e: (-(overlap[e] + bonus[e[0]] + bonus[e[1]]), e))
+    root = {i: i for i in members}
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    tree = []
+    for low, high in edges:
+        root_low, root_high = find(low), find(high)
+        if root_low != root_high:
+            root[root_low] = root_high
+            tree.append((low, high))
+    return tree
 
 
 def bethe_graph(clusters: Sequence[Cluster]) -> ClusterGraph:

@@ -49,10 +49,9 @@ from clusterbp.graphs import (
     Cluster,
     ClusterGraph,
     Sepset,
+    _layer_tree,
     bethe_graph,
-    connection_weights,
     ltrip,
-    max_spanning_tree,
     validate_rip,
 )
 from clusterbp.inference import THRESHOLD, InferenceOptions, InferenceState
@@ -223,22 +222,18 @@ def test_03_worked_layer_peaks_at_overlap_three_and_validates():
         Cluster(frozenset({B, C, G})),
         Cluster(frozenset({A, B, G})),
     ]
-    overlaps = [
-        len(a.vars & b.vars) for a, b in itertools.combinations(layer, 2)
-    ]
-    assert max(overlaps) == 3
+    overlap = {
+        (i, j): len(a.vars & b.vars)
+        for (i, a), (j, b) in itertools.combinations(enumerate(layer), 2)
+    }
+    assert max(overlap.values()) == 3
 
     # One cluster is contained in another, which `ltrip` refuses by
-    # contract, so assemble the same per-variable trees by hand.
+    # contract, so assemble the same per-variable trees layer by layer.
     sepset_vars: dict[tuple[int, int], set] = {}
     for variable in sorted({v for c in layer for v in c.vars}):
         members = [i for i, c in enumerate(layer) if variable in c.vars]
-        if len(members) < 2:
-            continue
-        tree = max_spanning_tree(
-            members, connection_weights([layer[i] for i in members])
-        )
-        for edge in tree:
+        for edge in _layer_tree(members, overlap):
             sepset_vars.setdefault(edge, set()).add(variable)
     graph = ClusterGraph(
         tuple(layer),

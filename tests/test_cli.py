@@ -147,6 +147,15 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "unsatisfiable: the givens around A take all 4 labels" in err
 
+    @pytest.mark.parametrize("size, code", [(5, EXIT_OK), (3, EXIT_NO_SOLUTION)])
+    def test_biased_underflow_is_not_unsatisfiable(self, size, code, capsys):
+        # Every biased bethe attempt on this satisfiable grid annihilates
+        # a belief in its first round, by float underflow; the unbiased
+        # rerun decides the exit, and it is never 3.
+        puzzle = Path(clusterbp.__file__).parent / "data" / "puzzles" / "easy02.txt"
+        argv = ["solve", str(puzzle), "--topology", "bethe", "--bias", "1"]
+        assert main(argv + ["--cluster-size", str(size)]) == code
+
     def test_symmetric_grid_decodes_valid(self, tmp_path, capsys):
         # Every marginal ties, so argmax would give 1111 rows; the ranked
         # decode dodges the labels earlier cells took.
@@ -462,8 +471,9 @@ class TestColorMap:
     def test_library_reraises_the_last_dead_end(self, rounds):
         with pytest.raises(ContradictionError):
             color_problem(parse_adjacency(WHEEL, 3))
-        # ATTEMPTS counts attempts: four of them, one round each.
-        assert rounds == list(range(ATTEMPTS)) == [0, 1, 2, 3]
+        # ATTEMPTS counts biased attempts: four of them, one round each,
+        # then the unbiased rerun whose contradiction is raised.
+        assert rounds == [*range(ATTEMPTS), 0] == [0, 1, 2, 3, 0]
 
     def test_unbiased_dead_end_runs_once(self, rounds):
         # Without bias every attempt would repeat the first one exactly.

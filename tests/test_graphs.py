@@ -2,22 +2,23 @@
 
 Covers:
 * structural checks on Cluster / Sepset / ClusterGraph
-* layer weight matrices, frozen against a fully hand-computed example
-* maximum spanning trees, cross-checked by enumerating every labeled tree
+* the layer weight rule, frozen against a fully hand-computed example
+* layer spanning trees, cross-checked by enumerating every labeled tree
 * layered construction: forced edges, sepset contents, determinism
 * the Bethe construction and its single-variable hubs
 * running-intersection validation on valid, broken, and random graphs
 * DOT export
+* ltrip against a copy of the dense per-layer matrix build it replaced
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,11 +38,10 @@ from clusterbp.graphs import (
     ClusterGraph,
     RipReport,
     Sepset,
+    _layer_tree,
     bethe_graph,
-    connection_weights,
     export_dot,
     ltrip,
-    max_spanning_tree,
     validate_rip,
 )
 from clusterbp.inference import InferenceState
@@ -60,22 +60,35 @@ def names_of(vars_):
     return "".join(sorted(v.name for v in vars_))
 
 
+def overlaps(clusters):
+    """Shared-variable counts of every pair of positions, (low, high) keyed."""
+    return {
+        (i, j): len(a.vars & b.vars)
+        for (i, a), (j, b) in itertools.combinations(enumerate(clusters), 2)
+    }
+
+
+def rule_weights(overlap, members):
+    """`ltrip`'s edge weights for one layer, worked out here: the overlap
+    plus, per endpoint, its layer edges that reach the top overlap."""
+    edges = list(itertools.combinations(members, 2))
+    top = max(overlap[e] for e in edges)
+    reach = {i: sum(1 for e in edges if i in e and overlap[e] == top) for i in members}
+    return {e: overlap[e] + reach[e[0]] + reach[e[1]] for e in edges}
+
+
 def layered_by_hand(clusters):
-    """The layered construction applied edge by edge, no subset screening.
+    """The layered construction applied layer by layer, no subset screening.
 
     The five-cluster worked layer below contains a subset pair, which
-    `ltrip` refuses by contract; assembling its graph from the public
-    layer operations shows the per-variable trees still line up.
+    `ltrip` refuses by contract; assembling its graph from the per-layer
+    trees shows they still line up.
     """
+    overlap = overlaps(clusters)
     sepset_vars = {}
     for variable in sorted({v for c in clusters for v in c.vars}):
         members = [i for i, c in enumerate(clusters) if variable in c.vars]
-        if len(members) < 2:
-            continue
-        tree = max_spanning_tree(
-            members, connection_weights([clusters[i] for i in members])
-        )
-        for edge in tree:
+        for edge in _layer_tree(members, overlap):
             sepset_vars.setdefault(edge, set()).add(variable)
     sepsets = tuple(
         Sepset(edge, frozenset(vs)) for edge, vs in sorted(sepset_vars.items())
@@ -93,16 +106,12 @@ WORKED_LAYER = [
     cl("BCG"),
     cl("ABG"),
 ]
-WORKED_WEIGHTS = np.array(
-    [
-        [0, 6, 6, 4, 3],
-        [6, 0, 3, 3, 3],
-        [6, 3, 0, 2, 2],
-        [4, 3, 2, 0, 2],
-        [3, 3, 2, 2, 0],
-    ],
-    dtype=np.int64,
-)
+WORKED_WEIGHTS = {
+    (0, 1): 6, (0, 2): 6, (0, 3): 4, (0, 4): 3,
+    (1, 2): 3, (1, 3): 3, (1, 4): 3,
+    (2, 3): 2, (2, 4): 2,
+    (3, 4): 2,
+}
 
 
 class TestStructures:
@@ -125,6 +134,11 @@ class TestStructures:
         with pytest.raises(ValueError, match="past the clusters"):
             ClusterGraph((cl("A"),), (Sepset((0, 1), frozenset({A})),))
 
+    def test_graph_rejects_negative_endpoint(self):
+        clusters = (cl("AB"), cl("AC"), cl("AD"))
+        with pytest.raises(ValueError, match="past the clusters"):
+            ClusterGraph(clusters, (Sepset((-1, 0), frozenset({A})),))
+
     def test_graph_rejects_duplicate_edges(self):
         sep = Sepset((0, 1), frozenset({A}))
         with pytest.raises(ValueError, match="duplicate"):
@@ -143,72 +157,57 @@ class TestStructures:
 
 
 class TestConnectionWeights:
-    def test_single_cluster_layer(self):
-        assert connection_weights([cl("AB")]) == ((0,),)
+    """The weight rule, seen through the trees it makes."""
 
-    def test_identical_pair_gets_double_bonus(self):
-        # Overlap 3 is also the maximum, so each endpoint adds 1.
-        got = connection_weights([cl("ABC"), cl("ABC")])
-        assert got == ((0, 5), (5, 0))
+    def test_single_cluster_layer(self):
+        assert _layer_tree([4], {}) == []
+
+    def test_both_endpoint_bonuses_count(self):
+        # Every overlap is 2 but (0,1)'s: clusters 2 and 3 reach it three
+        # times, 0 and 1 twice, so (2,3) weighs 2 + 3 + 3 = 8 and goes
+        # first, then (0,2) and (1,2) at 7.  Raw overlap, or only the
+        # larger endpoint bonus, would take (0,2), (0,3) and (1,2).
+        overlap = dict.fromkeys(itertools.combinations(range(4), 2), 2)
+        overlap[0, 1] = 1
+        assert _layer_tree(range(4), overlap) == [(2, 3), (0, 2), (1, 2)]
 
     def test_worked_five_cluster_layer(self):
-        got = connection_weights(WORKED_LAYER)
-        assert got == tuple(map(tuple, WORKED_WEIGHTS.tolist()))
-
-    def test_symmetry_and_zero_diagonal(self):
-        rng = random.Random(8)
-        pool = list("ABCDEFG")
-        for _ in range(25):
-            layer = [
-                Cluster(frozenset(BY_NAME[n] for n in rng.sample(pool, rng.randint(1, 5))))
-                for _ in range(rng.randint(2, 6))
-            ]
-            w = connection_weights(layer)
-            assert w == tuple(zip(*w))
-            assert all(w[i][i] == 0 for i in range(len(w)))
+        # The rule as the optimality check below computes it.
+        assert rule_weights(overlaps(WORKED_LAYER), range(5)) == WORKED_WEIGHTS
 
 
 class TestMaxSpanningTree:
     def test_tie_break_prefers_low_ids(self):
-        w = np.ones((3, 3)) - np.eye(3)
-        assert max_spanning_tree([0, 1, 2], w) == [(0, 1), (0, 2)]
+        overlap = dict.fromkeys(itertools.combinations(range(3), 2), 1)
+        assert _layer_tree([0, 1, 2], overlap) == [(0, 1), (0, 2)]
 
     def test_global_ids_are_respected(self):
-        w = np.ones((3, 3)) - np.eye(3)
-        assert max_spanning_tree([7, 3, 9], w) == [(3, 7), (3, 9)]
-
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            max_spanning_tree([1, 1], np.zeros((2, 2)))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            max_spanning_tree([0, 1, 2], np.zeros((2, 2)))
+        overlap = dict.fromkeys(itertools.combinations([3, 7, 9], 2), 1)
+        assert _layer_tree([3, 7, 9], overlap) == [(3, 7), (3, 9)]
 
     def test_worked_layer_tree(self):
-        got = max_spanning_tree([0, 1, 2, 3, 4], WORKED_WEIGHTS)
+        # Raw overlap would take (1,4) where the bonus takes (0,4).
+        got = _layer_tree(range(5), overlaps(WORKED_LAYER))
         assert got == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
     def _total(self, edges, weights):
-        return sum(weights[i][j] for i, j in edges)
+        return sum(weights[edge] for edge in edges)
 
     def test_optimal_against_exhaustive_enumeration(self):
         trees = all_spanning_trees(5)
         assert len(trees) == 125  # Cayley: 5^3 labeled trees
         rng = random.Random(20260814)
-        matrices = [WORKED_WEIGHTS.tolist()]
-        for _ in range(20):
-            m = [[0] * 5 for _ in range(5)]
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    m[i][j] = m[j][i] = rng.randint(0, 9)
-            matrices.append(m)
-        for m in matrices:
-            got = max_spanning_tree(range(5), np.array(m))
+        layers = [overlaps(WORKED_LAYER)]
+        for _ in range(40):
+            pairs = itertools.combinations(range(5), 2)
+            layers.append({pair: rng.randint(1, 4) for pair in pairs})
+        for overlap in layers:
+            weights = rule_weights(overlap, range(5))
+            got = _layer_tree(range(5), overlap)
             assert len(got) == 4
             assert frozenset(got) in trees
-            best = max(self._total(t, m) for t in trees)
-            assert self._total(got, m) == best
+            best = max(self._total(t, weights) for t in trees)
+            assert self._total(got, weights) == best
 
 
 def assert_the_empty_graph(graph):
@@ -274,8 +273,8 @@ class TestLayeredConstruction:
             i for i, c in enumerate(seven_cliques) if "D" in names_of(c.vars)
         ]
         assert d_holders == [1, 3, 4]
-        d_layer = [seven_cliques[i] for i in d_holders]
-        assert connection_weights(d_layer) == ((0, 5, 3), (5, 0, 5), (3, 5, 0))
+        weights = rule_weights(overlaps(seven_cliques), d_holders)
+        assert weights == {(1, 3): 5, (1, 4): 3, (3, 4): 5}
         assert trees["D"] == [(1, 3), (3, 4)]
         assert trees["A"] == [(0, 1)]
         assert set(trees) == set("ABCDEFG") and all(trees.values())
@@ -306,11 +305,11 @@ class TestLayeredConstruction:
         # variable's tree recomputed here from its layer alone.
         for clusters in (seven_cliques, [cl("AB"), cl("BC"), cl("AC")]):
             graph = ltrip(clusters)
+            overlap = overlaps(clusters)
             contributions = {}
             for variable in graph.variables():
                 members = [i for i, c in enumerate(clusters) if variable in c.vars]
-                weights = connection_weights([clusters[i] for i in members])
-                for edge in max_spanning_tree(members, weights):
+                for edge in _layer_tree(members, overlap):
                     contributions.setdefault(edge, set()).add(variable)
             assert {s.clusters: set(s.vars) for s in graph.sepsets} == contributions
 

@@ -215,7 +215,8 @@ def test_dead_end_map(runs):
         for src, dst, residual in sent
         if residual is None
     ]
-    assert len(failed) == ATTEMPTS == 4  # one dead end per attempt
+    # One dead end per biased attempt, and one for the unbiased rerun.
+    assert len(failed) == ATTEMPTS + 1 == 5
     assert_replays(runs)
 
 
