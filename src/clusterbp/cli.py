@@ -150,15 +150,16 @@ def _pipeline(
     verifies ends the run; otherwise the first FIX_FRACTION of the open
     variables that found a free label are frozen with it as givens for
     the next round.  A round that annihilates (the frozen labels were
-    jointly wrong) starts a new attempt with the next preference seed,
-    so there are ATTEMPTS of them, the first included, when
-    `bias_delta > 0` and one otherwise.
+    jointly wrong) ends its attempt, and the next one starts.
+    The attempts are one list of (bias, seed) trials: when
+    `bias_delta > 0`, ATTEMPTS biased ones at seeds `seed`, `seed + 1`,
+    ..., then one unbiased trial at `seed`.  The unbiased trial always
+    runs without a bias; under one it runs only if no biased round
+    decoded (biased messages can underflow into a false contradiction).
+    Only the unbiased trial's first-round ContradictionError propagates.
     Returns the last decoded round if every attempt fails, so callers
-    check `.valid`.  If no attempt got past its first round, a biased
-    run returns the same solve run unbiased (biased messages can
-    underflow into a false contradiction), and an unbiased one lets its
-    ContradictionError propagate.  Messages and times add up every
-    round, dead-ended ones included.
+    check `.valid`.  Messages and times add up every round, dead-ended
+    ones included.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
@@ -170,17 +171,20 @@ def _pipeline(
     # Givens come back unchanged; only an anchor needs a new problem.
     base = problem if problem.givens else dataclasses.replace(problem, givens=anchor)
     build_ms = (time.perf_counter() - started) * 1000.0
-    attempts = ATTEMPTS if bias_delta > 0 else 1
+    trials = [(bias_delta, seed + n) for n in range(ATTEMPTS if bias_delta else 0)]
+    trials.append((0.0, seed))
     messages, infer_ms, cluster_count = 0, 0.0, 0
     decoded = None  # the last decoded round's assignment, report, converged
-    for attempt in range(attempts):
+    for attempt, (bias, trial_seed) in enumerate(trials):
+        if decoded is not None and not bias:
+            break  # a biased round decoded, so no unbiased trial
         work = base
         try:
             while True:
                 started = time.perf_counter()
                 parts = _split_free(work, cliques, cluster_size)
                 state, clusters = _compile(
-                    work, parts, topology, options, bias_delta, seed + attempt
+                    work, parts, topology, options, bias, trial_seed
                 )
                 build_ms += (time.perf_counter() - started) * 1000.0
                 cluster_count = cluster_count or clusters
@@ -206,16 +210,8 @@ def _pipeline(
                 work = dataclasses.replace(work, givens={**work.givens, **fixes})
         except ContradictionError as exc:
             log.info("attempt %d dead-ended: %s", attempt, exc)
-            if decoded is None and attempt == attempts - 1:
-                if not bias_delta:
-                    raise
-                rerun = _pipeline(problem, topology, cluster_size, options, 0.0, seed)
-                return dataclasses.replace(
-                    rerun,
-                    messages=rerun.messages + messages,
-                    build_ms=rerun.build_ms + build_ms,
-                    infer_ms=rerun.infer_ms + infer_ms,
-                )
+            if decoded is None and not bias:
+                raise
             continue
         if report.valid:
             break

@@ -40,9 +40,9 @@ THRESHOLD = 1e-8
 class InferenceOptions:
     """Knobs for a max-product propagation run.
 
-    `max_messages` caps the run.  The residual a directed edge must fall
-    below to count as settled is the module constant `THRESHOLD`, not an
-    option.
+    `max_messages`, an int (not a bool) of at least 1, caps the run.  The
+    residual a directed edge must fall below to count as settled is the
+    module constant `THRESHOLD`, not an option.
     `damping` geometrically mixes each new sepset belief with the stored
     one — it leaves fixed points untouched but tames the oscillation
     loopy graphs with soft potentials are prone to.
@@ -52,8 +52,9 @@ class InferenceOptions:
     damping: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_messages < 1:
-            raise ValueError(f"max_messages must be >= 1, got {self.max_messages}")
+        budget = self.max_messages
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+            raise ValueError(f"max_messages must be >= 1 and an int, got {budget!r}")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError(
                 f"damping must lie in [0, 1), got {self.damping}"
@@ -93,19 +94,21 @@ class InferenceState:
     outgoing edges are queued in ascending neighbour order, whatever
     order the graph lists its sepsets in.
 
-    Messages run over lists, not tables.  Each cluster keeps its factor's
-    rows, fixed at setup, and one value per row.  Belief update only
-    shrinks supports, so a row that leaves the support holds 0.0 (and
-    once most rows have left, the dead rows are dropped).  A sepset
-    belief is a list with one cell per assignment of its sorted scope
-    that a row of either endpoint projects to, numbered as those rows
-    first reach it (over one variable, one cell per value), and each
-    cluster keeps, per neighbor, the cell each of its rows projects to.
-    No other cell can ever hold mass, but the vacuous belief's total
-    still counts all k^|S| assignments, so every residual is that of the
-    dense table.  `beliefs` and `sepset_beliefs` show the state as
-    tables; a sepset's table lists the cells holding mass in cell order,
-    or every assignment while no message has crossed it.
+    Messages run over lists, not tables.  The state keeps each factor it
+    was given (tables are never mutated): a cluster's rows are its
+    factor's entry keys, in entry order, for the whole run, and the
+    cluster keeps one value per row.  Belief update only shrinks
+    supports, so a row that leaves the support holds 0.0 from then on; it
+    never raises a max, stays 0.0 under any ratio, and no read-out lists
+    it.  A sepset belief is a list with one cell per assignment of its
+    sorted scope that a row of either endpoint projects to, numbered as
+    those rows first reach it (over one variable, one cell per value),
+    and each cluster keeps, per neighbor, the cell each of its rows
+    projects to.  No other cell can ever hold mass, but the vacuous
+    belief's total still counts all k^|S| assignments, so every residual
+    is that of the dense table.  `beliefs` and `sepset_beliefs` show the
+    state as tables; a sepset's table lists the cells holding mass in
+    cell order, or every assignment while no message has crossed it.
     """
 
     def __init__(
@@ -125,8 +128,8 @@ class InferenceState:
         self.options = options
         self.stats = RunStats()
         self._cards = cards
-        self._shapes: list[tuple[tuple, tuple[int, ...]]] = []
-        self._rows: list[list[tuple[int, ...]]] = []
+        # _vals[i]: one value per entry of _factors[i], in entry order.
+        self._factors = tuple(factors)
         self._vals: list[list[float]] = []
         for i, (cluster, factor) in enumerate(zip(graph.clusters, factors)):
             if set(factor.scope) != set(cluster.vars):
@@ -143,8 +146,6 @@ class InferenceState:
                         f"variable {var} has cardinality {card} in cluster "
                         f"{i} but {cards[var]} elsewhere"
                     )
-            self._shapes.append((factor.scope, factor.cards))
-            self._rows.append(list(factor.entries))
             vals = list(factor.entries.values())
             top = max(vals)
             self._vals.append([v / top for v in vals])
@@ -174,7 +175,7 @@ class InferenceState:
             ends = []
             for end in key:
                 pick = itemgetter(*map(factors[end]._pos.get, scope))
-                ends.append(list(map(pick, self._rows[end])))
+                ends.append(list(map(pick, factors[end].entries)))
             if len(scope) == 1:
                 # Over one variable, the value is the cell.
                 reached = [(x,) for x in range(cards[scope[0]])]
@@ -325,8 +326,6 @@ class InferenceState:
         if total != 1.0:
             updated = [value / total for value in updated]
         self._vals[dst] = updated
-        if updated.count(0.0) * 2 > len(updated):
-            self._compact(dst)
         self._sepsets[key] = message
         self._totals[key] = new_total
         self.residuals[src, dst] = residual
@@ -334,30 +333,17 @@ class InferenceState:
         self.stats.messages += 1
         return residual
 
-    def _compact(self, i: int) -> None:
-        """Drop cluster `i`'s zero rows from its row, value and cell lists.
-
-        The rows left keep their order, so each belief table lists its
-        entries as before; messages just stop walking the dead rows.
-        """
-        live = self._vals[i]
-        self._vals[i] = list(itertools.compress(live, live))
-        self._rows[i] = list(itertools.compress(self._rows[i], live))
-        cells = self._cells[i]
-        for peer in cells:
-            cells[peer] = list(itertools.compress(cells[peer], live))
-
     @property
     def beliefs(self) -> tuple[SparseTable, ...]:
         """Each cluster's current belief, as a table built on each read."""
         return tuple(map(self._belief, range(len(self._vals))))
 
     def _belief(self, i: int) -> SparseTable:
-        scope, cards = self._shapes[i]
-        entries = {
-            row: value for row, value in zip(self._rows[i], self._vals[i]) if value
-        }
-        return SparseTable._trusted(scope, cards, entries)
+        """Cluster `i`'s belief: its factor's rows that still hold mass."""
+        factor = self._factors[i]
+        rows = zip(factor.entries, self._vals[i])
+        entries = {row: value for row, value in rows if value}
+        return SparseTable._trusted(factor.scope, factor.cards, entries)
 
     @property
     def sepset_beliefs(self) -> dict[tuple[int, int], SparseTable]:
@@ -410,23 +396,24 @@ class InferenceState:
         """Each variable's max-marginal, its largest entry 1.0.
 
         A variable's marginal comes from the first cluster holding it, in
-        one walk per holder cluster: each live row raises the entry of
-        every variable first held there, in row order.  Maxima are those
-        of `marginalize("max")`, entry order included.  Every belief's
-        largest value is exactly 1.0 (set-up and each update divide by
-        it), so `normalize("max")` would change no bit.  A belief always
+        one walk per holder cluster: each of its factor's rows that still
+        holds mass raises the entry of every variable first held there, in
+        row order.  Maxima are those of `marginalize("max")`, entry order
+        included.  Every belief's largest value is exactly 1.0 (set-up and
+        each update divide by it), so `normalize("max")` would change no
+        bit.  A belief always
         keeps a positive row, so no marginal comes out empty.
         """
         totals: dict[Variable, dict[int, float]] = {}
-        for i, (scope, _) in enumerate(self._shapes):
+        for factor, vals in zip(self._factors, self._vals):
             accs = [
                 (totals.setdefault(v, {}), p)
-                for p, v in enumerate(scope)
+                for p, v in enumerate(factor.scope)
                 if v not in totals
             ]
             if not accs:
                 continue
-            for row, value in zip(self._rows[i], self._vals[i]):
+            for row, value in zip(factor.entries, vals):
                 if not value:
                     continue
                 for acc, p in accs:

@@ -115,6 +115,12 @@ class TestOptions:
         with pytest.raises(ValueError):
             InferenceOptions(**kwargs)
 
+    @pytest.mark.parametrize("budget", [math.nan, 2.5, 3.0, True])
+    def test_budget_must_be_an_int(self, budget):
+        # A NaN budget once sent no message, and 2.5 sent three.
+        with pytest.raises(ValueError, match="max_messages must be >= 1 and an int"):
+            InferenceOptions(max_messages=budget)
+
     def test_semiring_is_no_longer_an_option(self):
         # Max-product is the kernel's one semiring.
         with pytest.raises(TypeError):

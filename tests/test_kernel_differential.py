@@ -22,10 +22,12 @@ Covers:
 * a 4x4 grid split at size 3 with bias, both topologies
 * a damped, anchored planar map through every decimation round
 * factors whose scopes are not sorted, damped and undamped
-* marginals after every replayed run, from clusters compacted mid-run too
-* the setup check on sepset variables, row compaction, and a failed
-  message (a contradiction, or a quotient that overflows) leaving the
-  state untouched, and a re-run stopping at a refused edge again
+* easy01 split at size 5 under ltrip, whose clusters keep every row of
+  their factors, zero or not, to the end of the run
+* marginals after every replayed run
+* the setup check on sepset variables, and a failed message (a
+  contradiction, or a quotient that overflows) leaving the state
+  untouched, and a re-run stopping at a refused edge again
 """
 
 from __future__ import annotations
@@ -258,26 +260,30 @@ def test_unsorted_scopes(runs, damping):
     assert assert_replays(runs) > 100
 
 
-def test_marginals_of_compacted_clusters(runs, monkeypatch):
+def easy01_split_at_5():
+    """easy01 split at size 5 under ltrip: the graph and its tables."""
     problem = sudoku_problem(EASY01, 9)
     items = build_factors(problem, split_cliques(maximal_cliques(problem), 5))
     graph = ltrip([cluster for cluster, _ in items])
-    compacted = set()
-    compact = InferenceState._compact
+    return graph, [table for _, table in items]
 
-    def recording(self, i):
-        compacted.add(i)
-        compact(self, i)
 
-    monkeypatch.setattr(InferenceState, "_compact", recording)
-    options = InferenceOptions(max_messages=2000)
-    InferenceState(graph, [table for _, table in items], options).run()
-    first_holders = {
-        min(i for i, c in enumerate(graph.clusters) if v in c.vars)
-        for v in graph.variables()
-    }
-    assert compacted & first_holders
+def test_easy01_split_at_5(runs):
+    graph, tables = easy01_split_at_5()
+    InferenceState(graph, tables, InferenceOptions(max_messages=2000)).run()
     assert assert_replays(runs) > 100
+
+
+def test_rows_stay_the_factor_entries():
+    # Rows that leave the support hold 0.0 to the end of the run: every
+    # value list and cell list keeps its factor's length.
+    graph, tables = easy01_split_at_5()
+    state = InferenceState(graph, tables, InferenceOptions(max_messages=2000)).run()
+    assert any(0.0 in vals for vals in state._vals)
+    for i, table in enumerate(tables):
+        assert len(state._vals[i]) == len(table.entries)
+        for cells in state._cells[i].values():
+            assert len(cells) == len(table.entries)
 
 
 def test_sepset_variable_outside_an_endpoint():
@@ -289,36 +295,6 @@ def test_sepset_variable_outside_an_endpoint():
     factors = [uniform_factor((a, b), (2, 2)), uniform_factor((b, c), (2, 2))]
     with pytest.raises(ValueError, match="carries A, but cluster 1 covers only"):
         InferenceState(graph, factors)
-
-
-def test_compaction_changes_nothing(monkeypatch):
-    problem = sudoku_problem(EASY01, 9)
-    items = build_factors(problem, split_cliques(maximal_cliques(problem), 5))
-    graph = ltrip([cluster for cluster, _ in items])
-    tables = [table for _, table in items]
-
-    def final_state():
-        state = InferenceState(graph, tables)
-        state.run()
-        return (
-            [entries(t) for t in state.beliefs],
-            {key: entries(t) for key, t in state.sepset_beliefs.items()},
-            state.residuals,
-            state.stats.messages,
-        )
-
-    compacted = []
-    compact = InferenceState._compact
-
-    def counting(self, i):
-        compacted.append(i)
-        compact(self, i)
-
-    monkeypatch.setattr(InferenceState, "_compact", counting)
-    with_compaction = final_state()
-    assert compacted
-    monkeypatch.setattr(InferenceState, "_compact", lambda self, i: None)
-    assert final_state() == with_compaction
 
 
 def snapshot(state):
