@@ -2,8 +2,10 @@
 
 Subcommands: `solve` runs a Sudoku grid and `color-map` four-colors an
 adjacency file, through one pipeline that decimates when a decode fails;
-`bench` sweeps a puzzle directory over topologies and cluster sizes into
-a CSV, and `graph` builds, validates, and exports the cluster graph.
+`bench` sweeps a puzzle directory over both topologies and cluster sizes
+into a CSV and counts the runs bethe solved but ltrip did not, and
+`graph` builds the cluster graph, checks its running-intersection
+property and exports it.
 
 Exit codes partition what went wrong: 0 a verified solution (or a clean
 report), 2 unreadable or malformed input or a bad flag value, 3 a
@@ -435,13 +437,14 @@ def _bench_row(
     size: int,
     options: InferenceOptions,
 ) -> tuple:
+    failed = (name, topology, size, 0, "false", "false", 0, "0.000", "0.000")
     if problem is None:
-        return (name, topology, size, 0, "false", "false", 0, "0.000", "0.000")
+        return failed
     try:
         outcome = solve_problem(problem, topology, size, options=options)
     except ContradictionError as exc:
         log.info("%s %s M=%d: unsatisfiable (%s)", name, topology, size, exc)
-        return (name, topology, size, 0, "false", "false", 0, "0.000", "0.000")
+        return failed
     return (
         name,
         topology,
@@ -463,7 +466,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         p for p in directory.iterdir()
         if p.is_file() and not p.name.startswith(".")
     )
-    topologies = TOPOLOGIES if args.topologies == "both" else (args.topologies,)
     options = InferenceOptions(max_messages=args.max_messages)
     rows: list[tuple] = []
     with open(args.out, "w", newline="") as handle:
@@ -475,7 +477,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             except (ValueError, OSError) as exc:
                 log.warning("skipping %s: %s", path.name, exc)
                 problem = None
-            for topology in topologies:
+            for topology in TOPOLOGIES:
                 for size in args.sizes:
                     row = _bench_row(path.name, problem, topology, size, options)
                     writer.writerow(row)
@@ -483,27 +485,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     rows.append(row)
                     log.info("%s %s M=%s -> valid=%s", *row[:3], row[5])
     print(f"wrote {len(rows)} rows to {args.out}")
-    by_topology = {
-        t: [r for r in rows if r[1] == t] for t in topologies
-    }
+    by_topology = {t: [r for r in rows if r[1] == t] for t in TOPOLOGIES}
     for topology, recorded in by_topology.items():
         good = sum(1 for r in recorded if r[5] == "true")
         print(f"{topology}: {good}/{len(recorded)} runs found a valid solution")
-    if args.topologies == "both":
-        upsets = [
-            (ours[0], ours[2])
-            for ours, theirs in zip(by_topology["ltrip"], by_topology["bethe"])
-            if theirs[5] == "true" and ours[5] != "true"
-        ]
-        print(
-            f"runs where bethe succeeded but ltrip failed "
-            f"(expected 0): {len(upsets)}"
+    upsets = [
+        (ours[0], ours[2])
+        for ours, theirs in zip(by_topology["ltrip"], by_topology["bethe"])
+        if theirs[5] == "true" and ours[5] != "true"
+    ]
+    print(f"runs where bethe succeeded but ltrip failed (expected 0): {len(upsets)}")
+    if upsets:
+        log.warning(
+            "bethe out-solved ltrip on: %s",
+            ", ".join(f"{name} M={size}" for name, size in upsets),
         )
-        if upsets:
-            log.warning(
-                "bethe out-solved ltrip on: %s",
-                ", ".join(f"{name} M={size}" for name, size in upsets),
-            )
     return EXIT_OK
 
 
@@ -519,20 +515,17 @@ def cmd_graph(args: argparse.Namespace) -> int:
         print(f"clusters: {len(graph.clusters)} (sizes {sizes[0]}..{sizes[-1]})")
         print(f"edges: {len(graph.sepsets)}")
         print(f"variables: {len(graph.variables())}")
-    code = EXIT_OK
-    if args.validate:
-        report = validate_rip(graph)
-        if report.valid:
-            print("validation: passed")
-        else:
-            print(f"validation: {len(report.violations)} violations")
-            for violation in report.violations:
-                print(f"  - {violation}")
-            code = EXIT_NO_SOLUTION
+    report = validate_rip(graph)
+    if report.valid:
+        print("validation: passed")
+    else:
+        print(f"validation: {len(report.violations)} violations")
+        for violation in report.violations:
+            print(f"  - {violation}")
     if args.dot:
         Path(args.dot).write_text(export_dot(graph))
         print(f"wrote {args.dot}")
-    return code
+    return EXIT_OK if report.valid else EXIT_NO_SOLUTION
 
 
 # -- argument parsing --------------------------------------------------------
@@ -614,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmap.set_defaults(func=cmd_color_map, damping=MAP_DAMPING)
 
     bench = sub.add_parser(
-        "bench", help="sweep a puzzle directory over topologies and sizes"
+        "bench", help="sweep a puzzle directory over both topologies and sizes"
     )
     bench.add_argument("instances", help="directory of grid files")
     bench.add_argument(
@@ -623,22 +616,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=[3, 5, 7, 9],
         help="comma-separated cluster sizes to sweep",
     )
-    bench.add_argument(
-        "--topologies", choices=TOPOLOGIES + ("both",), default="both"
-    )
     bench.add_argument("--out", default="bench.csv", help="CSV destination")
     _add_budget_flag(bench)
     bench.set_defaults(func=cmd_bench)
 
     graph = sub.add_parser(
-        "graph", help="build a cluster graph and report or export it"
+        "graph", help="build a cluster graph, check it, and report or export it"
     )
     graph.add_argument("input", help="grid or adjacency file")
     graph.add_argument("--topology", choices=TOPOLOGIES, default="ltrip")
     graph.add_argument("--cluster-size", type=int, default=None)
-    graph.add_argument(
-        "--validate", action="store_true", help="check the tree-per-variable property"
-    )
     graph.add_argument("--dot", help="write DOT markup here")
     graph.set_defaults(func=cmd_graph)
 

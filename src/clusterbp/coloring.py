@@ -26,9 +26,17 @@ from clusterbp.graphs import Cluster
 MAX_TABLE_ENTRIES = 1_000_000
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ColoringProblem:
-    """A k-coloring instance: adjacent variables must take distinct labels."""
+    """A k-coloring instance: adjacent variables must take distinct labels.
+
+    `k` and every given label are ints, not bools; anything else is a
+    ValueError, as is a label outside 0..k-1.
+    """
 
     variables: tuple[Variable, ...]
     edges: frozenset[frozenset[Variable]]
@@ -41,8 +49,8 @@ class ColoringProblem:
             self, "edges", frozenset(frozenset(e) for e in self.edges)
         )
         object.__setattr__(self, "givens", dict(self.givens))
-        if self.k < 1:
-            raise ValueError(f"label count must be >= 1, got {self.k}")
+        if not _is_int(self.k) or self.k < 1:
+            raise ValueError(f"label count must be >= 1 and an int, got {self.k!r}")
         if len({v.id for v in self.variables}) != len(self.variables):
             raise ValueError("duplicate variable ids")
         if len({v.name for v in self.variables}) != len(self.variables):
@@ -61,9 +69,10 @@ class ColoringProblem:
         for variable, label in givens.items():
             if variable not in members:
                 raise ValueError(f"given for unknown variable {variable}")
-            if not 0 <= label < self.k:
+            if not _is_int(label) or not 0 <= label < self.k:
                 raise ValueError(
-                    f"given {variable.name}={label} outside 0..{self.k - 1}"
+                    f"given {variable.name}={label!r} is not an int or lies "
+                    f"outside 0..{self.k - 1}"
                 )
         if clashes:
             # The smallest clash, so the message does not depend on the
@@ -162,8 +171,8 @@ def split_cliques(cliques: Sequence[Cluster], size: int) -> list[Cluster]:
     dropped.  Of maximal cliques no scope lies inside another;
     `purged_clusters` drops any that do.
     """
-    if size < 2:
-        raise ValueError(f"cluster size must be >= 2, got {size}")
+    if not _is_int(size) or size < 2:
+        raise ValueError(f"cluster size must be >= 2 and an int, got {size!r}")
     chosen: list[frozenset[Variable]] = []
     for clique in cliques:
         members = clique.sorted_vars()

@@ -257,8 +257,6 @@ def validate_rip(graph: ClusterGraph) -> RipReport:
 
 
 def _connected(nodes: set[int], edges: Sequence[tuple[int, int]]) -> bool:
-    if not nodes:
-        return True
     adjacency: dict[int, list[int]] = {n: [] for n in nodes}
     for i, j in edges:
         adjacency[i].append(j)

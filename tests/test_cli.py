@@ -43,6 +43,7 @@ from clusterbp.coloring import (
     verify_coloring,
 )
 from clusterbp.factors import ContradictionError, SparseTable, make_variables
+from clusterbp.graphs import ClusterGraph
 from clusterbp.inference import InferenceOptions, InferenceState
 from conftest import SEVEN_REGION_TEXT
 from oracles import (
@@ -60,6 +61,9 @@ WELL_DEFINED_4_SOLUTION = "1234\n3412\n2143\n4321\n"
 UNSATISFIABLE_4 = "1..4\n..2.\n.3..\n4..1\n"
 # A sees 1 and 2 in its row, 3 in its column and 4 in its box.
 CORNERED_4 = "..12\n.4..\n3...\n....\n"
+# Every cell keeps a label, and the box {C,D,G} pools three, but C and D
+# may each only take 4: no completion, found while compiling.
+DEAD_BOX_4 = "32..\n...1\n...3\n....\n"
 # A hub bordering a five-cycle needs four colors.  With three, anchoring
 # and the factors build, and every attempt dead-ends in its first round.
 WHEEL = "H a\nH b\nH c\nH d\nH e\na b\nb c\nc d\nd e\ne a\n"
@@ -74,6 +78,10 @@ TWO_TEN_CLIQUES = "".join(
     for p in "ab"
     for i, j in itertools.combinations(range(10), 2)
 )
+
+
+def grid_cells(text):
+    return "".join(text.split()).replace(".", "0")
 
 
 def with_givens(problem, **labels):
@@ -146,6 +154,14 @@ class TestSolve:
         assert main(["solve", str(path)]) == EXIT_UNSATISFIABLE
         err = capsys.readouterr().err
         assert "unsatisfiable: the givens around A take all 4 labels" in err
+
+    def test_box_without_an_assignment(self, tmp_path, capsys):
+        assert solve_sudoku([int(ch) for ch in grid_cells(DEAD_BOX_4)], 4) == []
+        path = tmp_path / "dead_box.txt"
+        path.write_text(DEAD_BOX_4)
+        assert main(["solve", str(path)]) == EXIT_UNSATISFIABLE
+        message = "unsatisfiable: clique {C,D,G} has no assignment its domains allow"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("size, code", [(5, EXIT_OK), (3, EXIT_NO_SOLUTION)])
     def test_biased_underflow_is_not_unsatisfiable(self, size, code, capsys):
@@ -279,6 +295,12 @@ def split_grids():
 class TestFreeSplit:
     """Each round splits what its givens leave of the cliques."""
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, math.nan, True])
+    def test_size_that_is_not_an_int_is_refused(self, size):
+        problem = sudoku_problem(WELL_DEFINED_4, 4)
+        with pytest.raises(ValueError, match="cluster size must be >= 2 and an int"):
+            solve_problem(problem, "ltrip", size)
+
     @pytest.mark.parametrize("frozen", [False, True], ids=["givens", "frozen"])
     @pytest.mark.parametrize("size", [2, 3, 4, 5])
     def test_tables_hold_at_most_size_variables(
@@ -329,7 +351,7 @@ class TestFreeSplit:
         path = tmp_path / "grid.txt"
         path.write_text("." + WELL_DEFINED_4_SOLUTION[1:])
         assert main([command, str(path), "--cluster-size", "1"]) == EXIT_BAD_INPUT
-        assert "cluster size must be >= 2, got 1" in capsys.readouterr().err
+        assert "cluster size must be >= 2 and an int, got 1" in capsys.readouterr().err
 
 
 class TestColorMap:
@@ -725,8 +747,8 @@ OPTION_STRINGS = {
         "--damping",
     ],
     "color-map": ["--k", "--bias", "--out", "--seed", "--max-messages", "--damping"],
-    "bench": ["--sizes", "--topologies", "--out", "--max-messages"],
-    "graph": ["--topology", "--cluster-size", "--validate", "--dot"],
+    "bench": ["--sizes", "--out", "--max-messages"],
+    "graph": ["--topology", "--cluster-size", "--dot"],
 }
 
 
@@ -746,7 +768,7 @@ def test_option_strings():
         for name, sub in commands.choices.items()
     }
     assert found == OPTION_STRINGS
-    assert sum(map(len, found.values())) == 20
+    assert sum(map(len, found.values())) == 18
 
 
 def test_parser_defaults_are_the_library_defaults():
@@ -787,6 +809,8 @@ def test_parser_defaults_are_the_library_defaults():
         ("solve", ["--threshold", "1e-8"]),
         ("bench", ["--semiring", "max"]),
         ("bench", ["--damping", "0.3"]),
+        ("bench", ["--topologies", "ltrip"]),
+        ("graph", ["--validate"]),
     ],
 )
 def test_parser_rejects_fixed_settings(
@@ -794,6 +818,7 @@ def test_parser_rejects_fixed_settings(
 ):
     # graph reads no label count; the threshold and max-product are fixed,
     # and bench's unbiased grids hold only 0 and 1, which damping cannot move.
+    # bench always compares both topologies, and graph always validates.
     targets = {
         "solve": [str(puzzle_file)],
         "graph": [str(map_file)],
@@ -895,20 +920,22 @@ class TestBench:
         (directory / "bad.txt").write_text("this is not a grid\n")
         (directory / "good.txt").write_text(WELL_DEFINED_4)
         out = tmp_path / "bench.csv"
-        code = main(
-            [
-                "bench", str(directory),
-                "--sizes", "4",
-                "--topologies", "ltrip",
-                "--out", str(out),
-            ]
-        )
+        code = main(["bench", str(directory), "--sizes", "4", "--out", str(out)])
         assert code == EXIT_OK
         rows = list(csv.reader(out.open()))[1:]
-        assert len(rows) == 2
-        by_name = {row[0]: row for row in rows}
-        assert by_name["bad.txt"][5] == "false"
-        assert by_name["good.txt"][5] == "true"
+        assert [row[:2] for row in rows] == [
+            [name, topology]
+            for name in ("bad.txt", "good.txt")
+            for topology in ("ltrip", "bethe")
+        ]
+        failed = ["4", "0", "false", "false", "0", "0.000", "0.000"]
+        assert [row[2:] for row in rows[:2]] == [failed, failed]
+        assert [row[5] for row in rows[2:]] == ["true", "true"]
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "ltrip: 1/2 runs found a valid solution",
+            "bethe: 1/2 runs found a valid solution",
+            "runs where bethe succeeded but ltrip failed (expected 0): 0",
+        ]
 
     def test_unsatisfiable_instance_recorded_not_fatal(self, tmp_path, capsys):
         directory = tmp_path / "suite"
@@ -960,7 +987,7 @@ class TestGraph:
     def test_nine_by_nine_report(self, tmp_path, capsys):
         path = tmp_path / "blank9.txt"
         path.write_text("." * 81)
-        assert main(["graph", str(path), "--validate"]) == EXIT_OK
+        assert main(["graph", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "kind: ltrip" in out
         assert "clusters: 27 (sizes 9..9)" in out
@@ -970,7 +997,7 @@ class TestGraph:
     def test_bethe_validates(self, tmp_path, capsys):
         path = tmp_path / "blank4.txt"
         path.write_text("." * 16)
-        code = main(["graph", str(path), "--topology", "bethe", "--validate"])
+        code = main(["graph", str(path), "--topology", "bethe"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "kind: bethe" in out
@@ -986,10 +1013,30 @@ class TestGraph:
         assert sum(1 for line in text.splitlines() if "[label=" in line and "--" not in line) == 12
 
     def test_adjacency_input(self, map_file, capsys):
-        assert main(["graph", str(map_file), "--validate"]) == EXIT_OK
+        assert main(["graph", str(map_file)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "clusters: 5" in out
         assert "variables: 7" in out
+        assert "validation: passed" in out
+
+    def test_violations_are_listed_and_exit_4(
+        self, tmp_path, map_file, monkeypatch, capsys
+    ):
+        # A builder that joins nothing: each of the 7 shared variables has
+        # too few sepsets and unconnected holders.  The DOT is still written.
+        unjoined = lambda clusters: ClusterGraph(tuple(clusters), ())
+        monkeypatch.setattr("clusterbp.cli.ltrip", unjoined)
+        dot = tmp_path / "unjoined.dot"
+        assert main(["graph", str(map_file), "--dot", str(dot)]) == EXIT_NO_SOLUTION
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:5] == ["edges: 0", "variables: 7", "validation: 14 violations"]
+        assert lines[5] == (
+            "  - variable A: 2 clusters hold it but 0 sepset edges carry it "
+            "(a tree needs 1)"
+        )
+        assert sum(line.startswith("  - variable ") for line in lines) == 14
+        assert lines[-1] == f"wrote {dot}"
+        assert dot.exists()
 
     def test_fully_given_grid(self, tmp_path, capsys):
         path = tmp_path / "done.txt"
@@ -1001,7 +1048,7 @@ class TestGraph:
         path = tmp_path / "done.txt"
         path.write_text(WELL_DEFINED_4_SOLUTION)
         dot = tmp_path / "empty.dot"
-        argv = ["graph", str(path), "--validate", "--dot", str(dot)]
+        argv = ["graph", str(path), "--dot", str(dot)]
         assert main(argv) == EXIT_OK
         assert dot.read_text() == "graph cluster_graph {\n  node [shape=ellipse];\n}\n"
         assert capsys.readouterr().out.splitlines() == [
@@ -1023,7 +1070,7 @@ class TestGraph:
     def test_numeric_region_names_are_borders(self, tmp_path, capsys):
         path = tmp_path / "numeric.txt"
         path.write_text(NUMERIC_TRIANGLE)
-        assert main(["graph", str(path), "--validate"]) == EXIT_OK
+        assert main(["graph", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "clusters: 1 (sizes 3..3)" in out
         assert "variables: 3" in out

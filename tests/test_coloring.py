@@ -103,6 +103,19 @@ class TestProblem:
         with pytest.raises(ValueError, match=">= 1"):
             ColoringProblem((), frozenset(), k=0)
 
+    @pytest.mark.parametrize("k", [3.0, True])
+    def test_rejects_a_label_count_that_is_not_an_int(self, k):
+        with pytest.raises(ValueError, match=f"and an int, got {k!r}$"):
+            triangle_problem(k=k)
+
+    @pytest.mark.parametrize("label", [1.5, True])
+    def test_rejects_a_given_that_is_not_an_int(self, label):
+        # A float label once solved "valid", with B holding 1.5.
+        problem = sudoku_problem("1...\n..2.\n.3..\n...4\n", 4)
+        givens = {**problem.givens, problem.variable_named("B"): label}
+        with pytest.raises(ValueError, match=f"given B={label!r} is not an int"):
+            ColoringProblem(problem.variables, problem.edges, 4, givens)
+
 
 class TestMaximalCliques:
     def test_seven_region_cliques(self):
@@ -280,6 +293,12 @@ class TestSplitCliques:
     def test_rejects_size_below_two(self):
         with pytest.raises(ValueError, match=">= 2"):
             split_cliques([], 1)
+
+    @pytest.mark.parametrize("size", [2.5, 3.0, math.nan, True])
+    def test_rejects_a_size_that_is_not_an_int(self, size):
+        cliques = [Cluster(frozenset(make_variables("ABCD")))]
+        with pytest.raises(ValueError, match="cluster size must be >= 2 and an int"):
+            split_cliques(cliques, size)
 
     @given(st.integers(3, 8), st.integers(2, 4))
     @settings(deadline=None, max_examples=40)
@@ -569,6 +588,17 @@ class TestBuildFactors:
             prefs = {problem.variables[0]: (0, weight, 1)}
             with pytest.raises(ValueError, match="must be finite and >= 0"):
                 build_factors(problem, maximal_cliques(problem), bias=prefs, delta=1.0)
+
+    def test_clique_without_an_assignment_is_a_contradiction(self):
+        # Each of C, D and G keeps a label and the three pool {2,3,4}, so
+        # the count check passes; but C and D may each only take 4.
+        grid = "32..\n...1\n...3\n....\n"
+        assert solve_sudoku([3, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 0], 4) == []
+        problem = sudoku_problem(grid, 4)
+        parts = _split_free(problem, maximal_cliques(problem), None)
+        message = r"^clique \{C,D,G\} has no assignment its domains allow$"
+        with pytest.raises(ContradictionError, match=message):
+            build_factors(problem, parts)
 
     def test_oversized_clique_is_a_contradiction(self):
         problem = triangle_problem(k=2)
