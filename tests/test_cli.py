@@ -80,10 +80,6 @@ TWO_TEN_CLIQUES = "".join(
 )
 
 
-def grid_cells(text):
-    return "".join(text.split()).replace(".", "0")
-
-
 def with_givens(problem, **labels):
     givens = {problem.variable_named(n): x for n, x in labels.items()}
     return dataclasses.replace(problem, givens=givens)
@@ -156,7 +152,7 @@ class TestSolve:
         assert "unsatisfiable: the givens around A take all 4 labels" in err
 
     def test_box_without_an_assignment(self, tmp_path, capsys):
-        assert solve_sudoku([int(ch) for ch in grid_cells(DEAD_BOX_4)], 4) == []
+        assert solve_sudoku([3, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 0], 4) == []
         path = tmp_path / "dead_box.txt"
         path.write_text(DEAD_BOX_4)
         assert main(["solve", str(path)]) == EXIT_UNSATISFIABLE
