@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: `solve` runs a Sudoku grid and `color-map` four-colors an
-adjacency file, through one pipeline that decimates when a decode fails;
-`bench` sweeps a puzzle directory over both topologies and cluster sizes
-into a CSV and counts the runs bethe solved but ltrip did not, and
-`graph` builds the cluster graph, checks its running-intersection
-property and exports it.
+adjacency file through `solve_problem`, the one pipeline, which
+decimates when a decode fails; `bench` sweeps a puzzle directory over
+both topologies and cluster sizes into a CSV and counts the runs bethe
+solved but ltrip did not, and `graph` builds the cluster graph, checks
+its running-intersection property and exports it.
 
 Exit codes partition what went wrong: 0 a verified solution (or a clean
 report), 2 unreadable or malformed input or a bad flag value, 3 a
@@ -14,8 +14,8 @@ inference that finished without a valid answer.  The parser only
 converts flag values; the library checks them, once, and its ValueError
 is exit 2.  Runs use max-product and `inference.THRESHOLD`;
 `--max-messages` and `--damping` are the only inference flags, and
-`bench`, whose unbiased grids hold only 0 and 1, takes no `--damping`.  Set the CLUSTERBP_LOG environment variable
-(debug/info/warning) for progress logging on stderr.
+`bench`, whose unbiased grids hold only 0 and 1, takes no `--damping`.
+Set CLUSTERBP_LOG (debug/info/warning) for progress logging on stderr.
 """
 
 from __future__ import annotations
@@ -113,33 +113,6 @@ def solve_problem(
     bias_delta: float = 0.0,
     seed: int = 0,
 ) -> SolveOutcome:
-    """Solve a grid, or any problem, through `_pipeline`; no bias by default."""
-    return _pipeline(problem, topology, cluster_size, options, bias_delta, seed)
-
-
-def color_problem(
-    problem: ColoringProblem,
-    *,
-    options: InferenceOptions | None = None,
-    bias_delta: float = MAP_BIAS,
-    seed: int = 0,
-) -> SolveOutcome:
-    """Color a map through `_pipeline`: ltrip, no split, a bias of MAP_BIAS.
-
-    Without `options` messages are damped by MAP_DAMPING, as in `color-map`.
-    """
-    options = options or InferenceOptions(damping=MAP_DAMPING)
-    return _pipeline(problem, "ltrip", None, options, bias_delta, seed)
-
-
-def _pipeline(
-    problem: ColoringProblem,
-    topology: str,
-    cluster_size: int | None,
-    options: InferenceOptions | None,
-    bias_delta: float,
-    seed: int,
-) -> SolveOutcome:
     """Cliques, then rounds of split, compile, run, decode and verify.
 
     A bad `topology` or `bias_delta` (which must be finite and >= 0) is a
@@ -223,6 +196,25 @@ def _pipeline(
     )
 
 
+def color_problem(
+    problem: ColoringProblem,
+    *,
+    options: InferenceOptions | None = None,
+    bias_delta: float = MAP_BIAS,
+    seed: int = 0,
+) -> SolveOutcome:
+    """`solve_problem` with `color-map`'s defaults: ltrip, no split, MAP_BIAS.
+
+    Without `options` messages are damped by MAP_DAMPING, as in `color-map`.
+    """
+    return solve_problem(
+        problem,
+        options=options or InferenceOptions(damping=MAP_DAMPING),
+        bias_delta=bias_delta,
+        seed=seed,
+    )
+
+
 def _graph(topology: str, clusters: list[Cluster]) -> ClusterGraph:
     """Build the `topology` graph over `clusters`: the one builder choice.
 
@@ -256,8 +248,8 @@ def _compile(
 
     Returns the state and the number of factor clusters (Bethe hubs not
     counted); with every variable given the graph is empty, and the state
-    converges with no message.  `_pipeline` has checked `topology` and
-    `bias_delta`.
+    converges with no message.  `solve_problem` has checked `topology`
+    and `bias_delta`.
     """
     bias = label_preferences(problem, seed) if bias_delta > 0 else None
     items = build_factors(problem, cliques, bias=bias, delta=bias_delta)
@@ -540,12 +532,22 @@ def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
+def _add_pipeline_flags(
+    parser: argparse.ArgumentParser, bias: float, damping: float
+) -> None:
+    parser.add_argument(
+        "--bias",
+        type=float,
+        default=bias,
+        help="tie-breaking nudge strength; 0 disables it and makes one "
+        f"attempt instead of {ATTEMPTS}",
+    )
+    parser.add_argument("--seed", type=int, default=0, help="seed for label preferences")
     _add_budget_flag(parser)
     parser.add_argument(
         "--damping",
         type=float,
-        default=InferenceOptions.damping,
+        default=damping,
         help="mix each message with its predecessor to tame oscillation",
     )
 
@@ -578,15 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="most free cells a cluster may hold; each round splits larger cliques",
     )
-    solve.add_argument(
-        "--bias",
-        type=float,
-        default=0.0,
-        help="tie-breaking nudge strength; 0 disables it and makes one "
-        f"attempt instead of {ATTEMPTS}",
-    )
-    solve.add_argument("--seed", type=int, default=0, help="seed for label preferences")
-    _add_inference_flags(solve)
+    _add_pipeline_flags(solve, 0.0, InferenceOptions.damping)
     solve.set_defaults(func=cmd_solve)
 
     cmap = sub.add_parser(
@@ -594,17 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmap.add_argument("map", help="border list: two region names per line")
     cmap.add_argument("--k", type=int, default=4, help="number of colors")
-    cmap.add_argument(
-        "--bias",
-        type=float,
-        default=MAP_BIAS,
-        help="tie-breaking nudge strength; 0 disables it and makes one "
-        f"attempt instead of {ATTEMPTS}",
-    )
     cmap.add_argument("--out", help="write 'name label' lines here, not stdout")
-    cmap.add_argument("--seed", type=int, default=0, help="seed for label preferences")
-    _add_inference_flags(cmap)
-    cmap.set_defaults(func=cmd_color_map, damping=MAP_DAMPING)
+    _add_pipeline_flags(cmap, MAP_BIAS, MAP_DAMPING)
+    cmap.set_defaults(func=cmd_color_map)
 
     bench = sub.add_parser(
         "bench", help="sweep a puzzle directory over both topologies and sizes"

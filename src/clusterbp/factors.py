@@ -427,7 +427,8 @@ def kl_divergence(new: SparseTable, old: SparseTable) -> float:
         if q == 0.0:
             return math.inf
         p = value / new_total
-        terms.append(p * math.log(p / (q / old_total)))
+        if p:  # a subnormal value can leave p at 0.0, and p log p -> 0
+            terms.append(p * math.log(p / (q / old_total)))
     # Rounding can push an exact-match sum a hair below zero.
     return max(math.fsum(terms), 0.0)
 

@@ -309,7 +309,8 @@ class InferenceState:
                     f"leaves the float range"
                 )
             p = value / new_total
-            terms.append(p * math.log(p / (held / old_total)))
+            if p:  # a subnormal value can leave p at 0.0, and p log p -> 0
+                terms.append(p * math.log(p / (held / old_total)))
             ratio[cell] = quotient
         residual = max(math.fsum(terms), 0.0)
 

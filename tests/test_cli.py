@@ -36,6 +36,7 @@ from clusterbp.cli import (
 )
 from clusterbp.coloring import (
     ColoringProblem,
+    VerifyReport,
     format_adjacency,
     parse_adjacency,
     random_planar_map,
@@ -742,7 +743,7 @@ OPTION_STRINGS = {
         "--max-messages",
         "--damping",
     ],
-    "color-map": ["--k", "--bias", "--out", "--seed", "--max-messages", "--damping"],
+    "color-map": ["--k", "--out", "--bias", "--seed", "--max-messages", "--damping"],
     "bench": ["--sizes", "--out", "--max-messages"],
     "graph": ["--topology", "--cluster-size", "--dot"],
 }
@@ -894,7 +895,7 @@ class TestBench:
             ["bench", str(directory), "--sizes", "4", "--out", str(out)]
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == list(CSV_COLUMNS)
         assert len(rows) == 1 + 2 * 2  # instances x topologies
         assert {row[1] for row in rows[1:]} == {"ltrip", "bethe"}
@@ -907,7 +908,7 @@ class TestBench:
         directory.mkdir()
         out = tmp_path / "bench.csv"
         assert main(["bench", str(directory), "--out", str(out)]) == EXIT_OK
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows == [list(CSV_COLUMNS)]
 
     def test_broken_instance_recorded_not_fatal(self, tmp_path, capsys):
@@ -918,7 +919,7 @@ class TestBench:
         out = tmp_path / "bench.csv"
         code = main(["bench", str(directory), "--sizes", "4", "--out", str(out)])
         assert code == EXIT_OK
-        rows = list(csv.reader(out.open()))[1:]
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
         assert [row[:2] for row in rows] == [
             [name, topology]
             for name in ("bad.txt", "good.txt")
@@ -940,7 +941,7 @@ class TestBench:
         out = tmp_path / "bench.csv"
         code = main(["bench", str(directory), "--sizes", "3,4", "--out", str(out)])
         assert code == EXIT_OK
-        assert list(csv.reader(out.open()))[1:] == [
+        assert list(csv.reader(out.read_text().splitlines()))[1:] == [
             ["cornered.txt", topology, size, "0", "false", "false", "0", "0.000", "0.000"]
             for topology in ("ltrip", "bethe")
             for size in ("3", "4")
@@ -948,6 +949,27 @@ class TestBench:
         summary = capsys.readouterr().out
         assert "ltrip: 0/2 runs found a valid solution" in summary
         assert "bethe: 0/2 runs found a valid solution" in summary
+
+    def test_upsets_are_counted_and_named(self, tmp_path, monkeypatch, capsys, caplog):
+        # A stub pipeline that fails every ltrip run and solves every
+        # bethe one, so each (instance, size) is an upset.
+        def stub(problem, topology, size, *, options):
+            clash = () if topology == "bethe" else ((problem.variables[0],) * 2,)
+            return SolveOutcome({}, True, VerifyReport(clash, ()), 1, 1, 0.0, 0.0)
+
+        monkeypatch.setattr("clusterbp.cli.solve_problem", stub)
+        directory = tmp_path / "suite"
+        directory.mkdir()
+        (directory / "one.txt").write_text(WELL_DEFINED_4)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", str(directory), "--sizes", "3,4", "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "ltrip: 0/2 runs found a valid solution",
+            "bethe: 2/2 runs found a valid solution",
+            "runs where bethe succeeded but ltrip failed (expected 0): 2",
+        ]
+        assert "bethe out-solved ltrip on: one.txt M=3, one.txt M=4" in caplog.text
 
     @pytest.mark.parametrize("sizes", ["1", "3,x"])
     def test_parser_rejects_sizes(self, tmp_path, capsys, sizes):
@@ -964,7 +986,9 @@ class TestBench:
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["bench", str(directory), "--sizes", "3,4", "--out", str(first)])
         main(["bench", str(directory), "--sizes", "3,4", "--out", str(second)])
-        strip = lambda path: [row[:7] for row in csv.reader(path.open())]
+        strip = lambda path: [
+            row[:7] for row in csv.reader(path.read_text().splitlines())
+        ]
         assert strip(first) == strip(second)
 
     def test_not_a_directory(self, tmp_path, capsys):

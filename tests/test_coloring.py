@@ -116,6 +116,11 @@ class TestProblem:
         with pytest.raises(ValueError, match=f"given B={label!r} is not an int"):
             ColoringProblem(problem.variables, problem.edges, 4, givens)
 
+    def test_rejects_a_given_for_an_unknown_variable(self):
+        a, b, c = make_variables("abc")
+        with pytest.raises(ValueError, match="^given for unknown variable c$"):
+            ColoringProblem((a, b), frozenset({frozenset({a, b})}), 3, {c: 0})
+
 
 class TestMaximalCliques:
     def test_seven_region_cliques(self):
@@ -467,6 +472,15 @@ class TestAdjacency:
 
 
 class TestBuildFactors:
+    def test_refuses_a_given_edge_no_scope_holds(self):
+        # a's only edge runs to the given b, and no scope holds a.
+        a, b, c = make_variables("abc")
+        edges = frozenset({frozenset({a, b}), frozenset({b, c})})
+        problem = ColoringProblem((a, b, c), edges, 3, {b: 0})
+        message = "edge a-b is not inside any clique; the cover is incomplete"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_factors(problem, [Cluster(frozenset({b, c}))])
+
     def test_refuses_an_oversized_table_before_building_it(self):
         # P(11, 11) = 39,916,800 entries: refused by counting, not by
         # running out of memory.

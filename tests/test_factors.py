@@ -4,7 +4,8 @@ Covers:
 * table construction rules: zero dropping, scope/cardinality/value checks
 * all-different constraint tables, including their observed/collapsed forms
 * multiply / divide / marginalize / normalize / observe / argmax semantics
-* divergence scoring, including the infinite support-shrink case
+* divergence scoring, including the infinite support-shrink case and a
+  subnormal cell whose share rounds to zero
 * agreement with an independent dense implementation on randomized inputs
 * algebraic laws (commutativity, associativity, round-trips) via hypothesis
 """
@@ -406,6 +407,12 @@ class TestDivergence:
         assert kl_divergence(p, q) == math.inf
         # ... but q losing nothing p has is finite the other way round
         assert kl_divergence(q, p) == math.log(2.0)
+
+    def test_subnormal_cell_adds_nothing(self):
+        # 5e-324 / 3.0 rounds to 0.0, and p log p tends to 0 with p.
+        p = SparseTable((C,), (4,), {(0,): 1.0, (1,): 1.0, (2,): 1.0, (3,): 5e-324})
+        q = uniform_factor((C,), (4,))
+        assert kl_divergence(p, q) == math.log(4 / 3)
 
     def test_scale_invariance(self):
         p = SparseTable((A,), (2,), {(0,): 1.0, (1,): 3.0})

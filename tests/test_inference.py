@@ -2,7 +2,8 @@
 
 Covers:
 * option validation and initial-state bookkeeping (beliefs, sepsets, queue)
-* one hand-computed message: sepset update, residual, belief product
+* one hand-computed message: sepset update, residual, belief product;
+  a subnormal cell whose share rounds to zero adds no residual term
 * exact max-marginals on tree graphs vs. the dense oracle
 * message budget exhaustion (not an error) and early-out on re-runs
 * contradiction propagation out of `run`, and re-runs after one
@@ -238,6 +239,27 @@ class TestSingleMessage:
     def test_unknown_edge_rejected(self):
         with pytest.raises(ValueError, match="no sepset"):
             self.state.pass_message(0, 2)
+
+
+def subnormal_state():
+    """Cluster 0's row (3, 0) holds the smallest subnormal float."""
+    a, b, c = make_variables("abc")
+    clusters = (Cluster(frozenset({a, b})), Cluster(frozenset({a, c})))
+    graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({a})),))
+    rows = {(0, 1): 1.0, (1, 0): 1.0, (2, 0): 1.0, (3, 0): 5e-324}
+    f0 = SparseTable((a, b), (4, 4), rows)
+    f1 = SparseTable((a, c), (4, 4), {(x, 0): 1.0 for x in range(4)})
+    return InferenceState(graph, [f0, f1])
+
+
+class TestSubnormalCell:
+    # The subnormal cell's share 5e-324 / 3.0 rounds to 0.0, and its
+    # term p log p tends to 0: it is skipped, not a math domain error.
+    def test_message_residual(self):
+        assert subnormal_state().pass_message(0, 1) == math.log(4 / 3)
+
+    def test_run_converges(self):
+        assert subnormal_state().run().converged
 
 
 class TestTreeExactness:
