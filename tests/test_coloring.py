@@ -59,6 +59,11 @@ def triangle_problem(k=3, givens=None):
     return ColoringProblem((a, b, c), edges, k=k, givens=givens or {})
 
 
+def neighbours(problem, variable):
+    """The variables that share an edge with `variable`, sorted."""
+    return sorted(next(iter(e - {variable})) for e in problem.edges if variable in e)
+
+
 class TestProblem:
     def test_neighbors_are_sorted(self):
         problem = parse_adjacency(SEVEN_REGION_TEXT)
@@ -727,6 +732,102 @@ class TestPurgedClusters:
         )
         cliques = [Cluster(scope) for scope in scopes]
         assert purged_clusters(problem, cliques) == purged_pairwise(problem, cliques)
+
+
+def two_step_clusters(problem, cliques, size):
+    """A round's clusters as two calls decided them: `cli._split_free`
+    conditioned the givens out and split, then `purged_clusters`
+    conditioned the parts again and dropped contained scopes."""
+    scopes = [clique.vars.difference(problem.givens) for clique in cliques]
+    parts = [Cluster(scope) for scope in scopes if scope]
+    if size is not None:
+        parts = split_cliques(parts, size)
+    scopes = [part.vars.difference(problem.givens) for part in parts]
+    order = sorted(
+        (i for i, scope in enumerate(scopes) if scope),
+        key=lambda i: (-len(scopes[i]), i),
+    )
+    kept = []
+    holders = {}
+    for i in order:
+        if not any(scopes[i] <= scopes[j] for j in holders.get(min(scopes[i]), ())):
+            kept.append(i)
+            for variable in scopes[i]:
+                holders.setdefault(variable, []).append(i)
+    return [Cluster(scopes[i]) for i in sorted(kept)]
+
+
+def anchored(problem):
+    cliques = maximal_cliques(problem)
+    givens = anchor_largest_clique(problem, cliques)
+    return ColoringProblem(problem.variables, problem.edges, problem.k, givens)
+
+
+PUZZLES = sorted(
+    (Path(clusterbp.__file__).parent / "data" / "puzzles").glob("*.txt")
+)
+
+
+class TestRoundClustersMatchTheTwoStepPath:
+    """One `purged_clusters(problem, cliques, size)` call decides the
+    clusters that conditioning, splitting and purging in two calls did,
+    equal and in the same order."""
+
+    def assert_same(self, problem, size):
+        cliques = maximal_cliques(problem)
+        expected = two_step_clusters(problem, cliques, size)
+        assert purged_clusters(problem, _split_free(problem, cliques, size)) == expected
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(0, 10_000),
+        st.sampled_from([None, 2, 3, 4, 5]),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_maps_with_givens_and_frozen_labels(self, rows, cols, seed, size, data):
+        problem = random_planar_map(rows, cols, seed=seed)
+        found = color_by_backtracking(
+            [v.name for v in problem.variables],
+            [tuple(sorted(v.name for v in e)) for e in problem.edges],
+            4,
+        )
+        pick = st.sampled_from(problem.variables)
+        givens = {v: found[v.name] for v in data.draw(st.sets(pick))}
+        # Frozen labels, as decimation freezes them: any label no given
+        # neighbour holds, right or wrong.
+        for variable in data.draw(st.sets(pick)):
+            if variable not in givens:
+                held = {givens.get(u) for u in neighbours(problem, variable)}
+                labels = [x for x in range(4) if x not in held]
+                if labels:
+                    givens[variable] = data.draw(st.sampled_from(labels))
+        problem = ColoringProblem(problem.variables, problem.edges, 4, givens)
+        self.assert_same(problem, size)
+
+    @pytest.mark.parametrize("size", [None, 3, 4, 5, 7, 9])
+    @pytest.mark.parametrize("path", PUZZLES, ids=lambda p: p.stem)
+    def test_bundled_puzzles(self, path, size):
+        self.assert_same(sudoku_problem(path.read_text(), 9), size)
+
+    @pytest.mark.parametrize("size", [None, 2, 3, 4, 5, 7, 9])
+    @pytest.mark.parametrize("side", [4, 9])
+    def test_blank_grids_anchored(self, side, size):
+        self.assert_same(anchored(sudoku_problem("." * side * side, side)), size)
+
+    @pytest.mark.parametrize("size", [None, 2, 3])
+    def test_map250_anchored(self, size):
+        self.assert_same(anchored(random_planar_map(25, 10, seed=3)), size)
+
+    @pytest.mark.parametrize("size", [1, 2.5, True])
+    def test_bad_sizes_raise_the_same_error(self, size):
+        problem = sudoku_problem(EASY01, 9)
+        cliques = maximal_cliques(problem)
+        with pytest.raises(ValueError) as old:
+            two_step_clusters(problem, cliques, size)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(old.value))}$"):
+            purged_clusters(problem, _split_free(problem, cliques, size))
 
 
 class TestFoldSubsets:
