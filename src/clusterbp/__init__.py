@@ -19,7 +19,6 @@ from clusterbp.factors import (
     Variable,
     kl_divergence,
     make_variables,
-    permutation_factor,
     uniform_factor,
 )
 from clusterbp.graphs import (
@@ -55,7 +54,6 @@ __all__ = [
     "make_variables",
     "maximal_cliques",
     "parse_adjacency",
-    "permutation_factor",
     "purged_clusters",
     "random_planar_map",
     "split_cliques",

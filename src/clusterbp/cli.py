@@ -35,6 +35,7 @@ from typing import Sequence
 from clusterbp.coloring import (
     ColoringProblem,
     VerifyReport,
+    _is_int,
     anchor_largest_clique,
     build_factors,
     format_sudoku,
@@ -42,7 +43,6 @@ from clusterbp.coloring import (
     maximal_cliques,
     parse_adjacency,
     purged_clusters,
-    split_cliques,
     sudoku_problem,
     verify_coloring,
 )
@@ -85,6 +85,7 @@ ATTEMPTS = 4
 MAP_BIAS = 0.01
 # Their default damping: loopy maps oscillate under undamped max-product.
 MAP_DAMPING = 0.3
+SIZE_HELP = "most free cells a cluster may hold; each round splits larger cliques"
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,11 @@ def solve_problem(
 ) -> SolveOutcome:
     """Cliques, then rounds of split, compile, run, decode and verify.
 
-    A bad `topology` or `bias_delta` (which must be finite and >= 0) is a
-    ValueError before any other work.  Each round splits what its givens
-    leave of the cliques, so `cluster_size` bounds every table's scope.
+    A bad `topology`, `bias_delta` (a finite non-bool >= 0) or `seed` (an
+    int, not a bool) is a ValueError before any other work.  Each round's
+    clusters are `purged_clusters(work, cliques, cluster_size)`: what its
+    givens leave of the cliques, split so `cluster_size` bounds every
+    table's scope.
     Decimation starts from `anchor_largest_clique`: the givens, or one
     largest clique pinned when there are none.  Each round propagates,
     then decodes the most decided variables first, each avoiding labels
@@ -138,8 +141,12 @@ def solve_problem(
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
-    if not 0.0 <= bias_delta < math.inf:
-        raise ValueError(f"bias_delta must be finite and >= 0, got {bias_delta}")
+    if isinstance(bias_delta, bool) or not 0.0 <= bias_delta < math.inf:
+        raise ValueError(
+            f"bias_delta must be finite and >= 0, not a bool, got {bias_delta!r}"
+        )
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     started = time.perf_counter()
     cliques = maximal_cliques(problem)
     anchor = anchor_largest_clique(problem, cliques)
@@ -157,9 +164,8 @@ def solve_problem(
         try:
             while True:
                 started = time.perf_counter()
-                parts = _split_free(work, cliques, cluster_size)
                 state, clusters = _compile(
-                    work, parts, topology, options, bias, trial_seed
+                    work, cliques, topology, cluster_size, options, bias, trial_seed
                 )
                 build_ms += (time.perf_counter() - started) * 1000.0
                 cluster_count = cluster_count or clusters
@@ -223,36 +229,28 @@ def _graph(topology: str, clusters: list[Cluster]) -> ClusterGraph:
     return ltrip(clusters) if topology == "ltrip" else bethe_graph(clusters)
 
 
-def _split_free(
-    problem: ColoringProblem, cliques: list[Cluster], size: int | None
-) -> list[Cluster]:
-    """What the givens leave of each clique, split to `size` when one is set.
-
-    Emptied scopes are dropped, and `split_cliques` covers each scope of
-    more than `size` free variables; no part holds a given.
-    """
-    scopes = [clique.vars.difference(problem.givens) for clique in cliques]
-    parts = [Cluster(scope) for scope in scopes if scope]
-    return parts if size is None else split_cliques(parts, size)
-
-
 def _compile(
     problem: ColoringProblem,
     cliques: list[Cluster],
     topology: str,
+    cluster_size: int | None,
     options: InferenceOptions | None,
     bias_delta: float,
     seed: int,
 ) -> tuple[InferenceState, int]:
-    """Compile one round's cliques, already split, into an unrun state.
+    """Compile one round's unsplit cliques into an unrun state.
 
-    Returns the state and the number of factor clusters (Bethe hubs not
+    `build_factors` compiles a table per `purged_clusters` cluster: the
+    cliques minus this round's givens, split to `cluster_size`.  Returns
+    the state and the number of factor clusters (Bethe hubs not
     counted); with every variable given the graph is empty, and the state
     converges with no message.  `solve_problem` has checked `topology`
     and `bias_delta`.
     """
     bias = label_preferences(problem, seed) if bias_delta > 0 else None
-    items = build_factors(problem, cliques, bias=bias, delta=bias_delta)
+    items = build_factors(
+        problem, cliques, bias=bias, delta=bias_delta, size=cluster_size
+    )
     clusters = [cluster for cluster, _ in items]
     tables = [table for _, table in items]
     graph = _graph(topology, clusters)
@@ -497,8 +495,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     problem = load_problem(args.input)
-    cliques = _split_free(problem, maximal_cliques(problem), args.cluster_size)
-    graph = _graph(args.topology, purged_clusters(problem, cliques))
+    clusters = purged_clusters(problem, maximal_cliques(problem), args.cluster_size)
+    graph = _graph(args.topology, clusters)
     if not graph.clusters:
         print("every variable is given; the graph is empty")
     else:
@@ -574,12 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("puzzle", help="grid file: 16 or 81 digits, . or 0 blank")
     solve.add_argument("--topology", choices=TOPOLOGIES, default="ltrip")
-    solve.add_argument(
-        "--cluster-size",
-        type=int,
-        default=None,
-        help="most free cells a cluster may hold; each round splits larger cliques",
-    )
+    solve.add_argument("--cluster-size", type=int, help=SIZE_HELP)
     _add_pipeline_flags(solve, 0.0, InferenceOptions.damping)
     solve.set_defaults(func=cmd_solve)
 
@@ -611,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     graph.add_argument("input", help="grid or adjacency file")
     graph.add_argument("--topology", choices=TOPOLOGIES, default="ltrip")
-    graph.add_argument("--cluster-size", type=int, default=None)
+    graph.add_argument("--cluster-size", type=int, help=SIZE_HELP)
     graph.add_argument("--dot", help="write DOT markup here")
     graph.set_defaults(func=cmd_graph)
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from clusterbp.factors import ContradictionError, SparseTable, Variable
+from clusterbp.factors import ContradictionError, SparseTable, Variable, make_variables
 from clusterbp.graphs import Cluster
 
 # Most entries one compiled table may enumerate.  A blank 9x9 row,
@@ -82,10 +82,6 @@ class ColoringProblem:
                 f"givens assign {a.name} and {b.name} the same label "
                 f"{givens[a]} across an edge"
             )
-
-    def neighbors(self, variable: Variable) -> tuple[Variable, ...]:
-        out = {next(iter(e - {variable})) for e in self.edges if variable in e}
-        return tuple(sorted(out))
 
     def variable_named(self, name: str) -> Variable:
         for variable in self.variables:
@@ -168,8 +164,8 @@ def split_cliques(cliques: Sequence[Cluster], size: int) -> list[Cluster]:
     lexicographically first; parts come in pick order.  Pairs are
     bitmasks, and a pick scans all C(n, size) combinations of n members.
     Smaller cliques pass through, in input order, and repeats are
-    dropped.  Of maximal cliques no scope lies inside another;
-    `purged_clusters` drops any that do.
+    dropped.  `purged_clusters` splits each round's free scopes here and
+    then drops any scope that lies inside another.
     """
     if not _is_int(size) or size < 2:
         raise ValueError(f"cluster size must be >= 2 and an int, got {size!r}")
@@ -228,7 +224,7 @@ def _board(n: int) -> tuple[tuple[Variable, ...], frozenset[frozenset[Variable]]
         names = [chr(ord("A") + i) for i in range(16)]
     else:
         names = [f"r{i // n + 1}c{i % n + 1}" for i in range(n * n)]
-    variables = tuple(Variable(i, names[i]) for i in range(n * n))
+    variables = tuple(make_variables(names))
     # Every pair inside each row, column and box; a pair sharing two
     # units is one edge.
     box = math.isqrt(n)
@@ -286,9 +282,7 @@ def parse_adjacency(text: str, k: int = 4) -> ColoringProblem:
             raise ValueError(f"line {lineno}: region {a!r} borders itself")
         names.update(parts)
         name_edges.add((min(a, b), max(a, b)))
-    variables = tuple(
-        Variable(i, name) for i, name in enumerate(sorted(names))
-    )
+    variables = tuple(make_variables(sorted(names)))
     by_name = {v.name: v for v in variables}
     edges = frozenset(
         frozenset({by_name[a], by_name[b]}) for a, b in name_edges
@@ -315,28 +309,30 @@ def build_factors(
     cliques: Sequence[Cluster],
     bias: Mapping[Variable, Sequence[float]] | None = None,
     delta: float = 0.01,
+    *,
+    size: int | None = None,
 ) -> list[tuple[Cluster, SparseTable]]:
     """Compile cliques into subset-free all-different tables over domains.
 
-    One table is built per `purged_clusters` cluster, so a fully-given
-    problem compiles to an empty list.  One pass over the edges reads the
-    givens: each removes its label from the domain of every free
-    neighbour (node consistency, which leaves the joint unchanged), and
-    an edge whose free ends no one scope holds is refused, since the
-    compiled problem would silently drop its constraint.  A table's keys
-    are its scope's sorted domains with no label used twice, in
-    lexicographic order.  `bias` optionally assigns each variable a
-    per-label preference, applied once per table that holds it as a
-    multiplicative nudge of 1 + delta * preference — strong enough to
-    break ties after convergence, weak enough to never beat a hard zero.
-    Before a table's keys are built, their count P(labels its domains
-    hold, scope size) is checked: 0 is a ContradictionError, over
-    MAX_TABLE_ENTRIES a ValueError.  A nudge that is negative, NaN or
-    inf, or nudges whose product is inf, are a ValueError too.  An
-    emptied domain or an empty table is a ContradictionError naming the
-    variable or the clique.
+    One table is built per `purged_clusters(problem, cliques, size)`
+    cluster, so a fully-given problem compiles to an empty list.  One
+    pass over the edges reads the givens: each removes its label from
+    the domain of every free neighbour (node consistency, which leaves
+    the joint unchanged), and an edge whose free ends no one scope holds
+    is refused, since the compiled problem would silently drop its
+    constraint.  A table's keys are its scope's sorted domains with no
+    label used twice, in lexicographic order.  `bias` optionally assigns
+    each variable a per-label preference, applied once per table that
+    holds it as a multiplicative nudge of 1 + delta * preference —
+    strong enough to break ties after convergence, weak enough to never
+    beat a hard zero.  Before a table's keys are built, their count
+    P(labels its domains hold, scope size) is checked: 0 is a
+    ContradictionError, over MAX_TABLE_ENTRIES a ValueError.  A nudge
+    that is negative, NaN or inf, or nudges whose product is inf, are a
+    ValueError too.  An emptied domain or an empty table is a
+    ContradictionError naming the variable or the clique.
     """
-    clusters = purged_clusters(problem, cliques)
+    clusters = purged_clusters(problem, cliques, size)
     scopes = [cluster.sorted_vars() for cluster in clusters]
     holders: dict[Variable, int] = {}  # variable -> bitmask of its scopes
     for i, scope in enumerate(scopes):
@@ -438,30 +434,33 @@ def _distinct_keys(domains: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 
 def purged_clusters(
-    problem: ColoringProblem, cliques: Sequence[Cluster]
+    problem: ColoringProblem, cliques: Sequence[Cluster], size: int | None = None
 ) -> list[Cluster]:
-    """The clusters `build_factors` returns, without building any table.
+    """A round's clusters: the cliques minus the givens, split, subset-free.
 
     The givens are conditioned out of every clique and emptied scopes
-    vanish.  Walking the rest largest first, then by clique index, a
-    scope inside a kept scope that holds its smallest variable (as any
-    superset must) is dropped, and otherwise kept; kept clusters come
-    back in clique order.  Nothing here checks the givens, so unsatisfiable
-    problems still get their cluster shape.
+    vanish.  When `size` is set, `split_cliques` covers each free scope
+    of more than `size` variables.  Walking the rest largest first, then
+    by position, a scope inside a kept scope that holds its smallest
+    variable (as any superset must) is dropped, and otherwise kept; kept
+    clusters come back in order.  `build_factors` builds one table per
+    cluster.  Nothing here checks the givens, so unsatisfiable problems
+    still get their cluster shape.
     """
-    scopes = [clique.vars.difference(problem.givens) for clique in cliques]
-    order = sorted(
-        (i for i, scope in enumerate(scopes) if scope),
-        key=lambda i: (-len(scopes[i]), i),
-    )
+    scopes = (clique.vars.difference(problem.givens) for clique in cliques)
+    clusters = [Cluster(scope) for scope in scopes if scope]
+    if size is not None:
+        clusters = split_cliques(clusters, size)
+    order = sorted(range(len(clusters)), key=lambda i: (-len(clusters[i].vars), i))
     kept: list[int] = []
     holders: dict[Variable, list[int]] = {}  # variable -> kept scopes
     for i in order:
-        if not any(scopes[i] <= scopes[j] for j in holders.get(min(scopes[i]), ())):
+        scope = clusters[i].vars
+        if not any(scope <= clusters[j].vars for j in holders.get(min(scope), ())):
             kept.append(i)
-            for variable in scopes[i]:
+            for variable in scope:
                 holders.setdefault(variable, []).append(i)
-    return [Cluster(scopes[i]) for i in sorted(kept)]
+    return [clusters[i] for i in sorted(kept)]
 
 
 def label_preferences(
@@ -549,7 +548,7 @@ def random_planar_map(
     rng = random.Random(seed)
     width = len(str(rows * cols - 1)) if rows * cols > 1 else 1
     names = [f"m{str(i).zfill(width)}" for i in range(rows * cols)]
-    variables = tuple(Variable(i, names[i]) for i in range(rows * cols))
+    variables = tuple(make_variables(names))
 
     def at(r: int, c: int) -> Variable:
         return variables[r * cols + c]

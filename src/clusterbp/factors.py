@@ -355,24 +355,6 @@ class SparseTable:
         }
         return SparseTable._trusted(scope, cards, entries)
 
-    def allclose(self, other: SparseTable, rel_tol: float = 1e-12) -> bool:
-        """True when both tables hold the same potentials up to `rel_tol`.
-
-        Scopes must contain the same variables but may be ordered
-        differently; supports must match exactly.
-        """
-        if set(self.scope) != set(other.scope):
-            return False
-        aligned = other.reorder(self.scope)
-        if self.cards != aligned.cards:
-            return False
-        if set(self.entries) != set(aligned.entries):
-            return False
-        return all(
-            math.isclose(value, aligned.entries[key], rel_tol=rel_tol, abs_tol=0.0)
-            for key, value in self.entries.items()
-        )
-
     def _scope_names(self) -> str:
         return "{" + ",".join(v.name for v in self.scope) + "}"
 
@@ -382,25 +364,6 @@ def uniform_factor(scope: Sequence[Variable], cards: Sequence[int]) -> SparseTab
     ranges = [range(c) for c in cards]
     entries = {key: 1.0 for key in itertools.product(*ranges)}
     return SparseTable(scope, cards, entries)
-
-
-def permutation_factor(scope: Sequence[Variable], k: int) -> SparseTable:
-    """An all-different constraint over `scope` with `k` shared states.
-
-    Every injective assignment gets potential 1; everything else is zero
-    (absent).  More variables than states leaves nothing injective.
-    """
-    scope = tuple(scope)
-    if k < 1:
-        raise ValueError(f"state count must be >= 1, got {k}")
-    if len(scope) > k:
-        raise ContradictionError(
-            f"{len(scope)} mutually-distinct variables cannot share {k} states"
-        )
-    entries = {
-        key: 1.0 for key in itertools.permutations(range(k), len(scope))
-    }
-    return SparseTable(scope, (k,) * len(scope), entries)
 
 
 def kl_divergence(new: SparseTable, old: SparseTable) -> float:

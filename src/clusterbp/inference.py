@@ -43,9 +43,10 @@ class InferenceOptions:
     `max_messages`, an int (not a bool) of at least 1, caps the run.  The
     residual a directed edge must fall below to count as settled is the
     module constant `THRESHOLD`, not an option.
-    `damping` geometrically mixes each new sepset belief with the stored
-    one — it leaves fixed points untouched but tames the oscillation
-    loopy graphs with soft potentials are prone to.
+    `damping`, in [0, 1) and not a bool, geometrically mixes each new
+    sepset belief with the stored one — it leaves fixed points untouched
+    but tames the oscillation loopy graphs with soft potentials are
+    prone to.
     """
 
     max_messages: int = 1_000_000
@@ -55,9 +56,9 @@ class InferenceOptions:
         budget = self.max_messages
         if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
             raise ValueError(f"max_messages must be >= 1 and an int, got {budget!r}")
-        if not 0.0 <= self.damping < 1.0:
+        if isinstance(self.damping, bool) or not 0.0 <= self.damping < 1.0:
             raise ValueError(
-                f"damping must lie in [0, 1), got {self.damping}"
+                f"damping must lie in [0, 1) and not be a bool, got {self.damping!r}"
             )
 
 

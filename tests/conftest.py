@@ -3,14 +3,17 @@
 The map has regions A..G with fourteen borders.  Its five maximal
 cliques and a hand-drawn six-edge cluster graph over them are frozen
 here; several test modules cross-check construction, validation, and
-inference against this one instance.
+inference against this one instance.  Two helpers the modules share sit
+here too: the all-different table and a problem's neighbour list.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from clusterbp import make_variables
+from clusterbp import SparseTable, make_variables
 from clusterbp.graphs import Cluster, ClusterGraph, Sepset
 
 # Borders between the seven regions (sorted name pairs).
@@ -34,6 +37,17 @@ SEVEN_REGION_CLIQUES = [
     ("C", "D", "E"),
     ("D", "E", "G"),
 ]
+
+
+def all_different(scope, k):
+    """The all-different table over `scope`: 1.0 on every injective key."""
+    keys = itertools.permutations(range(k), len(scope))
+    return SparseTable(scope, (k,) * len(scope), dict.fromkeys(keys, 1.0))
+
+
+def neighbours(problem, variable):
+    """The variables that share an edge with `variable`, sorted."""
+    return sorted(next(iter(e - {variable})) for e in problem.edges if variable in e)
 
 
 @pytest.fixture(scope="session")

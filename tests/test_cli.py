@@ -46,7 +46,7 @@ from clusterbp.coloring import (
 from clusterbp.factors import ContradictionError, SparseTable, make_variables
 from clusterbp.graphs import ClusterGraph
 from clusterbp.inference import InferenceOptions, InferenceState
-from conftest import SEVEN_REGION_TEXT
+from conftest import SEVEN_REGION_TEXT, neighbours
 from oracles import (
     color_by_backtracking,
     exhaustive_4x4_suite,
@@ -72,6 +72,12 @@ WHEEL = "H a\nH b\nH c\nH d\nH e\na b\nb c\nc d\nd e\ne a\n"
 # digits; the four-clique (a border repeated) has exactly sixteen.
 NUMERIC_TRIANGLE = "1 2\n2 3\n3 1\n"
 NUMERIC_K4 = "1 2\n2 3\n3 4\n4 1\n1 3\n2 4\n1 2\n3 4\n"
+# The Mycielski graph of the 5-cycle: triangle-free, and it needs four
+# labels.  11 regions, 20 borders.
+MYCIEL3 = (
+    "1 2\n1 4\n1 7\n1 9\n2 3\n2 6\n2 8\n3 5\n3 7\n3 10\n"
+    "4 5\n4 6\n4 10\n5 8\n5 9\n6 11\n7 11\n8 11\n9 11\n10 11\n"
+)
 # Two disjoint ten-cliques: anchoring pins the first, and the second
 # would compile P(10, 10) = 3,628,800 entries.
 TWO_TEN_CLIQUES = "".join(
@@ -106,9 +112,9 @@ def rounds(monkeypatch):
     seeds = []
     compile_round = clusterbp.cli._compile
 
-    def counting(problem, cliques, topology, options, bias, seed):
+    def counting(problem, cliques, topology, size, options, bias, seed):
         seeds.append(seed)
-        return compile_round(problem, cliques, topology, options, bias, seed)
+        return compile_round(problem, cliques, topology, size, options, bias, seed)
 
     monkeypatch.setattr("clusterbp.cli._compile", counting)
     return seeds
@@ -308,7 +314,7 @@ class TestFreeSplit:
 
         def recording(problem, cliques, **kwargs):
             items = compile_round(problem, cliques, **kwargs)
-            compiled.append((problem, cliques, items))
+            compiled.append((problem, items))
             return items
 
         monkeypatch.setattr("clusterbp.cli.build_factors", recording)
@@ -323,9 +329,9 @@ class TestFreeSplit:
                 )
             solve_problem(problem, "ltrip", size)
         assert len(compiled) >= len(split_grids)
-        for problem, cliques, items in compiled:
+        for problem, items in compiled:
             assert all(len(table.scope) <= size for _, table in items)
-            parts = [set(c.vars) for c in cliques]
+            parts = [set(c.vars) for c, _ in items]
             free = set(problem.variables).difference(problem.givens)
             assert free == set().union(*parts)
             for edge in problem.edges:
@@ -375,6 +381,17 @@ class TestColorMap:
         path.write_text("A\n")
         assert main(["color-map", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == "A 0\n"
+
+    def test_converged_but_invalid_names_the_clashing_borders(self, tmp_path, capsys):
+        # Every clique is one border, which three labels satisfy, so the
+        # unbiased run converges, and its decode clashes (exit 4).
+        path = tmp_path / "myciel3.txt"
+        path.write_text(MYCIEL3)
+        argv = ["color-map", str(path), "--k", "3", "--bias", "0"]
+        assert main(argv) == EXIT_NO_SOLUTION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "no valid coloring found: 1 borders share a label\n"
 
     def test_unanchored_unbiased_still_colors(self, rounds):
         # A given on an isolated region turns anchoring off, and without
@@ -545,11 +562,11 @@ def decode_cases(draw):
     k = problem.k
     planted = {}
     for variable in draw(st.permutations(problem.variables)):
-        taken = {planted.get(n) for n in problem.neighbors(variable)}
+        taken = {planted.get(n) for n in neighbours(problem, variable)}
         planted[variable] = min(set(range(k)) - taken, default=0)
     givens = {}
     for variable in problem.variables:
-        neighbors = problem.neighbors(variable)
+        neighbors = neighbours(problem, variable)
         clash = any(givens.get(n) == planted[variable] for n in neighbors)
         if draw(st.booleans()) and draw(st.booleans()) and not clash:
             givens[variable] = planted[variable]
@@ -594,7 +611,7 @@ class TestRankedDecode:
         decided = dict(problem.givens)
         got_free = []
         for variable in margin_order(marginals, problem.k):
-            held = {decided[n] for n in problem.neighbors(variable) if n in decided}
+            held = {decided[n] for n in neighbours(problem, variable) if n in decided}
             label = assignment[variable]
             if len(held) < problem.k:
                 assert label not in held
@@ -828,11 +845,21 @@ def test_parser_rejects_fixed_settings(
 
 
 @pytest.mark.parametrize("run", [solve_problem, color_problem])
-@pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf, True])
 def test_library_rejects_unusable_bias(run, delta):
     problem = parse_adjacency(SEVEN_REGION_TEXT)
     with pytest.raises(ValueError, match="bias_delta must be finite and >= 0"):
         run(problem, bias_delta=delta)
+
+
+@pytest.mark.parametrize("run", [solve_problem, color_problem])
+@pytest.mark.parametrize("seed", ["a", 1.5, True])
+def test_library_rejects_a_seed_that_is_not_an_int(run, seed):
+    # 1.5 once seeded other preferences than 1, and "a" raised TypeError
+    # late.  K4 at three labels would contradict: the seed is refused first.
+    problem = parse_adjacency(NUMERIC_K4, 3)
+    with pytest.raises(ValueError, match=f"^seed must be an int, got {seed!r}$"):
+        run(problem, bias_delta=0.1, seed=seed)
 
 
 def test_color_problem_damps_by_default(monkeypatch):

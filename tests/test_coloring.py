@@ -28,16 +28,19 @@ from clusterbp.coloring import (
     sudoku_problem,
     verify_coloring,
 )
-from clusterbp.cli import _split_free
 from clusterbp.factors import (
     ContradictionError,
     SparseTable,
     Variable,
     make_variables,
-    permutation_factor,
 )
 from clusterbp.graphs import Cluster
-from conftest import SEVEN_REGION_CLIQUES, SEVEN_REGION_TEXT
+from conftest import (
+    SEVEN_REGION_CLIQUES,
+    SEVEN_REGION_TEXT,
+    all_different,
+    neighbours,
+)
 from oracles import (
     DenseFactor,
     color_by_backtracking,
@@ -59,17 +62,7 @@ def triangle_problem(k=3, givens=None):
     return ColoringProblem((a, b, c), edges, k=k, givens=givens or {})
 
 
-def neighbours(problem, variable):
-    """The variables that share an edge with `variable`, sorted."""
-    return sorted(next(iter(e - {variable})) for e in problem.edges if variable in e)
-
-
 class TestProblem:
-    def test_neighbors_are_sorted(self):
-        problem = parse_adjacency(SEVEN_REGION_TEXT)
-        d = problem.variable_named("D")
-        assert [v.name for v in problem.neighbors(d)] == ["A", "C", "E", "F", "G"]
-
     def test_unknown_name_lookup(self):
         with pytest.raises(KeyError):
             triangle_problem().variable_named("Z")
@@ -614,10 +607,9 @@ class TestBuildFactors:
         grid = "32..\n...1\n...3\n....\n"
         assert solve_sudoku([3, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 0], 4) == []
         problem = sudoku_problem(grid, 4)
-        parts = _split_free(problem, maximal_cliques(problem), None)
         message = r"^clique \{C,D,G\} has no assignment its domains allow$"
         with pytest.raises(ContradictionError, match=message):
-            build_factors(problem, parts)
+            build_factors(problem, maximal_cliques(problem))
 
     def test_oversized_clique_is_a_contradiction(self):
         problem = triangle_problem(k=2)
@@ -659,14 +651,14 @@ class TestBuildFactors:
         )
         problem = ColoringProblem(tuple(members), edges, k=k, givens=givens)
         items = build_factors(problem, [Cluster(frozenset(members))])
-        reference = permutation_factor(members, k)
+        reference = all_different(members, k)
         for variable in members:
             if variable in givens:
                 reference = reference.observe(variable, givens[variable])
         if not reference.scope:
             assert items == []
         else:
-            assert items[0][1].allclose(reference)
+            assert items[0][1] == reference
 
 
 def compile_cover(cover, k=4, givens=None, bias=None, delta=0.01):
@@ -776,7 +768,7 @@ class TestRoundClustersMatchTheTwoStepPath:
     def assert_same(self, problem, size):
         cliques = maximal_cliques(problem)
         expected = two_step_clusters(problem, cliques, size)
-        assert purged_clusters(problem, _split_free(problem, cliques, size)) == expected
+        assert purged_clusters(problem, cliques, size) == expected
 
     @given(
         st.integers(1, 5),
@@ -827,7 +819,7 @@ class TestRoundClustersMatchTheTwoStepPath:
         with pytest.raises(ValueError) as old:
             two_step_clusters(problem, cliques, size)
         with pytest.raises(ValueError, match=f"^{re.escape(str(old.value))}$"):
-            purged_clusters(problem, _split_free(problem, cliques, size))
+            purged_clusters(problem, cliques, size)
 
 
 class TestFoldSubsets:
@@ -886,7 +878,7 @@ class TestFoldSubsets:
         items = build_factors(problem, maximal_cliques(problem))
         assert [c for c, _ in items] == seven_cliques
         for cluster, table in items:
-            assert table == permutation_factor(cluster.sorted_vars(), 4)
+            assert table == all_different(cluster.sorted_vars(), 4)
 
 
 def clique_by_clique_reference(problem, cliques, bias, delta):
@@ -983,7 +975,7 @@ class TestFoldMatchesDenseOracle:
 
 def labels_of_given_neighbours(problem):
     return {
-        v: {problem.givens[u] for u in problem.neighbors(v) if u in problem.givens}
+        v: {problem.givens[u] for u in neighbours(problem, v) if u in problem.givens}
         for v in problem.variables
         if v not in problem.givens
     }
@@ -1165,7 +1157,7 @@ class TestCompileMatchesPerCliqueGivens:
         # given neighbour holds, right or wrong.
         for variable in data.draw(st.sets(pick)):
             if variable not in givens:
-                held = {givens.get(u) for u in problem.neighbors(variable)}
+                held = {givens.get(u) for u in neighbours(problem, variable)}
                 labels = [x for x in range(4) if x not in held]
                 if labels:
                     givens[variable] = data.draw(st.sampled_from(labels))
@@ -1178,11 +1170,9 @@ class TestCompileMatchesPerCliqueGivens:
             )
         except ContradictionError:
             with pytest.raises(ContradictionError):
-                build_factors(
-                    problem, _split_free(problem, cliques, size), bias, delta
-                )
+                build_factors(problem, cliques, bias, delta, size=size)
             return
-        got = build_factors(problem, _split_free(problem, cliques, size), bias, delta)
+        got = build_factors(problem, cliques, bias, delta, size=size)
         assert [c for c, _ in got] == [c for c, _, _ in expected]
         for (_, table), (_, scope, entries) in zip(got, expected):
             assert table.scope == scope

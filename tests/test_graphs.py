@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 import clusterbp
 from clusterbp import make_variables
-from clusterbp.cli import _split_free
 from clusterbp.coloring import (
     anchor_largest_clique,
     maximal_cliques,
@@ -620,7 +619,7 @@ def first_round_clusters(problem, size):
     if not problem.givens:
         anchor = anchor_largest_clique(problem, cliques)
         problem = dataclasses.replace(problem, givens=anchor)
-    return purged_clusters(problem, _split_free(problem, cliques, size))
+    return purged_clusters(problem, cliques, size)
 
 
 class TestLtripMatchesTheMatrixBuild:

@@ -35,13 +35,11 @@ from clusterbp import (
     ContradictionError,
     SparseTable,
     make_variables,
-    permutation_factor,
     uniform_factor,
 )
 from clusterbp.cli import (
     TOPOLOGIES,
     _compile,
-    _split_free,
     color_problem,
     load_puzzle,
     solve_problem,
@@ -60,6 +58,7 @@ from clusterbp.inference import (
     InferenceOptions,
     InferenceState,
 )
+from conftest import all_different
 from oracles import (
     DenseFactor,
     closure_of,
@@ -94,7 +93,7 @@ def chain_setup(seed=12345, density=1.0):
 
 
 def seven_coloring_factors(seven_cliques, k=4):
-    return [permutation_factor(c.sorted_vars(), k) for c in seven_cliques]
+    return [all_different(c.sorted_vars(), k) for c in seven_cliques]
 
 
 class TestOptions:
@@ -121,6 +120,12 @@ class TestOptions:
         # A NaN budget once sent no message, and 2.5 sent three.
         with pytest.raises(ValueError, match="max_messages must be >= 1 and an int"):
             InferenceOptions(max_messages=budget)
+
+    @pytest.mark.parametrize("damping", [False, True])
+    def test_damping_must_not_be_a_bool(self, damping):
+        # False once ran undamped, as 0.0 does.
+        with pytest.raises(ValueError, match=r"^damping must lie in \[0, 1\) and not"):
+            InferenceOptions(damping=damping)
 
     def test_semiring_is_no_longer_an_option(self):
         # Max-product is the kernel's one semiring.
@@ -291,6 +296,16 @@ class TestTreeExactness:
         assert set(after.per_edge) == {(0, 1), (1, 2)}
         assert after.max_divergence <= 1e-9
 
+    def test_ends_that_reach_different_labels_diverge_without_bound(self):
+        # Before any message {A,B} holds A=0 only, {A,C} both labels of A.
+        clusters = (Cluster(frozenset({A, B})), Cluster(frozenset({A, C})))
+        graph = ClusterGraph(clusters, (Sepset((0, 1), frozenset({A})),))
+        f0 = SparseTable((A, B), (2, 3), {(0, 1): 1.0})
+        f1 = SparseTable((A, C), (2, 2), {(0, 1): 1.0, (1, 0): 1.0})
+        report = InferenceState(graph, [f0, f1]).check_calibration()
+        assert report.per_edge == {(0, 1): math.inf}
+        assert not report.calibrated
+
 
 BUNDLED = sorted(
     (Path(clusterbp.__file__).parent / "data" / "puzzles").glob("*.txt")
@@ -311,7 +326,7 @@ def converged_fixed_points(problems, topology, size):
         cliques = maximal_cliques(problem)
         if size is not None:
             cliques = split_cliques(cliques, size)
-        state, _ = _compile(problem, cliques, topology, None, 0.0, 0)
+        state, _ = _compile(problem, cliques, topology, None, None, 0.0, 0)
         tables = state.beliefs  # as compiled: no message has gone out
         closure = closure_of(tables, state.graph.sepsets)
         state.run()
@@ -384,7 +399,7 @@ class TestFixedPoint:
         problem = random_planar_map(rows, cols, seed=seed)
         options = InferenceOptions(damping=damping, max_messages=20_000)
         cliques = maximal_cliques(problem)
-        state, _ = _compile(problem, cliques, topology, options, 0.01, seed)
+        state, _ = _compile(problem, cliques, topology, None, options, 0.01, seed)
         state.run()
         assert state.converged or state.stats.messages == options.max_messages
         if state.converged:
@@ -455,7 +470,7 @@ class TestRunControl:
         # outgoing edges are queued in follows the graph's listing.
         problem = load_puzzle(BUNDLED[0])  # easy01
         cliques = split_cliques(maximal_cliques(problem), size)
-        state, _ = _compile(problem, cliques, topology, None, 0.0, 0)
+        state, _ = _compile(problem, cliques, topology, None, None, 0.0, 0)
         graph, tables = state.graph, state.beliefs
         flipped = ClusterGraph(graph.clusters, tuple(reversed(graph.sepsets)))
         runs = [InferenceState(g, tables) for g in (flipped, graph)]
@@ -508,10 +523,12 @@ class TestDamping:
         damped = InferenceState(graph, factors, InferenceOptions(damping=0.5)).run()
         assert damped.converged
         assert damped.assignment == plain.assignment
-        for variable in plain.marginals:
-            assert plain.marginals[variable].allclose(
-                damped.marginals[variable], rel_tol=1e-4
-            )
+        for variable, table in plain.marginals.items():
+            near = damped.marginals[variable]
+            assert near.scope == table.scope
+            assert near.entries.keys() == table.entries.keys()
+            for key, value in table.entries.items():
+                assert math.isclose(value, near[key], rel_tol=1e-4)
 
     def test_damping_only_delays_convergence(self):
         graph, factors = chain_setup(seed=17)
@@ -547,7 +564,7 @@ class TestLoopyColoring:
         factors = []
         assigned = set()
         for cluster in seven_cliques:
-            table = permutation_factor(cluster.sorted_vars(), 4)
+            table = all_different(cluster.sorted_vars(), 4)
             for variable in cluster.sorted_vars():
                 if variable in assigned:
                     continue
@@ -602,8 +619,7 @@ class TestLoopyColoring:
 def easy01_ltrip5():
     """The first round of easy01 at ltrip/5, compiled and not yet run."""
     problem = load_puzzle(BUNDLED[0])
-    cliques = _split_free(problem, maximal_cliques(problem), 5)
-    state, _ = _compile(problem, cliques, "ltrip", None, 0.0, 0)
+    state, _ = _compile(problem, maximal_cliques(problem), "ltrip", 5, None, 0.0, 0)
     return state
 
 
@@ -674,15 +690,14 @@ class TestKernelLists:
         # order a factor lists its entries in, nor the cell numbering its
         # rows give a sepset, moves a bit.
         if case == "easy01-ltrip5-biased":
-            problem, options = load_puzzle(BUNDLED[0]), None
-            cliques = _split_free(problem, maximal_cliques(problem), 5)
+            problem, options, size = load_puzzle(BUNDLED[0]), None, 5
         else:
             problem = random_planar_map(8, 8, seed=0)
-            options = InferenceOptions(damping=0.3)
-            cliques = maximal_cliques(problem)
-            anchor = anchor_largest_clique(problem, cliques)
+            options, size = InferenceOptions(damping=0.3), None
+            anchor = anchor_largest_clique(problem, maximal_cliques(problem))
             problem = dataclasses.replace(problem, givens=anchor)
-        state, _ = _compile(problem, cliques, "ltrip", options, 0.01, 0)
+        cliques = maximal_cliques(problem)
+        state, _ = _compile(problem, cliques, "ltrip", size, options, 0.01, 0)
         graph, tables = state.graph, state.beliefs
         rng = random.Random(0)
         shuffled = []
