@@ -16,6 +16,8 @@ Covers:
 * the kernel's lists: a sepset holds only the cells its endpoints' rows
   reach, a resent message returns at once, and every cluster's largest
   value stays exactly 1.0
+* `marginals` after a run equals a copy of the hand-rolled row walk it
+  replaced, in values and entry order, and decodes the same
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from clusterbp import (
 from clusterbp.cli import (
     TOPOLOGIES,
     _compile,
+    _ranked_decode,
     color_problem,
     load_puzzle,
     solve_problem,
@@ -62,6 +65,7 @@ from conftest import all_different
 from oracles import (
     DenseFactor,
     closure_of,
+    color_by_backtracking,
     dense_joint,
     exhaustive_4x4_suite,
     grid_text,
@@ -711,3 +715,99 @@ class TestKernelLists:
         assert logs[0] == logs[1]
         assert runs[0].stats.messages == runs[1].stats.messages
         assert runs[0].marginals == runs[1].marginals
+
+
+def row_walk_marginals(state):
+    """Each variable's max-marginal as the hand-rolled walk read it.
+
+    A copy of the walk `InferenceState.marginals` made before it called
+    the table algebra: one pass per cluster that first holds a variable,
+    each row that still holds mass raising the entry of every variable
+    first held there, in row order.
+    """
+    totals = {}
+    for factor, vals in zip(state._factors, state._vals):
+        accs = [
+            (totals.setdefault(v, {}), p)
+            for p, v in enumerate(factor.scope)
+            if v not in totals
+        ]
+        if not accs:
+            continue
+        for row, value in zip(factor.entries, vals):
+            if not value:
+                continue
+            for acc, p in accs:
+                x = row[p]
+                if value > acc.get(x, 0.0):
+                    acc[x] = value
+    out = {}
+    for variable in sorted(totals):
+        entries = {(x,): value for x, value in totals[variable].items()}
+        out[variable] = SparseTable._trusted(
+            (variable,), (state._cards[variable],), entries
+        )
+    return out
+
+
+class TestMarginalsMatchTheRowWalk:
+    """`marginals` reads what the hand-rolled row walk read: the same
+    variables, values and entry order, and so the same ranked decode."""
+
+    def assert_same(self, problem, cliques, topology, size, options, bias):
+        state, _ = _compile(problem, cliques, topology, size, options, bias, 0)
+        try:
+            state.run()
+        except ContradictionError:
+            pass  # a refused message changes nothing; the state still reads
+        live, walked = state.marginals, row_walk_marginals(state)
+        assert list(live) == list(walked)
+        for variable, table in walked.items():
+            assert live[variable] == table
+            assert list(live[variable].entries.items()) == list(table.entries.items())
+        assert _ranked_decode(problem, live) == _ranked_decode(problem, walked)
+
+    @pytest.mark.parametrize("bias", [0.0, 0.01])
+    @pytest.mark.parametrize("size", [3, 5, 9])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_bundled_sweep(self, topology, size, bias):
+        options = InferenceOptions(max_messages=20_000)
+        for path in BUNDLED:
+            problem = load_puzzle(path)
+            cliques = maximal_cliques(problem)
+            self.assert_same(problem, cliques, topology, size, options, bias)
+
+    def test_map250_first_round(self):
+        problem = random_planar_map(25, 10, seed=3)
+        cliques = maximal_cliques(problem)
+        anchor = anchor_largest_clique(problem, cliques)
+        problem = dataclasses.replace(problem, givens=anchor)
+        options = InferenceOptions(damping=0.3)
+        self.assert_same(problem, cliques, "ltrip", None, options, 0.01)
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(0, 999),
+        st.sampled_from(TOPOLOGIES),
+        st.sampled_from([None, 2, 3]),
+        st.sampled_from([0.0, 0.3]),
+        st.sampled_from([0.0, 0.01]),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    def test_maps_with_givens(
+        self, rows, cols, seed, topology, size, damping, bias, data
+    ):
+        problem = random_planar_map(rows, cols, seed=seed)
+        found = color_by_backtracking(
+            [v.name for v in problem.variables],
+            [tuple(sorted(v.name for v in e)) for e in problem.edges],
+            4,
+        )
+        shown = data.draw(st.sets(st.sampled_from(problem.variables)))
+        givens = {v: found[v.name] for v in shown}
+        problem = dataclasses.replace(problem, givens=givens)
+        options = InferenceOptions(damping=damping, max_messages=20_000)
+        cliques = maximal_cliques(problem)
+        self.assert_same(problem, cliques, topology, size, options, bias)
