@@ -35,7 +35,6 @@ from typing import Sequence
 from clusterbp.coloring import (
     ColoringProblem,
     VerifyReport,
-    _is_int,
     anchor_largest_clique,
     build_factors,
     format_sudoku,
@@ -46,7 +45,7 @@ from clusterbp.coloring import (
     sudoku_problem,
     verify_coloring,
 )
-from clusterbp.factors import ContradictionError, uniform_factor
+from clusterbp.factors import ContradictionError, _is_int, _is_real, uniform_factor
 from clusterbp.graphs import (
     Cluster,
     ClusterGraph,
@@ -116,11 +115,11 @@ def solve_problem(
 ) -> SolveOutcome:
     """Cliques, then rounds of split, compile, run, decode and verify.
 
-    A bad `topology`, `bias_delta` (a finite non-bool >= 0) or `seed` (an
-    int, not a bool) is a ValueError before any other work.  Each round's
-    clusters are `purged_clusters(work, cliques, cluster_size)`: what its
-    givens leave of the cliques, split so `cluster_size` bounds every
-    table's scope.
+    A bad `topology`, `bias_delta` (a finite real >= 0, not a bool) or
+    `seed` (an int, not a bool) is a ValueError before any other work.
+    Each round's clusters are `purged_clusters(work, cliques,
+    cluster_size)`: what its givens leave of the cliques, split so
+    `cluster_size` bounds every table's scope.
     Decimation starts from `anchor_largest_clique`: the givens, or one
     largest clique pinned when there are none.  Each round propagates,
     then decodes the most decided variables first, each avoiding labels
@@ -141,7 +140,7 @@ def solve_problem(
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
-    if isinstance(bias_delta, bool) or not 0.0 <= bias_delta < math.inf:
+    if not _is_real(bias_delta) or not 0.0 <= bias_delta < math.inf:
         raise ValueError(
             f"bias_delta must be finite and >= 0, not a bool, got {bias_delta!r}"
         )
@@ -348,6 +347,11 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _counted(count: int, noun: str) -> str:
+    """`count` and `noun`, the noun plural unless the count is one."""
+    return f"{count} {noun}" if count == 1 else f"{count} {noun}s"
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -373,11 +377,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not outcome.converged:
         print("did not converge", file=sys.stderr)
     else:
-        print(
-            f"decoded grid violates {len(outcome.report.violated_edges)} "
-            f"constraints",
-            file=sys.stderr,
-        )
+        violated = _counted(len(outcome.report.violated_edges), "constraint")
+        print(f"decoded grid violates {violated}", file=sys.stderr)
     return EXIT_NO_SOLUTION
 
 
@@ -397,11 +398,10 @@ def cmd_color_map(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if not outcome.valid:
-        detail = (
-            "did not converge"
-            if not outcome.converged
-            else f"{len(outcome.report.violated_edges)} borders share a label"
-        )
+        detail = "did not converge"
+        if outcome.converged:
+            clashes = _counted(len(outcome.report.violated_edges), "border")
+            detail = f"labels clash across {clashes}"
         print(f"no valid coloring found: {detail}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     lines = "".join(

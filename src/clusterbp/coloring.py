@@ -18,16 +18,18 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from clusterbp.factors import ContradictionError, SparseTable, Variable, make_variables
+from clusterbp.factors import (
+    ContradictionError,
+    SparseTable,
+    Variable,
+    _is_int,
+    make_variables,
+)
 from clusterbp.graphs import Cluster
 
 # Most entries one compiled table may enumerate.  A blank 9x9 row,
 # P(9, 9) = 362,880, fits; a 10-clique over 10 labels does not.
 MAX_TABLE_ENTRIES = 1_000_000
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,6 @@ class ColoringProblem:
                 f"givens assign {a.name} and {b.name} the same label "
                 f"{givens[a]} across an edge"
             )
-
-    def variable_named(self, name: str) -> Variable:
-        for variable in self.variables:
-            if variable.name == name:
-                return variable
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 Semiring = Literal["sum", "max"]
 Assignment = tuple[int, ...]
 
 SEMIRINGS = ("sum", "max")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class ContradictionError(ValueError):

@@ -27,7 +27,15 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from clusterbp.factors import ContradictionError, SparseTable, Variable, kl_divergence
+from clusterbp.factors import (
+    ContradictionError,
+    SparseTable,
+    Variable,
+    _is_int,
+    _is_real,
+    kl_divergence,
+    uniform_factor,
+)
 from clusterbp.graphs import ClusterGraph
 
 DirectedEdge = tuple[int, int]
@@ -40,25 +48,24 @@ THRESHOLD = 1e-8
 class InferenceOptions:
     """Knobs for a max-product propagation run.
 
-    `max_messages`, an int (not a bool) of at least 1, caps the run.  The
-    residual a directed edge must fall below to count as settled is the
-    module constant `THRESHOLD`, not an option.
-    `damping`, in [0, 1) and not a bool, geometrically mixes each new
-    sepset belief with the stored one — it leaves fixed points untouched
-    but tames the oscillation loopy graphs with soft potentials are
-    prone to.
+    `max_messages`, an int (not a bool) of at least 1, caps the run.
+    `damping`, a real number in [0, 1) and not a bool, geometrically
+    mixes each new sepset belief with the stored one — it leaves fixed
+    points untouched but tames the oscillation loopy graphs with soft
+    potentials are prone to.  The residual a directed edge must fall
+    below to count as settled is the module constant `THRESHOLD`.
     """
 
     max_messages: int = 1_000_000
     damping: float = 0.0
 
     def __post_init__(self) -> None:
-        budget = self.max_messages
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        budget, damping = self.max_messages, self.damping
+        if not _is_int(budget) or budget < 1:
             raise ValueError(f"max_messages must be >= 1 and an int, got {budget!r}")
-        if isinstance(self.damping, bool) or not 0.0 <= self.damping < 1.0:
+        if not _is_real(damping) or not 0.0 <= damping < 1.0:
             raise ValueError(
-                f"damping must lie in [0, 1) and not be a bool, got {self.damping!r}"
+                f"damping must lie in [0, 1) and not be a bool, got {damping!r}"
             )
 
 
@@ -343,8 +350,7 @@ class InferenceState:
     def _belief(self, i: int) -> SparseTable:
         """Cluster `i`'s belief: its factor's rows that still hold mass."""
         factor = self._factors[i]
-        rows = zip(factor.entries, self._vals[i])
-        entries = {row: value for row, value in rows if value}
+        entries = {row: v for row, v in zip(factor.entries, self._vals[i]) if v}
         return SparseTable._trusted(factor.scope, factor.cards, entries)
 
     @property
@@ -355,11 +361,11 @@ class InferenceState:
             cards = tuple(self._cards[v] for v in scope)
             if self._totals[key] == math.prod(cards):
                 # No message has crossed it: every dense cell holds 1.0.
-                entries = dict.fromkeys(itertools.product(*map(range, cards)), 1.0)
+                out[key] = uniform_factor(scope, cards)
             else:
                 values = self._sepsets[key]
                 entries = {a: v for a, v in zip(self._reached[key], values) if v}
-            out[key] = SparseTable._trusted(scope, cards, entries)
+                out[key] = SparseTable._trusted(scope, cards, entries)
         return out
 
     def run(self) -> InferenceState:
@@ -397,46 +403,20 @@ class InferenceState:
     def marginals(self) -> dict[Variable, SparseTable]:
         """Each variable's max-marginal, its largest entry 1.0.
 
-        A variable's marginal comes from the first cluster holding it, in
-        one walk per holder cluster: each of its factor's rows that still
-        holds mass raises the entry of every variable first held there, in
-        row order.  Maxima are those of `marginalize("max")`, entry order
-        included.  Every belief's largest value is exactly 1.0 (set-up and
-        each update divide by it), so `normalize("max")` would change no
-        bit.  A belief always
-        keeps a positive row, so no marginal comes out empty.
+        It is `marginalize((v,), "max")` of the belief of the first cluster
+        holding `v`, which peaks at 1.0; each such belief is built once.
         """
-        totals: dict[Variable, dict[int, float]] = {}
-        for factor, vals in zip(self._factors, self._vals):
-            accs = [
-                (totals.setdefault(v, {}), p)
-                for p, v in enumerate(factor.scope)
-                if v not in totals
-            ]
-            if not accs:
-                continue
-            for row, value in zip(factor.entries, vals):
-                if not value:
-                    continue
-                for acc, p in accs:
-                    x = row[p]
-                    if value > acc.get(x, 0.0):
-                        acc[x] = value
-        out = {}
-        for variable in sorted(totals):
-            entries = {(x,): value for x, value in totals[variable].items()}
-            out[variable] = SparseTable._trusted(
-                (variable,), (self._cards[variable],), entries
-            )
-        return out
+        first: dict[Variable, int] = {}
+        for i, factor in enumerate(self._factors):
+            for variable in factor.scope:
+                first.setdefault(variable, i)
+        beliefs = {i: self._belief(i) for i in set(first.values())}
+        return {v: beliefs[first[v]].marginalize((v,), "max") for v in sorted(first)}
 
     @property
     def assignment(self) -> dict[Variable, int]:
         """Each variable's argmax label, ties to the lowest."""
-        return {
-            variable: marginal.argmax()[0]
-            for variable, marginal in self.marginals.items()
-        }
+        return {v: marginal.argmax()[0] for v, marginal in self.marginals.items()}
 
     def check_calibration(self, tol: float = 1e-9) -> CalibrationReport:
         """How far each edge's two endpoint marginals are from agreeing.

@@ -3,8 +3,9 @@
 The map has regions A..G with fourteen borders.  Its five maximal
 cliques and a hand-drawn six-edge cluster graph over them are frozen
 here; several test modules cross-check construction, validation, and
-inference against this one instance.  Two helpers the modules share sit
-here too: the all-different table and a problem's neighbour list.
+inference against this one instance.  Three helpers the modules share
+sit here too: the all-different table, a problem's neighbour list and
+its variable by name.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def all_different(scope, k):
 def neighbours(problem, variable):
     """The variables that share an edge with `variable`, sorted."""
     return sorted(next(iter(e - {variable})) for e in problem.edges if variable in e)
+
+
+def variable_named(problem, name):
+    """The variable of `problem` called `name`."""
+    return next(v for v in problem.variables if v.name == name)
 
 
 @pytest.fixture(scope="session")

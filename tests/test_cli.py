@@ -46,7 +46,7 @@ from clusterbp.coloring import (
 from clusterbp.factors import ContradictionError, SparseTable, make_variables
 from clusterbp.graphs import ClusterGraph
 from clusterbp.inference import InferenceOptions, InferenceState
-from conftest import SEVEN_REGION_TEXT, neighbours
+from conftest import SEVEN_REGION_TEXT, neighbours, variable_named
 from oracles import (
     color_by_backtracking,
     exhaustive_4x4_suite,
@@ -88,7 +88,7 @@ TWO_TEN_CLIQUES = "".join(
 
 
 def with_givens(problem, **labels):
-    givens = {problem.variable_named(n): x for n, x in labels.items()}
+    givens = {variable_named(problem, n): x for n, x in labels.items()}
     return dataclasses.replace(problem, givens=givens)
 
 
@@ -365,7 +365,7 @@ class TestColorMap:
         assignment = {}
         for line in out.splitlines():
             name, label = line.split()
-            assignment[problem.variable_named(name)] = int(label)
+            assignment[variable_named(problem, name)] = int(label)
         assert verify_coloring(problem, assignment).valid
 
     def test_writes_output_file(self, map_file, tmp_path, capsys):
@@ -391,7 +391,7 @@ class TestColorMap:
         assert main(argv) == EXIT_NO_SOLUTION
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "no valid coloring found: 1 borders share a label\n"
+        assert captured.err == "no valid coloring found: labels clash across 1 border\n"
 
     def test_unanchored_unbiased_still_colors(self, rounds):
         # A given on an isolated region turns anchoring off, and without
@@ -479,7 +479,7 @@ class TestColorMap:
         assert main(["color-map", str(path)]) == EXIT_OK
         problem = parse_adjacency(text)
         assignment = {
-            problem.variable_named(line.split()[0]): int(line.split()[1])
+            variable_named(problem, line.split()[0]): int(line.split()[1])
             for line in capsys.readouterr().out.splitlines()
         }
         assert len(assignment) == len(problem.variables)
@@ -625,7 +625,7 @@ class TestRankedDecode:
         # B ranks first (margin 1.0) and takes 0; A's best label is then
         # held, and its two runners-up tie, so it takes the lower one.
         problem = parse_adjacency("A B\n", 3)
-        a, b = problem.variable_named("A"), problem.variable_named("B")
+        a, b = variable_named(problem, "A"), variable_named(problem, "B")
         marginals = {
             a: SparseTable((a,), (3,), {(0,): 1.0, (1,): 0.5, (2,): 0.5}),
             b: SparseTable((b,), (3,), {(0,): 1.0}),
@@ -845,7 +845,7 @@ def test_parser_rejects_fixed_settings(
 
 
 @pytest.mark.parametrize("run", [solve_problem, color_problem])
-@pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf, True])
+@pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf, True, "a"])
 def test_library_rejects_unusable_bias(run, delta):
     problem = parse_adjacency(SEVEN_REGION_TEXT)
     with pytest.raises(ValueError, match="bias_delta must be finite and >= 0"):

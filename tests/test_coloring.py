@@ -40,6 +40,7 @@ from conftest import (
     SEVEN_REGION_TEXT,
     all_different,
     neighbours,
+    variable_named,
 )
 from oracles import (
     DenseFactor,
@@ -63,10 +64,6 @@ def triangle_problem(k=3, givens=None):
 
 
 class TestProblem:
-    def test_unknown_name_lookup(self):
-        with pytest.raises(KeyError):
-            triangle_problem().variable_named("Z")
-
     def test_rejects_duplicate_names(self):
         dup = (Variable(0, "A"), Variable(1, "A"))
         with pytest.raises(ValueError, match="duplicate"):
@@ -110,7 +107,7 @@ class TestProblem:
     def test_rejects_a_given_that_is_not_an_int(self, label):
         # A float label once solved "valid", with B holding 1.5.
         problem = sudoku_problem("1...\n..2.\n.3..\n...4\n", 4)
-        givens = {**problem.givens, problem.variable_named("B"): label}
+        givens = {**problem.givens, variable_named(problem, "B"): label}
         with pytest.raises(ValueError, match=f"given B={label!r} is not an int"):
             ColoringProblem(problem.variables, problem.edges, 4, givens)
 
@@ -1221,8 +1218,8 @@ class TestAnchor:
 
     def test_preserves_compatible_givens(self):
         problem = parse_adjacency(SEVEN_REGION_TEXT)
-        a = problem.variable_named("A")
-        b = problem.variable_named("B")
+        a = variable_named(problem, "A")
+        b = variable_named(problem, "B")
         pinned = ColoringProblem(
             problem.variables, problem.edges, problem.k, {a: 0, b: 3}
         )
@@ -1234,7 +1231,7 @@ class TestAnchor:
     def test_givens_come_back_unchanged(self):
         # A=2 disagrees with the pin A=0 a problem without givens gets.
         problem = parse_adjacency(SEVEN_REGION_TEXT)
-        a = problem.variable_named("A")
+        a = variable_named(problem, "A")
         pinned = ColoringProblem(
             problem.variables, problem.edges, problem.k, {a: 2}
         )
@@ -1258,7 +1255,7 @@ class TestVerify:
         edges = [tuple(sorted(v.name for v in e)) for e in problem.edges]
         solution = color_by_backtracking(names, edges, 4)
         report = verify_coloring(
-            problem, {problem.variable_named(n): x for n, x in solution.items()}
+            problem, {variable_named(problem, n): x for n, x in solution.items()}
         )
         assert report.valid and bool(report)
 
@@ -1318,7 +1315,7 @@ class TestPlanarMap:
             )
             assert solution is not None
             assignment = {
-                problem.variable_named(n): x for n, x in solution.items()
+                variable_named(problem, n): x for n, x in solution.items()
             }
             assert verify_coloring(problem, assignment).valid
 

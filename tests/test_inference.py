@@ -113,6 +113,7 @@ class TestOptions:
             {"damping": -0.1},
             {"damping": 1.0},
             {"damping": math.nan},
+            {"damping": "a"},
         ],
     )
     def test_validation(self, kwargs):
