@@ -3,14 +3,15 @@
 The map has regions A..G with fourteen borders.  Its five maximal
 cliques and a hand-drawn six-edge cluster graph over them are frozen
 here; several test modules cross-check construction, validation, and
-inference against this one instance.  Three helpers the modules share
-sit here too: the all-different table, a problem's neighbour list and
-its variable by name.
+inference against this one instance.  Four helpers the modules share
+sit here too: the all-different table, a problem's neighbour list, its
+variable by name and the label preferences a bias nudges by.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -54,6 +55,21 @@ def neighbours(problem, variable):
 def variable_named(problem, name):
     """The variable of `problem` called `name`."""
     return next(v for v in problem.variables if v.name == name)
+
+
+def label_preferences(problem, seed=0):
+    """The label permutation a bias at `seed` prefers for each variable.
+
+    A copy of the rule the package compiles with: variable v shuffles
+    0..k-1 with `random.Random(seed * 1_000_003 + v.id)`.
+    """
+    prefs = {}
+    for variable in problem.variables:
+        rng = random.Random(seed * 1_000_003 + variable.id)
+        order = list(range(problem.k))
+        rng.shuffle(order)
+        prefs[variable] = tuple(order)
+    return prefs
 
 
 @pytest.fixture(scope="session")

@@ -23,10 +23,13 @@ its Linux runners only, and no test pins it.  pytest does not collect
 this file.
 
 The corpus: the 10 bundled 9x9 puzzles under ltrip/5, ltrip/9 and
-bethe/9; the 288 puzzles of `oracles.exhaustive_4x4_suite` under ltrip
-and bethe at cluster size 4; the 250-region map at damping 0.3 with bias
-seeds 0 and 1; `random_planar_map(8, 8, seed=s)` at damping 0.3 for
-s = 0..9; and undamped `random_planar_map(6, 6, seed=s)` for s = 0..3.
+bethe/9 unbiased, under ltrip/5 and bethe/5 at bias 0.01 and 1, and under
+bethe/3 at bias 1 (easy02's biased attempts all dead-end there, and its
+unbiased rerun decides); the 288 puzzles of
+`oracles.exhaustive_4x4_suite` under ltrip and bethe at cluster size 4;
+the 250-region map at damping 0.3 with bias seeds 0 and 1;
+`random_planar_map(8, 8, seed=s)` at damping 0.3 for s = 0..9; and
+undamped `random_planar_map(6, 6, seed=s)` for s = 0..3.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ from oracles import exhaustive_4x4_suite, grid_text
 
 PUZZLES = sorted((Path(clusterbp.__file__).parent / "data" / "puzzles").glob("*.txt"))
 DAMPED = InferenceOptions(damping=0.3)
+# (topology, cluster size, bias) of the biased puzzle solves.
+BIASED = [
+    (topology, 5, bias) for topology in ("ltrip", "bethe") for bias in (0.01, 1.0)
+] + [("bethe", 3, 1.0)]
 
 
 def corpus():
@@ -53,6 +60,13 @@ def corpus():
             yield (
                 f"{path.stem}/{topology}/{size}",
                 lambda p=problem, t=topology, s=size: solve_problem(p, t, s),
+            )
+        for topology, size, bias in BIASED:
+            yield (
+                f"{path.stem}/{topology}/{size}/bias{bias}",
+                lambda p=problem, t=topology, s=size, b=bias: solve_problem(
+                    p, t, s, bias_delta=b
+                ),
             )
     for index, (puzzle, _) in enumerate(exhaustive_4x4_suite()):
         problem = sudoku_problem(grid_text(puzzle), 4)
