@@ -4,7 +4,6 @@ from clusterbp.coloring import (
     ColoringProblem,
     anchor_largest_clique,
     build_factors,
-    label_preferences,
     maximal_cliques,
     parse_adjacency,
     purged_clusters,
@@ -49,7 +48,6 @@ __all__ = [
     "build_factors",
     "export_dot",
     "kl_divergence",
-    "label_preferences",
     "ltrip",
     "make_variables",
     "maximal_cliques",

@@ -35,17 +35,17 @@ from typing import Sequence
 from clusterbp.coloring import (
     ColoringProblem,
     VerifyReport,
+    _check_bias,
     anchor_largest_clique,
     build_factors,
     format_sudoku,
-    label_preferences,
     maximal_cliques,
     parse_adjacency,
     purged_clusters,
     sudoku_problem,
     verify_coloring,
 )
-from clusterbp.factors import ContradictionError, _is_int, _is_real, uniform_factor
+from clusterbp.factors import ContradictionError, uniform_factor
 from clusterbp.graphs import (
     Cluster,
     ClusterGraph,
@@ -140,12 +140,7 @@ def solve_problem(
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
-    if not _is_real(bias_delta) or not 0.0 <= bias_delta < math.inf:
-        raise ValueError(
-            f"bias_delta must be finite and >= 0, not a bool, got {bias_delta!r}"
-        )
-    if not _is_int(seed):
-        raise ValueError(f"seed must be an int, got {seed!r}")
+    _check_bias(bias_delta, seed)
     started = time.perf_counter()
     cliques = maximal_cliques(problem)
     anchor = anchor_largest_clique(problem, cliques)
@@ -243,12 +238,10 @@ def _compile(
     cliques minus this round's givens, split to `cluster_size`.  Returns
     the state and the number of factor clusters (Bethe hubs not
     counted); with every variable given the graph is empty, and the state
-    converges with no message.  `solve_problem` has checked `topology`
-    and `bias_delta`.
+    converges with no message.  `solve_problem` has checked `topology`.
     """
-    bias = label_preferences(problem, seed) if bias_delta > 0 else None
     items = build_factors(
-        problem, cliques, bias=bias, delta=bias_delta, size=cluster_size
+        problem, cliques, size=cluster_size, bias_delta=bias_delta, seed=seed
     )
     clusters = [cluster for cluster, _ in items]
     tables = [table for _, table in items]

@@ -23,6 +23,7 @@ from clusterbp.factors import (
     SparseTable,
     Variable,
     _is_int,
+    _is_real,
     make_variables,
 )
 from clusterbp.graphs import Cluster
@@ -300,13 +301,24 @@ def format_adjacency(problem: ColoringProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_bias(bias_delta: float, seed: int) -> None:
+    """The one rule for a bias: a finite real strength >= 0 and an int
+    seed, neither a bool; anything else is a ValueError."""
+    if not _is_real(bias_delta) or not 0.0 <= bias_delta < math.inf:
+        raise ValueError(
+            f"bias_delta must be finite and >= 0, not a bool, got {bias_delta!r}"
+        )
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+
+
 def build_factors(
     problem: ColoringProblem,
     cliques: Sequence[Cluster],
-    bias: Mapping[Variable, Sequence[float]] | None = None,
-    delta: float = 0.01,
     *,
     size: int | None = None,
+    bias_delta: float = 0.0,
+    seed: int = 0,
 ) -> list[tuple[Cluster, SparseTable]]:
     """Compile cliques into subset-free all-different tables over domains.
 
@@ -317,17 +329,24 @@ def build_factors(
     the joint unchanged), and an edge whose free ends no one scope holds
     is refused, since the compiled problem would silently drop its
     constraint.  A table's keys are its scope's sorted domains with no
-    label used twice, in lexicographic order.  `bias` optionally assigns
-    each variable a per-label preference, applied once per table that
-    holds it as a multiplicative nudge of 1 + delta * preference —
-    strong enough to break ties after convergence, weak enough to never
-    beat a hard zero.  Before a table's keys are built, their count
-    P(labels its domains hold, scope size) is checked: 0 is a
-    ContradictionError, over MAX_TABLE_ENTRIES a ValueError.  A nudge
-    that is negative, NaN or inf, or nudges whose product is inf, are a
-    ValueError too.  An emptied domain or an empty table is a
-    ContradictionError naming the variable or the clique.
+    label used twice, in lexicographic order.  Before they are built,
+    their count P(labels its domains hold, scope size) is checked: 0 is a
+    ContradictionError, over MAX_TABLE_ENTRIES a ValueError.  An emptied
+    domain or an empty table is a ContradictionError naming the variable
+    or the clique.
+
+    A `bias_delta` that is a bool or not a finite real >= 0, or a `seed`
+    that is not an int, is a ValueError before any other work.  With
+    `bias_delta` > 0, free variable v prefers label x by w = order[x],
+    `order` being 0..k-1 shuffled by `random.Random(seed * 1_000_003 +
+    v.id)`, and a key weighs the product over its scope of 1 + bias_delta
+    * w: enough to break ties after convergence, never enough to beat a
+    hard zero.  Streams are per variable, so neighbours' preferences are
+    uncorrelated and break the label symmetry without fighting the
+    constraints.  A nudge or a product of nudges that overflows is a
+    ValueError.
     """
+    _check_bias(bias_delta, seed)
     clusters = purged_clusters(problem, cliques, size)
     scopes = [cluster.sorted_vars() for cluster in clusters]
     holders: dict[Variable, int] = {}  # variable -> bitmask of its scopes
@@ -352,31 +371,21 @@ def build_factors(
             f"edge {a.name}-{b.name} is not inside any clique; "
             f"the cover is incomplete"
         )
-    nudges: dict[Variable, tuple[float, ...]] = {}
+    nudges: dict[Variable, list[float]] = {}
     for variable, domain in domains.items():
         if not domain:
             raise ContradictionError(
                 f"the givens around {variable.name} take all {problem.k} labels"
             )
-        preference = None if bias is None else bias.get(variable)
-        if preference is None:
-            continue
-        if len(preference) != problem.k:
-            raise ValueError(
-                f"bias for {variable.name} lists {len(preference)} "
-                f"weights; expected {problem.k}"
-            )
-        nudge = tuple(1.0 + delta * w for w in preference)
-        if math.inf in nudge:
-            raise ValueError(
-                f"bias delta {delta} overflows the nudge of "
-                f"{variable.name}; use a smaller bias"
-            )
-        if not all(w >= 0.0 for w in nudge):  # refuses NaN too
-            raise ValueError(
-                f"the nudges of {variable.name}, {nudge}, must be finite and >= 0"
-            )
-        nudges[variable] = nudge
+        if bias_delta:
+            order = list(range(problem.k))
+            random.Random(seed * 1_000_003 + variable.id).shuffle(order)
+            nudges[variable] = [1.0 + bias_delta * w for w in order]
+            if math.inf in nudges[variable]:
+                raise ValueError(
+                    f"bias delta {bias_delta} overflows the nudge of "
+                    f"{variable.name}; use a smaller bias"
+                )
     out: list[tuple[Cluster, SparseTable]] = []
     for cluster, scope in zip(clusters, scopes):
         pooled = set().union(*(domains[v] for v in scope))
@@ -393,25 +402,23 @@ def build_factors(
                 f"split it into smaller clusters"
             )
         keys = _distinct_keys([sorted(domains[v]) for v in scope])
-        weights = [(p, nudges[v]) for p, v in enumerate(scope) if v in nudges]
-        if weights:
-            entries = {}
-            for key in keys:
-                weight = math.prod(w[key[p]] for p, w in weights)
-                if weight == math.inf:
-                    raise ValueError(
-                        f"bias delta {delta} overflows a weight of clique "
-                        f"{{{cluster.label()}}}; use a smaller bias"
-                    )
-                if weight:  # a zero nudge, or underflow, makes no entry
-                    entries[key] = weight
-        else:
-            entries = dict.fromkeys(keys, 1.0)
-        if not entries:
+        if not keys:
             raise ContradictionError(
                 f"clique {{{cluster.label()}}} has no assignment its "
                 f"domains allow"
             )
+        if bias_delta:
+            rows = [nudges[v] for v in scope]
+            entries = {
+                key: math.prod(w[x] for w, x in zip(rows, key)) for key in keys
+            }
+            if math.inf in entries.values():
+                raise ValueError(
+                    f"bias delta {bias_delta} overflows a weight of clique "
+                    f"{{{cluster.label()}}}; use a smaller bias"
+                )
+        else:
+            entries = dict.fromkeys(keys, 1.0)
         table = SparseTable._trusted(scope, (problem.k,) * len(scope), entries)
         out.append((cluster, table))
     return out
@@ -457,25 +464,6 @@ def purged_clusters(
             for variable in scope:
                 holders.setdefault(variable, []).append(i)
     return [clusters[i] for i in sorted(kept)]
-
-
-def label_preferences(
-    problem: ColoringProblem, seed: int = 0
-) -> dict[Variable, tuple[int, ...]]:
-    """A deterministic pseudo-random label preference per variable.
-
-    Each variable gets a permutation of 0..k-1 drawn from its own
-    seeded stream, so preferences are reproducible and uncorrelated
-    across neighbors — which is what lets a slight bias break the label
-    symmetry without fighting the constraints.
-    """
-    prefs: dict[Variable, tuple[int, ...]] = {}
-    for variable in problem.variables:
-        rng = random.Random(seed * 1_000_003 + variable.id)
-        order = list(range(problem.k))
-        rng.shuffle(order)
-        prefs[variable] = tuple(order)
-    return prefs
 
 
 def anchor_largest_clique(

@@ -19,7 +19,6 @@ from clusterbp.coloring import (
     build_factors,
     format_adjacency,
     format_sudoku,
-    label_preferences,
     maximal_cliques,
     parse_adjacency,
     purged_clusters,
@@ -39,6 +38,7 @@ from conftest import (
     SEVEN_REGION_CLIQUES,
     SEVEN_REGION_TEXT,
     all_different,
+    label_preferences,
     neighbours,
     variable_named,
 )
@@ -569,34 +569,38 @@ class TestBuildFactors:
     def test_bias_nudges_without_changing_support(self):
         problem = triangle_problem()
         cliques = maximal_cliques(problem)
-        prefs = {problem.variables[0]: (2, 0, 1)}
         plain = build_factors(problem, cliques)[0][1]
-        nudged = build_factors(problem, cliques, bias=prefs, delta=0.5)[0][1]
-        assert set(nudged) == set(plain)
-        key = (0, 1, 2)  # A=0 gets preference 2 -> factor 1 + 0.5*2
-        assert nudged[key] == pytest.approx(plain[key] * 2.0)
-        other = (1, 0, 2)  # A=1 gets preference 0 -> unchanged
-        assert nudged[other] == pytest.approx(plain[other])
-
-    def test_bias_must_cover_every_label(self):
-        problem = triangle_problem()
-        prefs = {problem.variables[0]: (1, 0)}
-        with pytest.raises(ValueError, match="expected 3"):
-            build_factors(problem, maximal_cliques(problem), bias=prefs)
+        nudged = build_factors(problem, cliques, bias_delta=0.5, seed=4)[0][1]
+        assert list(nudged.entries) == list(plain.entries)
+        # Each variable's label x is nudged by 1 + 0.5 * its preference.
+        prefs = label_preferences(problem, 4)
+        for key in plain:
+            nudge = math.prod(1 + 0.5 * prefs[v][x] for v, x in zip(plain.scope, key))
+            assert nudged[key] == pytest.approx(plain[key] * nudge)
 
     def test_overflowing_nudge_names_the_bias_and_the_variable(self):
+        # 1 + 1e308 * 2 is inf; A is the first variable nudged.
         problem = triangle_problem()
-        prefs = {problem.variables[1]: (0, 2, 1)}
-        message = "bias delta 1e+308 overflows the nudge of B; use a smaller bias"
+        message = "bias delta 1e+308 overflows the nudge of A; use a smaller bias"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build_factors(problem, maximal_cliques(problem), bias=prefs, delta=1e308)
+            build_factors(problem, maximal_cliques(problem), bias_delta=1e308)
 
-    def test_negative_and_nan_nudges_are_still_refused(self):
+    @pytest.mark.parametrize(
+        "bias_delta, seed, message",
+        [
+            (-0.5, 0, "bias_delta must be finite and >= 0"),
+            (math.nan, 0, "bias_delta must be finite and >= 0"),
+            (True, 0, "bias_delta must be finite and >= 0"),
+            (0.01, 1.0, "seed must be an int"),
+            (0.01, True, "seed must be an int"),
+        ],
+    )
+    def test_bias_is_checked(self, bias_delta, seed, message):
         problem = triangle_problem()
-        for weight in (-3.0, math.nan):
-            prefs = {problem.variables[0]: (0, weight, 1)}
-            with pytest.raises(ValueError, match="must be finite and >= 0"):
-                build_factors(problem, maximal_cliques(problem), bias=prefs, delta=1.0)
+        with pytest.raises(ValueError, match=message):
+            build_factors(
+                problem, maximal_cliques(problem), bias_delta=bias_delta, seed=seed
+            )
 
     def test_clique_without_an_assignment_is_a_contradiction(self):
         # Each of C, D and G keeps a label and the three pool {2,3,4}, so
@@ -658,9 +662,9 @@ class TestBuildFactors:
             assert items[0][1] == reference
 
 
-def compile_cover(cover, k=4, givens=None, bias=None, delta=0.01):
+def compile_cover(cover, k=4, givens=None, bias_delta=0.0, seed=0):
     """Compile cliques named by strings over a problem whose edges are
-    exactly the pairs inside them; `givens` and `bias` are keyed by name."""
+    exactly the pairs inside them; `givens` is keyed by name."""
     variables = make_variables(sorted(set("".join(cover))))
     by_name = {v.name: v for v in variables}
     cliques = [Cluster(frozenset(by_name[n] for n in names)) for names in cover]
@@ -675,8 +679,7 @@ def compile_cover(cover, k=4, givens=None, bias=None, delta=0.01):
         k,
         {by_name[n]: x for n, x in (givens or {}).items()},
     )
-    bias = None if bias is None else {by_name[n]: w for n, w in bias.items()}
-    return build_factors(problem, cliques, bias=bias, delta=delta)
+    return build_factors(problem, cliques, bias_delta=bias_delta, seed=seed)
 
 
 def ids_and_scopes(items):
@@ -851,14 +854,12 @@ class TestFoldSubsets:
 
     def test_identical_clusters_merge(self):
         items = compile_cover(
-            ["ABG", "ABH"],
-            givens={"G": 0, "H": 1},
-            bias={"A": (0, 1, 2, 3)},
-            delta=0.5,
+            ["ABG", "ABH"], givens={"G": 0, "H": 1}, bias_delta=0.5
         )
         assert ids_and_scopes(items) == [(0, "A,B")]
-        # the one table holding A applies its nudge once: 1 + 0.5 * 2
-        assert items[0][1].entries == {(2, 3): 2.0, (3, 2): 2.5}
+        # At seed 0, A prefers labels 2 and 3 by 1 and 3, B by 2 and 1; the
+        # one table holding them applies each nudge once.
+        assert items[0][1].entries == {(2, 3): 1.5 * 1.5, (3, 2): 2.5 * 2.0}
 
     def test_chain_of_subsets(self):
         items = compile_cover(["AG", "ABC", "ABH"], givens={"G": 0, "H": 1})
@@ -878,11 +879,12 @@ class TestFoldSubsets:
             assert table == all_different(cluster.sorted_vars(), 4)
 
 
-def clique_by_clique_reference(problem, cliques, bias, delta):
+def clique_by_clique_reference(problem, cliques, delta, seed):
     """The dense joint of one all-different factor per clique, givens
     observed, built from the oracles; only the nudge count comes from the
     package: each free variable's nudge is applied once per
-    `purged_clusters` cluster that holds it."""
+    `purged_clusters` cluster that holds it, with conftest's
+    `label_preferences`."""
     k = problem.k
     factors = []
     for clique in cliques:
@@ -894,25 +896,25 @@ def clique_by_clique_reference(problem, cliques, bias, delta):
             if variable in problem.givens:
                 factor = factor.observe(variable, problem.givens[variable])
         factors.append(factor)
-    if bias is not None:
+    if delta:
+        bias = label_preferences(problem, seed)
         for cluster in purged_clusters(problem, cliques):
             for variable in cluster.vars:
-                if variable in bias:
-                    factors.append(
-                        DenseFactor.from_function(
-                            (variable,),
-                            (k,),
-                            lambda key: 1 + delta * bias[variable][key[0]],
-                        )
+                factors.append(
+                    DenseFactor.from_function(
+                        (variable,),
+                        (k,),
+                        lambda key: 1 + delta * bias[variable][key[0]],
                     )
+                )
     return dense_joint(factors)
 
 
-def assert_joint_matches(problem, cliques, bias, delta):
-    items = build_factors(problem, cliques, bias=bias, delta=delta)
+def assert_joint_matches(problem, cliques, delta, seed):
+    items = build_factors(problem, cliques, bias_delta=delta, seed=seed)
     scopes = [c.vars for c, _ in items]
     assert not any(a < b for a in scopes for b in scopes)
-    reference = clique_by_clique_reference(problem, cliques, bias, delta)
+    reference = clique_by_clique_reference(problem, cliques, delta, seed)
     if not items:
         assert reference.scope == ()
         return
@@ -950,8 +952,7 @@ class TestFoldMatchesDenseOracle:
         cliques = maximal_cliques(problem)
         if size is not None:
             cliques = split_cliques(cliques, size)
-        bias = label_preferences(problem, seed) if delta else None
-        assert_joint_matches(problem, cliques, bias, delta)
+        assert_joint_matches(problem, cliques, delta, seed)
 
     @given(
         st.integers(0, 287),
@@ -966,8 +967,7 @@ class TestFoldMatchesDenseOracle:
         grid = "".join("." if i in blanks else str(d) for i, d in enumerate(full))
         problem = sudoku_problem(grid, n=4)
         cliques = split_cliques(maximal_cliques(problem), 3)
-        bias = label_preferences(problem, seed) if delta else None
-        assert_joint_matches(problem, cliques, bias, delta)
+        assert_joint_matches(problem, cliques, delta, seed)
 
 
 def labels_of_given_neighbours(problem):
@@ -1078,14 +1078,15 @@ def split_with_givens(problem, cliques, size):
     return parts
 
 
-def per_clique_factors(problem, cliques, bias, delta):
+def per_clique_factors(problem, cliques, delta, seed):
     """`build_factors` as it read the givens clique by clique: each free
     member's domain lost the labels of the givens in its cliques, and a
-    one-variable table checked each nudge.  Returns (cluster, scope,
-    entries) per table."""
+    one-variable table checked each nudge of conftest's
+    `label_preferences`.  Returns (cluster, scope, entries) per table."""
     covered = {frozenset(p) for c in cliques for p in itertools.combinations(c.vars, 2)}
     assert problem.edges <= covered
     k = problem.k
+    bias = label_preferences(problem, seed) if delta else None
     domains, nudges = {}, {}
     for clique in cliques:
         members = clique.sorted_vars()
@@ -1160,16 +1161,15 @@ class TestCompileMatchesPerCliqueGivens:
                     givens[variable] = data.draw(st.sampled_from(labels))
         problem = ColoringProblem(problem.variables, problem.edges, 4, givens)
         cliques = maximal_cliques(problem)
-        bias = label_preferences(problem, seed) if delta else None
         try:
             expected = per_clique_factors(
-                problem, split_with_givens(problem, cliques, size), bias, delta
+                problem, split_with_givens(problem, cliques, size), delta, seed
             )
         except ContradictionError:
             with pytest.raises(ContradictionError):
-                build_factors(problem, cliques, bias, delta, size=size)
+                build_factors(problem, cliques, size=size, bias_delta=delta, seed=seed)
             return
-        got = build_factors(problem, cliques, bias, delta, size=size)
+        got = build_factors(problem, cliques, size=size, bias_delta=delta, seed=seed)
         assert [c for c, _ in got] == [c for c, _, _ in expected]
         for (_, table), (_, scope, entries) in zip(got, expected):
             assert table.scope == scope
@@ -1178,22 +1178,38 @@ class TestCompileMatchesPerCliqueGivens:
             ]
 
 
+def drawn_preferences(problem, seed):
+    """Each variable's label preference as `build_factors` draws it.
+
+    Over the problem's variables with no edge, every table holds one
+    variable, and at bias 1 label x weighs 1 + its preference.
+    """
+    bare = ColoringProblem(problem.variables, frozenset(), problem.k)
+    items = build_factors(bare, maximal_cliques(bare), bias_delta=1.0, seed=seed)
+    return {
+        table.scope[0]: tuple(int(table[(x,)]) - 1 for x in range(problem.k))
+        for _, table in items
+    }
+
+
 class TestPreferences:
     def test_each_is_a_label_permutation(self):
         problem = sudoku_problem("." * 16, n=4)
-        prefs = label_preferences(problem, seed=3)
+        prefs = drawn_preferences(problem, seed=3)
         assert set(prefs) == set(problem.variables)
         for order in prefs.values():
             assert sorted(order) == [0, 1, 2, 3]
+        # The copy the reference tests weigh by is the rule compiled.
+        assert prefs == label_preferences(problem, 3)
 
     def test_reproducible_and_seed_sensitive(self):
         problem = parse_adjacency(SEVEN_REGION_TEXT)
-        assert label_preferences(problem, 5) == label_preferences(problem, 5)
-        assert label_preferences(problem, 5) != label_preferences(problem, 6)
+        assert drawn_preferences(problem, 5) == drawn_preferences(problem, 5)
+        assert drawn_preferences(problem, 5) != drawn_preferences(problem, 6)
 
     def test_neighbors_disagree_somewhere(self):
         problem = random_planar_map(5, 5, seed=0)
-        prefs = label_preferences(problem)
+        prefs = drawn_preferences(problem, 0)
         assert len(set(prefs.values())) > 1
 
 
