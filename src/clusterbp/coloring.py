@@ -197,8 +197,8 @@ def sudoku_problem(text: str, n: int = 9) -> ColoringProblem:
     one side share its `Variable` objects and edge frozensets: those are
     identical, not only equal.
     """
-    if n not in (4, 9):
-        raise ValueError(f"grid side must be 4 or 9, got {n}")
+    if not _is_int(n) or n not in (4, 9):
+        raise ValueError(f"grid side must be 4 or 9, got {n!r}")
     cells = "".join(text.split())
     if len(cells) != n * n:
         raise ValueError(f"expected {n * n} cells, got {len(cells)}")
@@ -493,16 +493,21 @@ def anchor_largest_clique(
 def verify_coloring(
     problem: ColoringProblem, assignment: Mapping[Variable, int]
 ) -> VerifyReport:
-    """Check that an assignment colors properly and honors the givens."""
+    """Check that an assignment colors properly and honors the givens.
+
+    A missing variable, or a label that is not an int or lies outside
+    0..k-1, is a ValueError.
+    """
     missing = [v for v in problem.variables if v not in assignment]
     if missing:
         names = ",".join(v.name for v in missing[:5])
         raise ValueError(f"assignment misses {len(missing)} variables ({names}...)")
     for variable in problem.variables:
-        if not 0 <= assignment[variable] < problem.k:
+        label = assignment[variable]
+        if not _is_int(label) or not 0 <= label < problem.k:
             raise ValueError(
-                f"label {assignment[variable]} for {variable.name} outside "
-                f"0..{problem.k - 1}"
+                f"label {label!r} for {variable.name} is not an int or lies "
+                f"outside 0..{problem.k - 1}"
             )
     violated = []
     for edge in problem.edges:
@@ -527,8 +532,8 @@ def random_planar_map(
     probability `diagonal_rate` (direction random).  One diagonal per
     block keeps the graph planar, so four colors always suffice.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
+    if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
+        raise ValueError(f"rows and cols must be ints >= 1, got {rows!r}, {cols!r}")
     rng = random.Random(seed)
     width = len(str(rows * cols - 1)) if rows * cols > 1 else 1
     names = [f"m{str(i).zfill(width)}" for i in range(rows * cols)]

@@ -50,6 +50,8 @@ class Variable(int):
     name: str  # in the instance dict: an int subclass cannot have slots
 
     def __new__(cls, id: int, name: str) -> Variable:
+        if not _is_int(id):
+            raise ValueError(f"variable id must be an int, got {id!r}")
         self = int.__new__(cls, id)
         self.__dict__["name"] = name
         return self
@@ -112,7 +114,7 @@ class SparseTable:
         entries: Mapping[Assignment, float],
     ) -> None:
         scope = tuple(scope)
-        cards = tuple(int(c) for c in cards)
+        cards = tuple(cards)
         if len(scope) != len(cards):
             raise ValueError(
                 f"scope has {len(scope)} variables but {len(cards)} cardinalities"
@@ -120,17 +122,20 @@ class SparseTable:
         if len(set(scope)) != len(scope):
             raise ValueError(f"duplicate variable in scope {scope}")
         for var, card in zip(scope, cards):
-            if card < 1:
-                raise ValueError(f"variable {var} has cardinality {card} < 1")
+            if not _is_int(card) or card < 1:
+                raise ValueError(
+                    f"variable {var} has cardinality {card!r}; it must be an int >= 1"
+                )
         clean: dict[Assignment, float] = {}
         for key, raw in entries.items():
             key = tuple(key)
             if len(key) != len(scope):
                 raise ValueError(f"assignment {key} does not match scope {scope}")
             for coord, (var, card) in zip(key, zip(scope, cards)):
-                if not 0 <= coord < card:
+                if not _is_int(coord) or not 0 <= coord < card:
                     raise ValueError(
-                        f"assignment {key}: value {coord} out of range for {var}"
+                        f"assignment {key}: value {coord!r} is not an int or "
+                        f"out of range for {var}"
                     )
             value = float(raw)
             if not 0.0 <= value < math.inf:
@@ -321,9 +326,10 @@ class SparseTable:
         if var not in self._pos:
             raise ValueError(f"{var} is not in scope {self._scope_names()}")
         pos = self._pos[var]
-        if not 0 <= value < self.cards[pos]:
+        if not _is_int(value) or not 0 <= value < self.cards[pos]:
             raise ValueError(
-                f"value {value} out of range for {var} (cardinality {self.cards[pos]})"
+                f"value {value!r} is not an int or out of range for {var} "
+                f"(cardinality {self.cards[pos]})"
             )
         scope = self.scope[:pos] + self.scope[pos + 1 :]
         cards = self.cards[:pos] + self.cards[pos + 1 :]
@@ -370,9 +376,9 @@ class SparseTable:
 
 def uniform_factor(scope: Sequence[Variable], cards: Sequence[int]) -> SparseTable:
     """The vacuous table: potential 1 for every joint assignment."""
-    ranges = [range(c) for c in cards]
-    entries = {key: 1.0 for key in itertools.product(*ranges)}
-    return SparseTable(scope, cards, entries)
+    table = SparseTable(scope, cards, {})  # checks the scope and cards
+    keys = itertools.product(*map(range, table.cards))
+    return SparseTable._trusted(table.scope, table.cards, dict.fromkeys(keys, 1.0))
 
 
 def kl_divergence(new: SparseTable, old: SparseTable) -> float:

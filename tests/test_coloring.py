@@ -373,6 +373,9 @@ class TestSudoku:
     def test_rejects_odd_grid_side(self):
         with pytest.raises(ValueError, match="must be 4 or 9"):
             sudoku_problem("." * 36, n=6)
+        # A float side is refused even when it equals 4.
+        with pytest.raises(ValueError, match="must be 4 or 9"):
+            sudoku_problem("." * 16, n=4.0)
 
     def test_rejects_contradictory_grid(self):
         with pytest.raises(ContradictionError):
@@ -1300,8 +1303,10 @@ class TestVerify:
     def test_rejects_out_of_range_label(self):
         problem = triangle_problem()
         a, b, c = problem.variables
-        with pytest.raises(ValueError, match="outside 0..2"):
-            verify_coloring(problem, {a: 0, b: 1, c: 3})
+        # A float, even 2.0, or a bool is refused as an out-of-range int is.
+        for label in (3, -1, 0.5, 2.0, True):
+            with pytest.raises(ValueError, match="not an int or lies outside 0..2"):
+                verify_coloring(problem, {a: 0, b: 1, c: label})
 
 
 class TestPlanarMap:
@@ -1341,5 +1346,6 @@ class TestPlanarMap:
         assert names == sorted(names)
 
     def test_rejects_degenerate_shape(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            random_planar_map(0, 3)
+        for rows, cols in ((0, 3), (1.5, 2), (2, True)):
+            with pytest.raises(ValueError, match="must be ints >= 1"):
+                random_planar_map(rows, cols)

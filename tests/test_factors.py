@@ -105,16 +105,20 @@ class TestConstruction:
             SparseTable((A, A), (2, 2), {})
 
     def test_cardinality_must_be_positive(self):
-        with pytest.raises(ValueError, match="cardinality"):
-            SparseTable((A,), (0,), {})
+        for card in (0, 2.5, 2.0, True):
+            with pytest.raises(ValueError, match="cardinality"):
+                SparseTable((A,), (card,), {})
+            with pytest.raises(ValueError, match="cardinality"):
+                uniform_factor((A,), (card,))
 
     def test_assignment_arity_checked(self):
         with pytest.raises(ValueError, match="does not match"):
             SparseTable((A, B), (2, 3), {(0,): 1.0})
 
     def test_assignment_range_checked(self):
-        with pytest.raises(ValueError, match="out of range"):
-            SparseTable((A,), (2,), {(2,): 1.0})
+        for coord in (2, -1, 0.5, True):
+            with pytest.raises(ValueError, match="not an int or out of range"):
+                SparseTable((A,), (2,), {(coord,): 1.0})
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), math.inf])
     def test_negative_and_nan_rejected(self, bad):
@@ -166,6 +170,11 @@ class TestVariable:
         for i in (0, 1, 7, 80, 2**40):
             assert hash(Variable(i, "x")) == i == Variable(i, "x").id
         assert type(Variable(3, "x").id) is int
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+    def test_id_must_be_an_int(self, bad):
+        with pytest.raises(ValueError, match="variable id must be an int"):
+            Variable(bad, "x")
 
     def test_sorted_orders_by_id(self):
         shuffled = [Variable(i, name) for i, name in ((19, "a"), (2, "z"), (7, "m"))]
@@ -356,6 +365,11 @@ class TestOperations:
             t.observe(B, 0)
         with pytest.raises(ValueError, match="out of range"):
             t.observe(A, 2)
+        # A label that is not an int is a bad argument, not a contradiction.
+        for value in (0.5, True):
+            with pytest.raises(ValueError, match="not an int") as info:
+                t.observe(A, value)
+            assert type(info.value) is ValueError
 
     def test_observe_contradiction(self):
         t = SparseTable((A, B), (2, 3), {(0, 1): 1.0})
