@@ -163,11 +163,12 @@ def solve_problem(
                 )
                 build_ms += (time.perf_counter() - started) * 1000.0
                 cluster_count = cluster_count or clusters
+                started = time.perf_counter()
                 try:
                     state.run()
                 finally:
-                    messages += state.stats.messages
-                    infer_ms += state.stats.wall_ms
+                    messages += state.messages
+                    infer_ms += (time.perf_counter() - started) * 1000.0
                 assignment, free = _ranked_decode(work, state.marginals)
                 report = verify_coloring(work, assignment)
                 decoded = assignment, report, state.converged

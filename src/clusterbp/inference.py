@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
@@ -67,12 +66,6 @@ class InferenceOptions:
             raise ValueError(
                 f"damping must lie in [0, 1) and not be a bool, got {damping!r}"
             )
-
-
-@dataclass
-class RunStats:
-    messages: int = 0
-    wall_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -134,7 +127,7 @@ class InferenceState:
         cards: dict[Variable, int] = {}
         self.graph = graph
         self.options = options
-        self.stats = RunStats()
+        self.messages = 0  # sent, refused ones not counted
         self._cards = cards
         # _vals[i]: one value per entry of _factors[i], in entry order.
         self._factors = tuple(factors)
@@ -286,7 +279,7 @@ class InferenceState:
         if not damping and message == stored and self._totals[key] <= len(stored):
             self.residuals[src, dst] = 0.0
             self._push(self._out[dst], 0.0)
-            self.stats.messages += 1
+            self.messages += 1
             return 0.0
         if damping > 0.0:
             # Geometric mixing: message support never exceeds the stored
@@ -339,7 +332,7 @@ class InferenceState:
         self._totals[key] = new_total
         self.residuals[src, dst] = residual
         self._push(self._out[dst], residual)
-        self.stats.messages += 1
+        self.messages += 1
         return residual
 
     @property
@@ -376,27 +369,22 @@ class InferenceState:
         Exhausting the message budget is not an error: the state comes
         back with `converged` False and whatever the beliefs hold.  So
         does a message whose quotient leaves the float range.
-        Contradictions (a message emptying a belief) do raise, and the
-        time spent until then still counts in `stats.wall_ms`.  A refused
+        Contradictions (a message emptying a belief) do raise.  A refused
         message changes nothing and is queued again at its priority.
         """
         budget = self.options.max_messages
-        started = time.perf_counter()
-        try:
-            while self.stats.messages < budget and self._loud():
-                entry = heapq.heappop(self._heap)
-                edge = entry[2]
-                del self._queued[edge]
-                try:
-                    self.pass_message(*edge)
-                except ZeroDivisionError:
-                    self._push([edge], -entry[0])
-                    break  # the beliefs left the float range; stop unconverged
-                except ContradictionError:
-                    self._push([edge], -entry[0])
-                    raise
-        finally:
-            self.stats.wall_ms += (time.perf_counter() - started) * 1e3
+        while self.messages < budget and self._loud():
+            entry = heapq.heappop(self._heap)
+            edge = entry[2]
+            del self._queued[edge]
+            try:
+                self.pass_message(*edge)
+            except ZeroDivisionError:
+                self._push([edge], -entry[0])
+                break  # the beliefs left the float range; stop unconverged
+            except ContradictionError:
+                self._push([edge], -entry[0])
+                raise
         return self
 
     @property

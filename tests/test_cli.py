@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -519,21 +520,41 @@ class TestColorMap:
 
     def test_dead_ended_rounds_count(self, monkeypatch):
         # A round of the first attempt dead-ends; the messages it sent
-        # before the contradiction still count in the total.
+        # and the time it ran before the contradiction still count in the
+        # totals.  Each run's own span nests inside the one solve_problem
+        # times, so the spans, summed in the same order, cannot exceed it.
         returned = []
+        spans = []  # (milliseconds, whether the run raised)
         pass_message = InferenceState.pass_message
+        run = InferenceState.run
 
         def counting(state, src, dst):
             residual = pass_message(state, src, dst)
             returned.append(residual)
             return residual
 
+        def timed(state):
+            started = time.perf_counter()
+            raised = True
+            try:
+                run(state)
+                raised = False
+            finally:
+                spans.append(((time.perf_counter() - started) * 1000.0, raised))
+            return state
+
         monkeypatch.setattr(InferenceState, "pass_message", counting)
+        monkeypatch.setattr(InferenceState, "run", timed)
         problem = dataclasses.replace(random_planar_map(5, 7, seed=26), k=3)
         outcome = color_problem(
             problem, options=InferenceOptions(damping=0.3, max_messages=20_000)
         )
         assert outcome.messages == len(returned)
+        assert any(raised for _, raised in spans)
+        total = 0.0
+        for span, _ in spans:
+            total += span
+        assert outcome.infer_ms >= total > 0.0
 
     def test_bias_is_checked_before_anchoring(self, tmp_path, capsys):
         # K4 cannot take three labels, so anchoring would raise

@@ -213,7 +213,7 @@ def assert_the_empty_graph(graph):
     # Nothing to infer: a state over it converges with no message.
     assert graph == ClusterGraph((), ())
     state = InferenceState(graph, []).run()
-    assert state.converged and state.stats.messages == 0
+    assert state.converged and state.messages == 0
     assert state.marginals == {}
 
 

@@ -302,7 +302,7 @@ def snapshot(state):
         [entries(t) for t in state.beliefs],
         {key: entries(t) for key, t in state.sepset_beliefs.items()},
         dict(state.residuals),
-        state.stats.messages,
+        state.messages,
     )
 
 
