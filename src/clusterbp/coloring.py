@@ -522,18 +522,19 @@ def verify_coloring(
     return VerifyReport(tuple(sorted(violated)), tuple(mismatched))
 
 
-def random_planar_map(
-    rows: int, cols: int, seed: int = 0, diagonal_rate: float = 0.5
-) -> ColoringProblem:
+def random_planar_map(rows: int, cols: int, seed: int = 0) -> ColoringProblem:
     """A synthetic planar adjacency: a grid with random diagonal braces.
 
     Regions tile a rows×cols grid; every region borders its right and
     down neighbors, and each interior 2×2 block gets one diagonal with
-    probability `diagonal_rate` (direction random).  One diagonal per
-    block keeps the graph planar, so four colors always suffice.
+    probability 1/2 (direction random).  One diagonal per block keeps
+    the graph planar, so four colors always suffice.  `seed` is an int,
+    not a bool.
     """
     if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
         raise ValueError(f"rows and cols must be ints >= 1, got {rows!r}, {cols!r}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     rng = random.Random(seed)
     width = len(str(rows * cols - 1)) if rows * cols > 1 else 1
     names = [f"m{str(i).zfill(width)}" for i in range(rows * cols)]
@@ -551,7 +552,7 @@ def random_planar_map(
                 edges.add(frozenset({at(r, c), at(r + 1, c)}))
     for r in range(rows - 1):
         for c in range(cols - 1):
-            if rng.random() < diagonal_rate:
+            if rng.random() < 0.5:
                 if rng.random() < 0.5:
                     edges.add(frozenset({at(r, c), at(r + 1, c + 1)}))
                 else:

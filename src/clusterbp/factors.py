@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 Semiring = Literal["sum", "max"]
@@ -102,7 +103,8 @@ class SparseTable:
 
     `entries` maps full assignment tuples (one coordinate per scope
     variable, in scope order) to strictly positive floats.  Anything not
-    in `entries` has potential zero.
+    in `entries` has potential zero.  The constructor takes any finite
+    real >= 0 that is not a bool, stores it as a float, and drops zeros.
     """
 
     __slots__ = ("scope", "cards", "entries", "_pos")
@@ -137,11 +139,13 @@ class SparseTable:
                         f"assignment {key}: value {coord!r} is not an int or "
                         f"out of range for {var}"
                     )
-            value = float(raw)
-            if not 0.0 <= value < math.inf:
+            # An int past the float range fails the bound, not float().
+            if not (_is_real(raw) and 0 <= raw <= sys.float_info.max):
                 raise ValueError(
-                    f"potential for {key} is {raw!r}; must be finite and >= 0"
+                    f"potential for {key} is {raw!r}; must be a finite real "
+                    f">= 0, not a bool"
                 )
+            value = float(raw)
             if value > 0.0:
                 clean[key] = value
         self.scope = scope

@@ -1309,6 +1309,27 @@ class TestVerify:
                 verify_coloring(problem, {a: 0, b: 1, c: label})
 
 
+def grid_and_diagonals(problem, cols):
+    """Split a planar map's edges into grid edges and diagonals by block.
+
+    Fails unless every edge joins grid neighbours or the opposite corners
+    of one 2x2 block.  Returns the grid edge count and each braced block
+    (its top-left corner) with its diagonal count.
+    """
+    at = {v: divmod(i, cols) for i, v in enumerate(problem.variables)}
+    grid, blocks = 0, {}
+    for edge in problem.edges:
+        (r1, c1), (r2, c2) = sorted(at[v] for v in edge)
+        dr, dc = r2 - r1, abs(c2 - c1)
+        if dr + dc == 1:
+            grid += 1
+        else:
+            assert dr == dc == 1, f"{sorted(edge)} is neither"
+            corner = (r1, min(c1, c2))
+            blocks[corner] = blocks.get(corner, 0) + 1
+    return grid, blocks
+
+
 class TestPlanarMap:
     def test_deterministic_per_seed(self):
         one = random_planar_map(6, 4, seed=11)
@@ -1317,13 +1338,20 @@ class TestPlanarMap:
         assert one.edges != random_planar_map(6, 4, seed=12).edges
 
     def test_grid_without_diagonals(self):
-        grid = random_planar_map(3, 5, seed=0, diagonal_rate=0.0)
+        # Every map holds its whole grid; one row or column has no 2x2
+        # block, so no diagonal either.
+        grid = random_planar_map(3, 5, seed=0)
         assert len(grid.variables) == 15
-        assert len(grid.edges) == 3 * 4 + 2 * 5  # right + down neighbors
+        assert grid_and_diagonals(grid, 5)[0] == 3 * 4 + 2 * 5  # right + down
+        for rows, cols in ((1, 5), (5, 1)):
+            line = random_planar_map(rows, cols, seed=0)
+            assert grid_and_diagonals(line, cols) == (4, {})
 
     def test_one_diagonal_per_block_caps_cliques(self):
-        dense = random_planar_map(6, 6, seed=1, diagonal_rate=1.0)
-        assert len(dense.edges) == 2 * 6 * 5 + 25
+        dense = random_planar_map(6, 6, seed=1)
+        grid, blocks = grid_and_diagonals(dense, 6)
+        assert grid == 2 * 6 * 5
+        assert blocks and set(blocks.values()) == {1}
         assert max(len(c.vars) for c in maximal_cliques(dense)) == 3
 
     def test_small_maps_are_four_colorable(self):
@@ -1349,3 +1377,7 @@ class TestPlanarMap:
         for rows, cols in ((0, 3), (1.5, 2), (2, True)):
             with pytest.raises(ValueError, match="must be ints >= 1"):
                 random_planar_map(rows, cols)
+        # A seed is an int, not a bool (True would give seed 1's map).
+        for seed in ("a", 1.5, True):
+            with pytest.raises(ValueError, match="seed must be an int"):
+                random_planar_map(2, 2, seed=seed)

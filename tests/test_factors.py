@@ -120,9 +120,21 @@ class TestConstruction:
             with pytest.raises(ValueError, match="not an int or out of range"):
                 SparseTable((A,), (2,), {(coord,): 1.0})
 
-    @pytest.mark.parametrize("bad", [-1.0, float("nan"), math.inf])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            -1.0,
+            float("nan"),
+            math.inf,
+            "2.5",
+            True,
+            None,
+            pytest.param(10**400, id="10**400"),
+        ],
+    )
     def test_negative_and_nan_rejected(self, bad):
-        with pytest.raises(ValueError):
+        # Not a real number, a bool, or past the float range: all refused.
+        with pytest.raises(ValueError, match="potential"):
             SparseTable((A,), (2,), {(0,): bad})
 
     def test_empty_scope_scalar_table(self):

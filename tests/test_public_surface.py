@@ -1,18 +1,26 @@
-"""Every name the package exports has a caller outside the tests.
+"""Every name the package exports, and every option it offers, has a caller.
 
 A name counts as used when it appears as a word in the package's own
 modules (its `def` or `class` line and `__init__.py` not counted), in the
 README, in the benchmark's scripts or in the CI workflows.  An export
 that only tests reach is surface nothing needs.  `__version__` is
 metadata that tools read, not a call, so dunder names are not checked.
+
+Likewise each defaulted parameter of an exported function, and of the
+pipeline's `solve_problem` and `color_problem`, must be passed by some
+call in the package or the benchmark: an option only tests set is an
+option nothing needs.
 """
 
+import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import clusterbp
+from clusterbp.cli import color_problem, solve_problem
 
 REPO = Path(__file__).resolve().parents[1]
 OUTSIDE = [
@@ -33,3 +41,51 @@ def test_every_export_has_a_caller_outside_the_tests(name):
     assert any(
         word.search(line) and not definition.match(line) for line in LINES
     ), f"{name} is exported, but only tests use it"
+
+
+FUNCTIONS = {
+    **{
+        name: value
+        for name, value in vars(clusterbp).items()
+        if name in clusterbp.__all__ and inspect.isfunction(value)
+    },
+    "solve_problem": solve_problem,
+    "color_problem": color_problem,
+}
+CALLS = [
+    node
+    for path in [
+        *sorted(REPO.glob("src/clusterbp/*.py")),
+        *sorted(REPO.glob("perfbench/*.py")),
+    ]
+    for node in ast.walk(ast.parse(path.read_text()))
+    if isinstance(node, ast.Call)
+]
+
+
+def called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+@pytest.mark.parametrize(
+    "function, parameter",
+    [
+        (name, parameter.name)
+        for name, function in FUNCTIONS.items()
+        for parameter in inspect.signature(function).parameters.values()
+        if parameter.default is not inspect.Parameter.empty
+    ],
+)
+def test_every_option_is_passed_outside_the_tests(function, parameter):
+    position = list(inspect.signature(FUNCTIONS[function]).parameters).index(parameter)
+    # Only parameters before the keyword-only ones can be passed by position.
+    positional = FUNCTIONS[function].__code__.co_argcount
+    assert any(
+        called_name(call) == function
+        and (
+            any(keyword.arg == parameter for keyword in call.keywords)
+            or position < min(len(call.args), positional)
+        )
+        for call in CALLS
+    ), f"{function}({parameter}=) has a default, but only tests pass it"
