@@ -54,7 +54,7 @@ from clusterbp.graphs import (
     ltrip,
     validate_rip,
 )
-from clusterbp.inference import InferenceOptions, InferenceState
+from clusterbp.inference import InferenceOptions, InferenceState, _checked_options
 
 log = logging.getLogger("clusterbp")
 
@@ -115,8 +115,8 @@ def solve_problem(
 ) -> SolveOutcome:
     """Cliques, then rounds of split, compile, run, decode and verify.
 
-    A bad `topology`, `bias_delta` (a finite real >= 0, not a bool) or
-    `seed` (an int, not a bool) is a ValueError before any other work.
+    A bad `topology`, `options`, `bias_delta` (a finite real >= 0, not a
+    bool) or `seed` (an int, not a bool) is a ValueError before any work.
     Each round's clusters are `purged_clusters(work, cliques,
     cluster_size)`: what its givens leave of the cliques, split so
     `cluster_size` bounds every table's scope.
@@ -141,6 +141,7 @@ def solve_problem(
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; pick from {TOPOLOGIES}")
     _check_bias(bias_delta, seed)
+    options = _checked_options(options)
     started = time.perf_counter()
     cliques = maximal_cliques(problem)
     anchor = anchor_largest_clique(problem, cliques)
@@ -210,7 +211,7 @@ def color_problem(
     """
     return solve_problem(
         problem,
-        options=options or InferenceOptions(damping=MAP_DAMPING),
+        options=InferenceOptions(damping=MAP_DAMPING) if options is None else options,
         bias_delta=bias_delta,
         seed=seed,
     )
@@ -229,7 +230,7 @@ def _compile(
     cliques: list[Cluster],
     topology: str,
     cluster_size: int | None,
-    options: InferenceOptions | None,
+    options: InferenceOptions,
     bias_delta: float,
     seed: int,
 ) -> tuple[InferenceState, int]:

@@ -53,6 +53,8 @@ class Variable(int):
     def __new__(cls, id: int, name: str) -> Variable:
         if not _is_int(id):
             raise ValueError(f"variable id must be an int, got {id!r}")
+        if not isinstance(name, str):
+            raise ValueError(f"variable name must be a str, got {name!r}")
         self = int.__new__(cls, id)
         self.__dict__["name"] = name
         return self

@@ -43,9 +43,8 @@ class Cluster:
 class Sepset:
     """An edge of a cluster graph: two cluster positions and shared variables.
 
-    Endpoints are normalized to (low, high).  An empty variable set is
-    representable — `validate_rip` reports it and `InferenceState`
-    refuses it — but never built here.
+    Endpoints are normalized to (low, high), and the variable set must
+    not be empty: no message can travel over an empty sepset.
     """
 
     clusters: tuple[int, int]
@@ -57,6 +56,8 @@ class Sepset:
             raise ValueError(f"sepset endpoints must differ, got ({i}, {j})")
         object.__setattr__(self, "clusters", (min(i, j), max(i, j)))
         object.__setattr__(self, "vars", frozenset(self.vars))
+        if not self.vars:
+            raise ValueError(f"sepset {self.clusters} carries no variable")
 
     def label(self) -> str:
         return ",".join(v.name for v in sorted(self.vars))
@@ -72,9 +73,9 @@ class ClusterGraph:
     The two fields are the whole record: a cluster is numbered by its
     position in `clusters`, its neighbours are the other ends of the
     sepsets that name it, and no neighbour list is kept beside them.
-    It does not record which builder made it.  Construction enforces
-    only structural sanity (endpoints in range, no duplicate edges) so
-    that deliberately broken graphs can be handed to `validate_rip`.
+    It does not record which builder made it.  Construction refuses an
+    endpoint out of range, a second sepset between the same clusters and
+    a sepset variable that an endpoint lacks; `validate_rip` checks RIP.
     """
 
     clusters: tuple[Cluster, ...]
@@ -91,6 +92,14 @@ class ClusterGraph:
             if sepset.clusters in seen:
                 raise ValueError(f"duplicate sepset between clusters {i} and {j}")
             seen.add(sepset.clusters)
+            for end in sepset.clusters:
+                cluster = self.clusters[end]
+                if not sepset.vars <= cluster.vars:
+                    raise ValueError(
+                        f"sepset {sepset.clusters} carries "
+                        f"{min(sepset.vars - cluster.vars)}, but cluster {end} "
+                        f"covers only {{{cluster.label()}}}"
+                    )
 
     def variables(self) -> tuple[Variable, ...]:
         return tuple(sorted({v for c in self.clusters for v in c.vars}))
@@ -215,31 +224,19 @@ def validate_rip(graph: ClusterGraph) -> RipReport:
     """Check the running-intersection property from first principles.
 
     For every variable, the sepset edges carrying it must form a tree
-    spanning exactly the clusters that contain it; sepsets must also be
-    non-empty and contained in both endpoints.  Judges only the finished
-    graph — never how it was built — so it serves as an independent
-    check on any construction.
+    spanning exactly the clusters that contain it.  That each sepset is
+    non-empty and held by both endpoints, `ClusterGraph` already checked.
+    Judges only the finished graph — never how it was built — so it
+    serves as an independent check on any construction.
     """
     holders: dict[Variable, set[int]] = {}
     for i, cluster in enumerate(graph.clusters):
         for variable in cluster.vars:
             holders.setdefault(variable, set()).add(i)
-    # Per variable, the sepset edges carrying it between two holders.
     carried: dict[Variable, list[tuple[int, int]]] = {v: [] for v in holders}
     violations: list[str] = []
     for sepset in graph.sepsets:
-        i, j = sepset.clusters
-        if not sepset.vars:
-            violations.append(f"sepset ({i},{j}) is empty")
-            continue
-        shared = graph.clusters[i].vars & graph.clusters[j].vars
-        stray = sepset.vars - shared
-        if stray:
-            names = ",".join(v.name for v in sorted(stray))
-            violations.append(
-                f"sepset ({i},{j}) carries {{{names}}} not shared by both endpoints"
-            )
-        for variable in sepset.vars & shared:
+        for variable in sepset.vars:
             carried[variable].append(sepset.clusters)
     for variable in sorted(holders):
         held, edges = holders[variable], carried[variable]

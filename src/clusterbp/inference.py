@@ -41,6 +41,8 @@ DirectedEdge = tuple[int, int]
 
 # The residual below which a directed edge counts as settled.
 THRESHOLD = 1e-8
+# The largest edge divergence a calibrated state shows.
+CALIBRATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,11 +70,17 @@ class InferenceOptions:
             )
 
 
+def _checked_options(options: InferenceOptions | None) -> InferenceOptions:
+    """`options`, or the defaults for None; anything else is a ValueError."""
+    if options is not None and not isinstance(options, InferenceOptions):
+        raise ValueError(f"options must be InferenceOptions or None, got {options!r}")
+    return InferenceOptions() if options is None else options
+
+
 @dataclass(frozen=True)
 class CalibrationReport:
     """Pairwise sepset-marginal agreement across every edge."""
 
-    tol: float
     per_edge: dict[tuple[int, int], float]
 
     @property
@@ -81,7 +89,7 @@ class CalibrationReport:
 
     @property
     def calibrated(self) -> bool:
-        return self.max_divergence <= self.tol
+        return self.max_divergence <= CALIBRATION_TOL
 
 
 class InferenceState:
@@ -90,7 +98,8 @@ class InferenceState:
     Construction performs the setup: cluster beliefs start as the given
     factors divided by their largest value, sepset beliefs start
     vacuous, and every directed edge is queued at infinite residual.
-    Each cluster and each sepset is checked in the pass that records it.
+    `options` None means the defaults.  Each factor is checked against its
+    cluster in the pass that records it; the graph checked its sepsets.
     A cluster's neighbours are the keys of its cell index, and its
     outgoing edges are queued in ascending neighbour order, whatever
     order the graph lists its sepsets in.
@@ -118,7 +127,7 @@ class InferenceState:
         factors: Sequence[SparseTable],
         options: InferenceOptions | None = None,
     ) -> None:
-        options = options or InferenceOptions()
+        options = _checked_options(options)
         if len(factors) != len(graph.clusters):
             raise ValueError(
                 f"{len(graph.clusters)} clusters need {len(graph.clusters)} "
@@ -161,16 +170,6 @@ class InferenceState:
         # count of its dense cells, reached or not.
         self._totals: dict[tuple[int, int], float] = {}
         for sepset in graph.sepsets:
-            if not sepset.vars:
-                raise ValueError(f"sepset {sepset.clusters} carries no variable")
-            for end in sepset.clusters:
-                cluster = graph.clusters[end]
-                outside = sorted(sepset.vars - cluster.vars)
-                if outside:
-                    raise ValueError(
-                        f"sepset {sepset.clusters} carries {outside[0]}, but "
-                        f"cluster {end} covers only {{{cluster.label()}}}"
-                    )
             key = sepset.clusters
             scope = tuple(sorted(sepset.vars))
             ends = []
@@ -406,11 +405,11 @@ class InferenceState:
         """Each variable's argmax label, ties to the lowest."""
         return {v: marginal.argmax()[0] for v, marginal in self.marginals.items()}
 
-    def check_calibration(self, tol: float = 1e-9) -> CalibrationReport:
+    def check_calibration(self) -> CalibrationReport:
         """How far each edge's two endpoint marginals are from agreeing.
 
         After convergence on a tree the divergences are zero; on loopy
-        graphs they measure the remaining inconsistency.
+        graphs they measure what is left; calibrated means none tops CALIBRATION_TOL.
         """
         per_edge: dict[tuple[int, int], float] = {}
         beliefs = self.beliefs
@@ -424,4 +423,4 @@ class InferenceState:
                 per_edge[key] = max(
                     kl_divergence(from_i, from_j), kl_divergence(from_j, from_i)
                 )
-        return CalibrationReport(tol=tol, per_edge=per_edge)
+        return CalibrationReport(per_edge=per_edge)

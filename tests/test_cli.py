@@ -883,6 +883,23 @@ def test_library_rejects_a_seed_that_is_not_an_int(run, seed):
         run(problem, bias_delta=0.1, seed=seed)
 
 
+@pytest.mark.parametrize("run", [solve_problem, color_problem])
+@pytest.mark.parametrize("options", [{}, 0, True, {"damping": 0.5}])
+def test_library_rejects_options_that_are_not_inference_options(
+    run, options, monkeypatch
+):
+    # {} and 0 once ran with the defaults, and True or a dict raised
+    # AttributeError from the kernel after the cliques were built.
+    def no_cliques(problem):
+        raise AssertionError("options are checked before the cliques")
+
+    monkeypatch.setattr(clusterbp.cli, "maximal_cliques", no_cliques)
+    got = re.escape(repr(options))
+    message = f"^options must be InferenceOptions or None, got {got}$"
+    with pytest.raises(ValueError, match=message):
+        run(parse_adjacency(SEVEN_REGION_TEXT), options=options)
+
+
 def test_color_problem_damps_by_default(monkeypatch):
     # `color-map` and the library call run at one damping.
     dampings = []

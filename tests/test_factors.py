@@ -188,6 +188,14 @@ class TestVariable:
         with pytest.raises(ValueError, match="variable id must be an int"):
             Variable(bad, "x")
 
+    @pytest.mark.parametrize("bad", [1, None, b"x"])
+    def test_name_must_be_a_str(self, bad):
+        # make_variables([1, 2]) once built variables whose str() raised.
+        with pytest.raises(ValueError, match="variable name must be a str"):
+            Variable(0, bad)
+        with pytest.raises(ValueError, match="variable name must be a str"):
+            make_variables([bad])
+
     def test_sorted_orders_by_id(self):
         shuffled = [Variable(i, name) for i, name in ((19, "a"), (2, "z"), (7, "m"))]
         assert [v.id for v in sorted(shuffled)] == [2, 7, 19]

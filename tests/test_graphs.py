@@ -20,7 +20,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import clusterbp
@@ -364,19 +364,15 @@ class TestRipValidation:
         assert any("A" in v for v in report.violations)
 
     def test_empty_sepset_is_reported(self):
-        graph = ClusterGraph(
-            (cl("AB"), cl("AC")),
-            (Sepset((0, 1), frozenset()), ),
-        )
-        assert any("empty" in v for v in validate_rip(graph).violations)
+        # Refused when built, so no graph that `validate_rip` sees holds one.
+        with pytest.raises(ValueError, match=r"sepset \(0, 1\) carries no variable"):
+            ClusterGraph((cl("AB"), cl("AC")), (Sepset((0, 1), frozenset()),))
 
     def test_stray_sepset_variable_is_reported(self):
-        graph = ClusterGraph(
-            (cl("AB"), cl("AC")),
-            (Sepset((0, 1), frozenset({A, B})),),
-        )
-        report = validate_rip(graph)
-        assert any("not shared" in v for v in report.violations)
+        # Refused when built, so `validate_rip` checks only the trees.
+        match = r"sepset \(0, 1\) carries B, but cluster 1 covers only \{A,C\}"
+        with pytest.raises(ValueError, match=match):
+            ClusterGraph((cl("AB"), cl("AC")), (Sepset((0, 1), frozenset({A, B})),))
 
     def test_random_layered_graphs_satisfy_rip(self):
         rng = random.Random(424242)
@@ -402,30 +398,45 @@ class TestRipValidation:
         graph = data.draw(rip_graphs())
         assert validate_rip(graph) == per_variable_scan(graph)
 
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_construction_refuses_empty_and_stray_sepsets(self, data):
+        # The edits `rip_graphs` no longer makes: a sepset emptied, or one
+        # carrying a variable that an endpoint lacks, put between two
+        # clusters of a drawn graph in place of whatever joined them.
+        graph = data.draw(rip_graphs())
+        pairs = list(itertools.combinations(range(len(graph.clusters)), 2))
+        assume(pairs)
+        i, j = data.draw(st.sampled_from(pairs))
+        others = tuple(s for s in graph.sepsets if s.clusters != (i, j))
+        if data.draw(st.booleans()):
+            empty = rf"sepset \({i}, {j}\) carries no variable"
+            with pytest.raises(ValueError, match=empty):
+                ClusterGraph(graph.clusters, (*others, Sepset((i, j), frozenset())))
+            return
+        shared = graph.clusters[i].vars & graph.clusters[j].vars
+        stray = data.draw(st.sampled_from(sorted(set(VARS) - shared)))
+        carried = data.draw(st.frozensets(st.sampled_from(VARS))) | {stray}
+        end = i if not carried <= graph.clusters[i].vars else j
+        cluster = graph.clusters[end]
+        message = (
+            f"sepset ({i}, {j}) carries {min(carried - cluster.vars).name}, "
+            f"but cluster {end} covers only {{{cluster.label()}}}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ClusterGraph(graph.clusters, (*others, Sepset((i, j), carried)))
+
 
 def per_variable_scan(graph):
     """`validate_rip` as it was first written: every cluster and every
     sepset scanned once per variable.  The reference for the indexed check.
+    A graph holds only sepsets its endpoints share, so each carrying edge
+    joins two holders.
     """
     violations = []
-    for sepset in graph.sepsets:
-        i, j = sepset.clusters
-        if not sepset.vars:
-            violations.append(f"sepset ({i},{j}) is empty")
-            continue
-        stray = sepset.vars - (graph.clusters[i].vars & graph.clusters[j].vars)
-        if stray:
-            names = ",".join(v.name for v in sorted(stray))
-            violations.append(
-                f"sepset ({i},{j}) carries {{{names}}} not shared by both endpoints"
-            )
     for variable in graph.variables():
         holders = {i for i, c in enumerate(graph.clusters) if variable in c.vars}
-        edges = [
-            s.clusters
-            for s in graph.sepsets
-            if variable in s.vars and s.clusters[0] in holders and s.clusters[1] in holders
-        ]
+        edges = [s.clusters for s in graph.sepsets if variable in s.vars]
         if len(edges) != len(holders) - 1:
             violations.append(
                 f"variable {variable.name}: {len(holders)} clusters hold it but "
@@ -458,13 +469,13 @@ def connected(nodes, edges):
 
 @st.composite
 def rip_graphs(draw):
-    """Cluster graphs over A..G, valid and broken.
+    """Cluster graphs over A..G, with or without the running intersection.
 
     Either the layered or Bethe graph of drawn clusters, with some of
-    its sepsets dropped, emptied or widened, or drawn clusters joined by
-    drawn sepsets.  Widened and drawn sepsets may carry variables an
-    endpoint lacks or no cluster holds; dropped edges disconnect a
-    layer, added ones close cycles.
+    its sepsets dropped or widened, or drawn clusters joined by drawn
+    sepsets.  Every sepset is a non-empty subset of the variables its
+    endpoints share, as `ClusterGraph` demands; dropped edges disconnect
+    a layer, widened and added ones close cycles.
     """
     names = st.frozensets(st.sampled_from(VARS), min_size=1, max_size=5)
     scopes = draw(st.lists(names, min_size=1, max_size=7, unique=True))
@@ -474,11 +485,11 @@ def rip_graphs(draw):
         clusters = list(built.clusters)
         sepsets = []
         for sepset in built.sepsets:
-            edit = draw(st.sampled_from(["keep", "keep", "drop", "empty", "widen"]))
-            if edit == "empty":
-                sepset = Sepset(sepset.clusters, frozenset())
-            elif edit == "widen":
-                sepset = Sepset(sepset.clusters, sepset.vars | {draw(st.sampled_from(VARS))})
+            edit = draw(st.sampled_from(["keep", "keep", "drop", "widen"]))
+            if edit == "widen":
+                i, j = sepset.clusters
+                shared = sorted(clusters[i].vars & clusters[j].vars)
+                sepset = Sepset(sepset.clusters, sepset.vars | {draw(st.sampled_from(shared))})
             if edit != "drop":
                 sepsets.append(sepset)
     else:
@@ -487,10 +498,9 @@ def rip_graphs(draw):
         sepsets = []
         for i, j in chosen:
             shared = sorted(clusters[i].vars & clusters[j].vars)
-            carried = draw(st.frozensets(st.sampled_from(shared))) if shared else frozenset()
-            if draw(st.booleans()):
-                carried |= draw(st.frozensets(st.sampled_from(VARS), max_size=2))
-            sepsets.append(Sepset((i, j), carried))
+            if shared:
+                carried = draw(st.frozensets(st.sampled_from(shared), min_size=1))
+                sepsets.append(Sepset((i, j), carried))
     return ClusterGraph(tuple(clusters), tuple(sepsets))
 
 

@@ -25,9 +25,11 @@ Covers:
 * easy01 split at size 5 under ltrip, whose clusters keep every row of
   their factors, zero or not, to the end of the run
 * marginals after every replayed run
-* the setup check on sepset variables, and a failed message (a
-  contradiction, or a quotient that overflows) leaving the state
-  untouched, and a re-run stopping at a refused edge again
+* a sepset variable outside an endpoint, refused when the graph is
+  built, so the kernel's setup holds no check of its own
+* a failed message (a contradiction, or a quotient that overflows)
+  leaving the state untouched, and a re-run stopping at a refused edge
+  again
 """
 
 from __future__ import annotations
@@ -287,14 +289,13 @@ def test_rows_stay_the_factor_entries():
 
 
 def test_sepset_variable_outside_an_endpoint():
+    # Refused when the graph is built, so the kernel never sets one up.
     a, b, c = make_variables("ABC")
-    graph = ClusterGraph(
-        (Cluster(frozenset({a, b})), Cluster(frozenset({b, c}))),
-        (Sepset((0, 1), frozenset({a, b})),),
-    )
-    factors = [uniform_factor((a, b), (2, 2)), uniform_factor((b, c), (2, 2))]
     with pytest.raises(ValueError, match="carries A, but cluster 1 covers only"):
-        InferenceState(graph, factors)
+        ClusterGraph(
+            (Cluster(frozenset({a, b})), Cluster(frozenset({b, c}))),
+            (Sepset((0, 1), frozenset({a, b})),),
+        )
 
 
 def snapshot(state):

@@ -6,10 +6,11 @@ README, in the benchmark's scripts or in the CI workflows.  An export
 that only tests reach is surface nothing needs.  `__version__` is
 metadata that tools read, not a call, so dunder names are not checked.
 
-Likewise each defaulted parameter of an exported function, and of the
-pipeline's `solve_problem` and `color_problem`, must be passed by some
-call in the package or the benchmark: an option only tests set is an
-option nothing needs.
+Likewise each defaulted parameter of an exported function, of the
+pipeline's `solve_problem` and `color_problem`, and of the constructor
+and public methods of an exported class, must be passed by some call in
+the package or the benchmark: an option only tests set is an option
+nothing needs.
 """
 
 import ast
@@ -52,6 +53,28 @@ FUNCTIONS = {
     "solve_problem": solve_problem,
     "color_problem": color_problem,
 }
+CLASSES = {
+    name: value
+    for name, value in vars(clusterbp).items()
+    if name in clusterbp.__all__ and inspect.isclass(value)
+}
+# label -> (the name a call spells, the function, how many leading
+# parameters, `self` or `cls`, no call passes).
+CALLABLES = {
+    **{name: (name, function, 0) for name, function in FUNCTIONS.items()},
+    **{
+        name: (name, getattr(cls, attr), 1)
+        for name, cls in CLASSES.items()
+        for attr in ("__init__", "__new__")
+        if attr in vars(cls)
+    },
+    **{
+        f"{name}.{attr}": (attr, value, 1)
+        for name, cls in CLASSES.items()
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and inspect.isfunction(value)
+    },
+}
 CALLS = [
     node
     for path in [
@@ -71,18 +94,19 @@ def called_name(call):
 @pytest.mark.parametrize(
     "function, parameter",
     [
-        (name, parameter.name)
-        for name, function in FUNCTIONS.items()
-        for parameter in inspect.signature(function).parameters.values()
+        (label, parameter.name)
+        for label, (_, function, skip) in CALLABLES.items()
+        for parameter in list(inspect.signature(function).parameters.values())[skip:]
         if parameter.default is not inspect.Parameter.empty
     ],
 )
 def test_every_option_is_passed_outside_the_tests(function, parameter):
-    position = list(inspect.signature(FUNCTIONS[function]).parameters).index(parameter)
+    name, code, skip = CALLABLES[function]
+    position = list(inspect.signature(code).parameters)[skip:].index(parameter)
     # Only parameters before the keyword-only ones can be passed by position.
-    positional = FUNCTIONS[function].__code__.co_argcount
+    positional = code.__code__.co_argcount - skip
     assert any(
-        called_name(call) == function
+        called_name(call) == name
         and (
             any(keyword.arg == parameter for keyword in call.keywords)
             or position < min(len(call.args), positional)
